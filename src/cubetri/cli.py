@@ -111,13 +111,17 @@ def _check_d(args, need_odd=False, need_even=False) -> int:
         raise ValueError("this command needs --D")
     if args.D < 1:
         raise ValueError("--D must be positive")
-    if args.D > args.max_d and not args.force:
-        raise ValueError(f"D={args.D} exceeds --max-D {args.max_d}; pass --force to override")
+    _check_cap(args, "D", args.D)
     if need_odd and args.D % 2 == 0:
         raise ValueError("this operation needs odd D")
     if need_even and args.D % 2:
         raise ValueError("this operation needs even D")
     return args.D
+
+
+def _check_cap(args, name: str, value: int) -> None:
+    if value > args.max_d and not args.force:
+        raise ValueError(f"{name}={value} exceeds --max-D {args.max_d}; pass --force to override")
 
 
 # -- build -------------------------------------------------------------------
@@ -248,8 +252,7 @@ def _suite_kwargs(name: str, args) -> dict:
         kwargs["reference_tables"] = args.reference_tables
     if D is None:
         return kwargs
-    if D > args.max_d and not args.force:
-        raise ValueError(f"D={D} exceeds --max-D {args.max_d}; pass --force to override")
+    _check_cap(args, "D", D)
     if name in ("relations", "decomposition", "idempotents"):
         kwargs["Ds"] = (D,)
     elif name == "weights":
@@ -356,6 +359,7 @@ def cmd_skew(args) -> int:
     d = args.d
     if d < 0:
         raise ValueError("diameter must be nonnegative")
+    _check_cap(args, "d", d)
     module = build_irreducible_sl2(d)
     skew = build_skew(module.action, [d + 1], d + 1)
     payload = {

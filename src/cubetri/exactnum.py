@@ -152,12 +152,12 @@ class GaussianRational:
                 elif coeff == "-":
                     im_ = Fraction(-1)
                 else:
-                    im_ = Fraction(coeff)
+                    im_ = _literal_fraction(coeff, text)
             else:
                 if seen_re:
                     raise ValueError(f"two real parts in {text!r}")
                 seen_re = True
-                re_ = Fraction(part)
+                re_ = _literal_fraction(part, text)
         return cls(re_, im_)
 
     # -- square roots in Q(i) ---------------------------------------------
@@ -180,6 +180,13 @@ class GaussianRational:
         if a is None or a == 0:
             return None
         return GaussianRational(a, d / (2 * a))
+
+
+def _literal_fraction(piece: str, text: str) -> Fraction:
+    try:
+        return Fraction(piece)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _fraction_sqrt(q: Fraction) -> Fraction | None:

@@ -2,9 +2,10 @@
 Go's sl2 structure, and the induced anticommutator-algebra structures.
 
 Vertices are integers 0..2^D-1, bit j is coordinate j, distance is XOR
-popcount, and the base vertex is the all-zeros string.  The primitive
-idempotents are interpolated from the adjacency matrix, staying inside
-integer eigenvalue arithmetic throughout.
+popcount, and the base vertex is the all-zeros string.  Each primitive
+idempotent E_i is read off its base column: a Krylov interpolation in the
+adjacency matrix gives E_i e_0, and since the XOR-translations are
+automorphisms of Q_D commuting with A, E_i[y, z] = E_i[y ^ z, 0].
 """
 from __future__ import annotations
 
@@ -94,24 +95,16 @@ def eigenvalue(ctx: CubeContext, i: int) -> int:
 
 
 def primitive_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
-    """E_i by linear interpolation in the adjacency matrix."""
+    """E_i, with (y, z)-entry the base column of E_i at y XOR z."""
     _check_index(ctx, i)
     return _primitive_idempotent(ctx.D, i)
 
 
 @lru_cache(maxsize=None)
 def _primitive_idempotent(D: int, i: int) -> ExactMatrix:
-    ctx = CubeContext(D)
-    a = adjacency(ctx)
-    eye = ExactMatrix.identity(ctx.nvertices)
-    theta_i = D - 2 * i
-    m = eye
-    for j in range(D + 1):
-        if j == i:
-            continue
-        theta_j = D - 2 * j
-        m = (m @ (a - eye * theta_j)) * Fraction(1, theta_i - theta_j)
-    return m
+    col = [(x, v) for (x, _c), v in _idempotent_base_column(D, i).entries.items()]
+    n = 1 << D
+    return ExactMatrix(n, n, {(y, y ^ x): v for y in range(n) for x, v in col})
 
 
 def dual_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:

@@ -7,6 +7,7 @@ CPython bigint multiply does a whole row-times-row-of-blocks step exactly.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -209,7 +210,6 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
     if not a.entries or not b.entries:
         return ExactMatrix.zeros(a.nrows, b.ncols)
-    b_rows: dict; a_by_k: dict
     b_row_count = {}
     for (k, _j) in b.entries:
         b_row_count[k] = b_row_count.get(k, 0) + 1
@@ -254,7 +254,7 @@ def _scaled_int_parts(m: ExactMatrix):
     return den, re_rows, im_rows
 
 
-def _pack_rows(rows, p, width, shift):
+def _pack_rows(rows, width, shift):
     buf_rows = []
     for row in rows:
         buf = b"".join((x + shift).to_bytes(width, "little") for x in row)
@@ -274,7 +274,7 @@ def _int_matmul_packed(a_rows, b_rows, n, k, p):
     sb = -bmin if bmin < 0 else 0
     digit_bound = k * (amax + sa) * (bmax + sb) + 1
     width = (digit_bound.bit_length() + 7) // 8
-    packed_b = _pack_rows(b_rows, p, width, sb)
+    packed_b = _pack_rows(b_rows, width, sb)
     row_sum_a = [sum(r) for r in a_rows]
     col_sum_b = [0] * p
     for row in b_rows:
@@ -304,7 +304,6 @@ def _matmul_packed(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     n, k, p = a.nrows, a.ncols, b.ncols
     da, a_re, a_im = _scaled_int_parts(a)
     db, b_re, b_im = _scaled_int_parts(b)
-    zero_block = None
     re_part = _int_matmul_packed(a_re, b_re, n, k, p)
     if a_im is not None and b_im is not None:
         tmp = _int_matmul_packed(a_im, b_im, n, k, p)
@@ -600,18 +599,41 @@ def format_matrix(m: ExactMatrix) -> str:
 
 
 def parse_matrix(text: str) -> ExactMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dims "):
+    """Inverse of format_matrix; a malformed line raises ValueError naming
+    its 1-based line number."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("dims "):
         raise ValueError("matrix text must start with a 'dims <nrows> <ncols>' line")
-    _, nr, nc = lines[0].split()
+    dims_no, dims_line = lines[0]
+    with _at_line(dims_no):
+        _, nr, nc = _three_fields(dims_line)
+        nrows, ncols = int(nr), int(nc)
     entries = {}
-    for ln in lines[1:]:
-        r, c, val = ln.split(maxsplit=2)
-        key = (int(r), int(c))
-        if key in entries:
-            raise ValueError(f"duplicate entry at {key}")
-        entries[key] = GaussianRational.parse(val)
-    return ExactMatrix(int(nr), int(nc), entries)
+    for no, ln in lines[1:]:
+        with _at_line(no):
+            r, c, val = _three_fields(ln)
+            key = (int(r), int(c))
+            if not (0 <= key[0] < nrows and 0 <= key[1] < ncols):
+                raise ValueError(f"entry index {key} out of bounds for {nrows}x{ncols}")
+            if key in entries:
+                raise ValueError(f"duplicate entry at {key}")
+            entries[key] = GaussianRational.parse(val)
+    return ExactMatrix(nrows, ncols, entries)
+
+
+@contextmanager
+def _at_line(no: int):
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"line {no}: {exc}") from None
+
+
+def _three_fields(line: str) -> list[str]:
+    fields = line.split(maxsplit=2)
+    if len(fields) != 3:
+        raise ValueError(f"expected three fields, got {line!r}")
+    return fields
 
 
 def write_matrix(m: ExactMatrix, path) -> None:

@@ -26,6 +26,7 @@ from .hypercube import (
     adjacency,
     cube,
     distance_matrix,
+    eigenvalue,
     go_sl2_structure,
     k_scalar,
     negative_structure,
@@ -203,9 +204,14 @@ def _idempotents_dense(ctx, notes):
     D, n = ctx.D, ctx.nvertices
     es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
     total = ExactMatrix.zeros(n, n)
-    for e in es:
+    spectral = ExactMatrix.zeros(n, n)
+    for i, e in enumerate(es):
         total = total + e
+        spectral = spectral + e * eigenvalue(ctx, i)
     _require(total == ExactMatrix.identity(n), f"D={D}: sum of idempotents is not I")
+    # with the orthogonality below this gives A E_j = theta_j E_j for every j,
+    # so the E_i are the eigenprojections of A whatever built them
+    _require(spectral == adjacency(ctx), f"D={D}: sum theta_i E_i is not A")
     for i, ei in enumerate(es):
         for j in range(i, D + 1):
             expected = ei if i == j else ExactMatrix.zeros(n, n)
@@ -218,7 +224,10 @@ def _idempotents_dense(ctx, notes):
             n, n, {(y, z): v * ((-1) ** ctx.distance(y, z)) for (y, z), v in ei.entries.items()}
         )
         _require(es[D - i] == twisted, f"D={D}: sign relation fails between E_{i} and E_{D - i}")
-    notes.append(f"D={D}: sum, orthogonality, E_0, ranks, sign relation (dense products)")
+    notes.append(
+        f"D={D}: sum, spectral sum theta_i E_i = A, orthogonality, E_0, ranks, "
+        "sign relation (dense products)"
+    )
 
 
 def _apply_idempotent(ctx, coeff_table, i, vec):
@@ -521,9 +530,6 @@ SUITES = {
     "families": suite_families,
     "transport": suite_transport,
 }
-
-# suites whose default ranges involve dense idempotent products
-DENSE_SUITES = {"idempotents"}
 
 
 def run_suite(name: str, **kwargs) -> SuiteResult:

@@ -37,7 +37,7 @@ BUDGETS = {
     "relations": 60.0,
     "skew": 5.0,
     "idempotents-small": 30.0,
-    "idempotents-full": 600.0,
+    "idempotents-full": 180.0,
     "families": 5.0,
 }
 

@@ -1,6 +1,7 @@
 import json
 
 from cubetri.acsa import ab_type, build_canonical
+from cubetri import cli
 from cubetri.cli import main
 from cubetri.linalg import read_matrix, write_matrix
 
@@ -156,6 +157,30 @@ def test_skew_command(capsys):
     code, out = run_cli(capsys, "skew", "--d", "4")
     payload = json.loads(out)
     assert payload["induced"] == {"first": "B(4)", "second": "B(4)"}
+
+
+def test_skew_respects_the_d_cap(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_irreducible_sl2", built.append)
+    for argv in (("--d", "60"), ("--d", "4", "--max-D", "3")):
+        assert main(["skew", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: d=") and "--max-D" in err
+    assert built == []
+
+
+def test_classify_reports_malformed_scalar_line(tmp_path, capsys):
+    from cubetri.linalg import ExactMatrix
+
+    good = tmp_path / "good.mtx"
+    write_matrix(ExactMatrix.identity(2), good)
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("dims 2 2\n\n0 0 1/0\n")
+    code = main(["classify", "--x", str(bad), "--y", str(good), "--z", str(good)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: line 3:") and "1/0" in err
+    assert err.count("\n") == 1
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -87,7 +87,7 @@ def test_parse_round_trip_random():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "1//2", "i+i", "2+3", "1znak"]:
+    for bad in ["", "1//2", "i+i", "2+3", "1znak", "1/0", "1+2/0*i"]:
         with pytest.raises(ValueError):
             GaussianRational.parse(bad)
 

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from cubetri import suites
 from cubetri.exactnum import gr
 from cubetri.hypercube import (
     adjacency,
@@ -131,7 +132,14 @@ def test_dual_distance_matrices():
             assert sec.get(v, v) == gr((-1) ** w * (D - 2 * w))
 
 
+def _krawtchouk(D: int, i: int, x: int) -> int:
+    """K_i(x) = sum_j (-1)^j C(x, j) C(D - x, i - j): 2^D E_i at distance x."""
+    return sum((-1) ** j * comb(x, j) * comb(D - x, i - j) for j in range(i + 1))
+
+
 def test_dual_distance_matches_full_idempotent():
+    # both views against the Krawtchouk closed form, which is computed
+    # independently of the base-column construction they share
     for D in (2, 3, 4):
         ctx = cube(D)
         for i in range(D + 1):
@@ -139,6 +147,35 @@ def test_dual_distance_matches_full_idempotent():
             diag = dual_distance_matrix(ctx, i)
             for y in ctx.vertices():
                 assert diag.get(y, y) == e.get(y, 0) * ctx.nvertices
+                for z in ctx.vertices():
+                    want = _krawtchouk(D, i, ctx.distance(y, z))
+                    assert e.get(y, z) * ctx.nvertices == want
+
+
+def test_dual_distance_matrix_krawtchouk_oracle():
+    for D in range(1, 9):
+        ctx = cube(D)
+        for i in range(D + 1):
+            diag = dual_distance_matrix(ctx, i)
+            for y in ctx.vertices():
+                assert diag.get(y, y) == _krawtchouk(D, i, ctx.weight(y))
+
+
+def test_idempotents_suite_catches_swapped_eigenprojections(monkeypatch):
+    # E_1 and E_{D-1} share rank and the sign relation, so only the
+    # spectral sum tells them apart
+    D = 4
+
+    def swapped(ctx, i):
+        return primitive_idempotent(ctx, {1: D - 1, D - 1: 1}.get(i, i))
+
+    monkeypatch.setattr(suites, "primitive_idempotent", swapped)
+    with pytest.raises(suites.CheckFailure, match="sum theta_i E_i is not A"):
+        suites._idempotents_dense(cube(D), [])
+    monkeypatch.undo()
+    notes = []
+    suites._idempotents_dense(cube(D), notes)
+    assert "spectral sum" in notes[0]
 
 
 def test_go_sl2_structure():

@@ -195,5 +195,14 @@ def test_exchange_format_layout():
 def test_parse_matrix_rejects_malformed():
     with pytest.raises(ValueError):
         parse_matrix("0 0 1\n")
-    with pytest.raises(ValueError):
-        parse_matrix("dims 2 2\n0 0 1\n0 0 2\n")
+    # each error names its 1-based line; blank lines count
+    for text, where in (
+        ("dims 2 2\n0 0 1\n0 0 2\n", "line 3:"),
+        ("dims 2 2\n0 0 1/0\n", "line 2:"),
+        ("dims 2 2\n\n0 0 1\n1 1 x\n", "line 4:"),
+        ("dims 2 2\n0 2 1\n", "line 2:"),
+        ("dims 2 2\n0 0\n", "line 2:"),
+        ("dims 2 two\n", "line 1:"),
+    ):
+        with pytest.raises(ValueError, match=where):
+            parse_matrix(text)

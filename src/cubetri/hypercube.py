@@ -115,8 +115,10 @@ def dual_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
     return ExactMatrix(ctx.nvertices, ctx.nvertices, entries)
 
 
-def _interpolation_coefficients(D: int, i: int):
-    """Coefficients of prod_{j != i} (t - theta_j)/(theta_i - theta_j)."""
+@lru_cache(maxsize=None)
+def _interpolation_coefficients(D: int, i: int) -> tuple[Fraction, ...]:
+    """Coefficients of prod_{j != i} (t - theta_j)/(theta_i - theta_j),
+    constant term first."""
     coeffs = [Fraction(1)]
     denom = 1
     theta_i = D - 2 * i
@@ -130,7 +132,7 @@ def _interpolation_coefficients(D: int, i: int):
             nxt[k] -= c * theta_j
             nxt[k + 1] += c
         coeffs = nxt
-    return [c / denom for c in coeffs]
+    return tuple(c / denom for c in coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -230,12 +230,12 @@ def _idempotents_dense(ctx, notes):
     )
 
 
-def _apply_idempotent(ctx, coeff_table, i, vec):
+def _apply_idempotent(ctx, i, vec):
     """E_i applied through its interpolation polynomial; never materializes E_i."""
     a = adjacency(ctx)
     total = ExactMatrix.zeros(ctx.nvertices, 1)
     power = vec
-    for c in coeff_table[i]:
+    for c in _interpolation_coefficients(ctx.D, i):
         if c:
             total = total + power * c
         power = a @ power
@@ -248,14 +248,13 @@ def _idempotents_sampled(ctx, seed, sample_count, notes):
     D, n = ctx.D, ctx.nvertices
     rng = random.Random(seed)
     vertices = [rng.randrange(n) for _ in range(sample_count)]
-    coeff_table = [_interpolation_coefficients(D, i) for i in range(D + 1)]
     for y in vertices:
         basis_vec = ExactMatrix.column_vector([1 if v == y else 0 for v in range(n)])
         total = ExactMatrix.zeros(n, 1)
         for i in range(D + 1):
-            img = _apply_idempotent(ctx, coeff_table, i, basis_vec)
+            img = _apply_idempotent(ctx, i, basis_vec)
             total = total + img
-            again = _apply_idempotent(ctx, coeff_table, i, img)
+            again = _apply_idempotent(ctx, i, img)
             _require(again == img, f"D={D}: E_{i}^2 fails on sampled vertex {y}")
         _require(total == basis_vec, f"D={D}: sum of projections misses sampled vertex {y}")
     notes.append(f"D={D}: idempotent identities on {sample_count} sampled vertices (seeded)")
@@ -286,7 +285,10 @@ def suite_decomposition(Ds=None, **_kw):
                     f"D={D} {m.module_id}: vector {j} leaves its weight slice",
                 )
                 slices.setdefault(label, []).append(col)
-            profile = dual_profile(ctx, m)
+            try:
+                profile = dual_profile(ctx, m)
+            except ValueError as err:
+                raise CheckFailure(f"D={D} {m.module_id}: {err}") from err
             want = [1 if m.endpoint <= i <= m.endpoint + m.diameter else 0 for i in range(D + 1)]
             _require(
                 profile == want,

@@ -21,7 +21,7 @@ from .hypercube import (
     positive_structure,
     _interpolation_coefficients,
 )
-from .linalg import ExactMatrix, VectorBasis, kernel_basis, restrict
+from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from .quotient import QuotientContext, psi_matrix, quotient_acsa_structure
 
 
@@ -128,51 +128,27 @@ def _decompose(D: int) -> list[SubmoduleBasis]:
     return modules
 
 
-def _sparse_columns_rank(columns) -> int:
-    """Rank of a small set of sparse columns by incremental reduction."""
-    reduced: list[tuple[int, dict]] = []
-    for col in columns:
-        vec = dict(col)
-        for lead, other in reduced:
-            f = vec.get(lead)
-            if f:
-                for k, v in other.items():
-                    cur = vec.get(k, gr(0)) - f * v
-                    if cur:
-                        vec[k] = cur
-                    elif k in vec:
-                        del vec[k]
-        if vec:
-            lead = min(vec)
-            inv = vec[lead].inverse()
-            reduced.append((lead, {k: v * inv for k, v in vec.items()}))
-    return len(reduced)
-
-
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     """Dimensions of the spectral projections E_i W for i = 0..D.
 
-    Evaluates each idempotent through its interpolation polynomial in A via
-    Krylov iteration, so the dense idempotents are never materialized."""
-    a = adjacency(ctx)
-    coeff_table = [_interpolation_coefficients(ctx.D, i) for i in range(ctx.D + 1)]
-    projections: list[list[dict]] = [[] for _ in range(ctx.D + 1)]
-    for j in range(w.vectors.size):
-        powers = []
-        vec = w.vectors.column(j)
-        for _k in range(ctx.D + 1):
-            powers.append(vec)
-            vec = a @ vec
-        for i in range(ctx.D + 1):
-            total = ExactMatrix.zeros(ctx.nvertices, 1)
-            for k, c in enumerate(coeff_table[i]):
-                if c:
-                    total = total + powers[k] * c
-            if not total.is_zero():
-                projections[i].append(
-                    {r: v for (r, _c), v in total.entries.items()}
-                )
-    return [_sparse_columns_rank(cols) for cols in projections]
+    `restrict` returns A_W only if the basis matrix S of W has full column
+    rank and A S = S A_W holds exactly, i.e. W is A-invariant; otherwise it
+    raises ValueError.  Given both, E_i S = p_i(A) S = S p_i(A_W) for the
+    interpolation polynomial p_i of E_i, and S is injective, so
+    dim E_i W = rank p_i(A_W).  All the work is on the (d+1)x(d+1) matrix
+    A_W; the idempotents and ambient Krylov vectors are never formed."""
+    a_w = restrict(adjacency(ctx), w.vectors)
+    powers = [ExactMatrix.identity(w.dimension)]
+    for _k in range(ctx.D):
+        powers.append(powers[-1] @ a_w)
+    profile = []
+    for i in range(ctx.D + 1):
+        p_i = ExactMatrix.zeros(w.dimension, w.dimension)
+        for c, power in zip(_interpolation_coefficients(ctx.D, i), powers):
+            if c:
+                p_i = p_i + power * c
+        profile.append(rank(p_i))
+    return profile
 
 
 # Variant tables for the odd-diameter splits of T-modules under the positive
@@ -209,8 +185,15 @@ def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> M
 
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
     """Intersections of W with the symmetric/antisymmetric halves, computed
-    from the +-1 eigenspaces of the antipodal involution restricted to W."""
-    ad = distance_matrix(ctx, ctx.D)
+    from the +-1 eigenspaces of the antipodal involution restricted to W.
+    Memoized per module: `split_and_type` and `quotient_modules` share it."""
+    return _antipodal_split(ctx.D, w)
+
+
+@lru_cache(maxsize=None)
+def _antipodal_split(D: int, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
+    ctx = CubeContext(D)
+    ad = distance_matrix(ctx, D)
     inside = restrict(ad, w.vectors)
     eye = ExactMatrix.identity(w.vectors.size)
     parts = []

@@ -38,6 +38,7 @@ BUDGETS = {
     "skew": 5.0,
     "idempotents-small": 30.0,
     "idempotents-full": 180.0,
+    "decomposition": 30.0,
     "families": 5.0,
 }
 
@@ -96,8 +97,10 @@ def test_criterion_4_idempotent_algebra():
 
 def test_criterion_5_decomposition_audit():
     r = run_suite("decomposition", Ds=tuple(range(1, 9)))
-    _report("5", "Terwilliger decomposition audit", r.passed, r.seconds, r.detail)
+    ok = r.passed and r.seconds < BUDGETS["decomposition"]
+    _report("5", "Terwilliger decomposition audit", ok, r.seconds, r.detail)
     assert r.passed, r.detail
+    assert r.seconds < BUDGETS["decomposition"]
 
 
 def test_criterion_6_even_leonard_certificates():

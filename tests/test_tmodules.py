@@ -1,10 +1,14 @@
 from math import comb
 
+import pytest
+
+from cubetri import suites
 from cubetri.acsa import ab_type, b_type
-from cubetri.hypercube import adjacency, cube, go_sl2_structure
-from cubetri.linalg import ExactMatrix, VectorBasis, restrict
+from cubetri.hypercube import adjacency, cube, go_sl2_structure, primitive_idempotent
+from cubetri.linalg import ExactMatrix, VectorBasis, rank, restrict
 from cubetri.quotient import quotient
 from cubetri.tmodules import (
+    SubmoduleBasis,
     decompose,
     dual_profile,
     module_summary,
@@ -116,6 +120,34 @@ def test_dual_profile_specific():
     assert dual_profile(ctx, mods[0]) == [1, 1, 1, 1, 1]
     r2 = next(m for m in mods if m.endpoint == 2)
     assert dual_profile(ctx, r2) == [0, 0, 1, 0, 0]
+
+
+def test_dual_profile_matches_dense_idempotents():
+    # rank(E_i S) with the dense E_i is the definition of dim E_i W
+    for D in range(1, 7):
+        ctx = cube(D)
+        for m in decompose(ctx):
+            want = [rank(primitive_idempotent(ctx, i) @ m.vectors.matrix) for i in range(D + 1)]
+            assert dual_profile(ctx, m) == want, (D, m.module_id)
+
+
+def _non_invariant_module(D):
+    """A one-vector 'module' spanned by a weight-1 vertex, which A moves out."""
+    return SubmoduleBasis("r1#0", 1, VectorBasis.from_columns(1 << D, [{1: 1}]))
+
+
+def test_dual_profile_rejects_non_invariant_basis():
+    with pytest.raises(ValueError, match="not invariant"):
+        dual_profile(cube(3), _non_invariant_module(3))
+
+
+def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch):
+    # at D=2 the fake r1#0 passes the dimension, diameter and slice checks
+    real = decompose(cube(2))
+    monkeypatch.setattr(suites, "decompose", lambda ctx: [real[0], _non_invariant_module(2)])
+    r = suites.run_suite("decomposition", Ds=(2,))
+    assert r.status == "fail"
+    assert r.detail.startswith("D=2 r1#0: subspace not invariant")
 
 
 def test_split_and_type_even():

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 
-from .exactnum import GaussianRational, ZERO
-from .linalg import ExactMatrix, kernel_basis
+from .exactnum import GaussianRational
+from .linalg import ExactMatrix, integer_eigenspaces, invert
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -183,83 +183,52 @@ def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
     return True, None
 
 
-def _integer_eigenspaces(m: ExactMatrix, bound: int):
-    """All (eigenvalue, kernel basis) pairs with integer eigenvalues in [-bound, bound].
-
-    Raises if the eigenspaces found do not span, i.e. the matrix is outside
-    the class this package supports (integer spectrum, diagonalizable).
-    """
-    n = m.nrows
-    found = []
-    total = 0
-    eye = ExactMatrix.identity(n)
-    for theta in range(-bound, bound + 1):
-        k = kernel_basis(m - eye * theta)
-        if k.size:
-            found.append((theta, k))
-            total += k.size
-            if total == n:
-                break
-    if total != n:
-        raise ValueError(
-            f"integer eigenvalue scan in [-{bound},{bound}] found {total} of {n} dimensions; "
-            "input is outside the supported class"
-        )
-    return found
-
-
-def _closure_dimension(seed: ExactMatrix, mats) -> int:
-    """Dimension of the smallest subspace containing seed and invariant under mats."""
-    n = seed.nrows
-    basis_rows: list[list[GaussianRational]] = []
-    pivots: list[int] = []
-
-    def reduce_and_add(vec_entries: dict) -> bool:
-        row = [ZERO] * n
-        for r, v in vec_entries.items():
-            row[r] = v
-        for pos, existing in zip(pivots, basis_rows):
-            f = row[pos]
-            if f:
-                for j in range(n):
-                    if existing[j]:
-                        row[j] = row[j] - f * existing[j]
-        lead = next((j for j in range(n) if row[j]), None)
-        if lead is None:
-            return False
-        inv = row[lead].inverse()
-        basis_rows.append([x * inv for x in row])
-        pivots.append(lead)
-        return True
-
-    queue = [seed]
-    reduce_and_add({r: v for (r, _c), v in seed.entries.items()})
-    while queue and len(basis_rows) < n:
-        vec = queue.pop()
-        for m in mats:
-            img = m @ vec
-            if reduce_and_add({r: v for (r, _c), v in img.entries.items()}):
-                queue.append(img)
-    return len(basis_rows)
-
-
 def is_irreducible(m: ModuleActionTriple) -> bool:
     """True iff every x-eigenvector generates the whole space under {x, y}.
 
     Irreducible modules of the five families have multiplicity-free integer
     x-spectrum, so a repeated eigenvalue already witnesses reducibility.
+    Otherwise let P hold the eigenvectors v_0..v_{n-1} of x as columns and
+    C = P^-1 y P, so that y v_c = sum_r C[r,c] v_r.  x is multiplicity-free,
+    so every x-invariant subspace is spanned by the eigenvectors it contains.
+    The {x, y}-closure of v_j is therefore the span of the v_r reachable from
+    j along the edges c -> r with C[r,c] != 0, and every eigenvector
+    generates the space iff that support graph is strongly connected: node 0
+    reaches every node, and every node reaches node 0.  x is diagonalizable,
+    so any nonzero {x, y}-invariant subspace contains an x-eigenvector; the
+    test is therefore irreducibility of the {x, y}-action itself.
     """
     n = m.dimension
-    bound = 2 * m.diameter + 1
-    eigenspaces = _integer_eigenspaces(m.x_mat, bound)
-    for _theta, basis in eigenspaces:
-        if basis.size > 1:
-            return False
-    gens = (m.x_mat, m.y_mat)
-    for _theta, basis in eigenspaces:
-        if _closure_dimension(basis.column(0), gens) < n:
-            return False
-    return True
+    eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
+    if any(basis.size > 1 for _theta, basis in eigenspaces):
+        return False
+    p = ExactMatrix(
+        n,
+        n,
+        {
+            (r, j): v
+            for j, (_theta, basis) in enumerate(eigenspaces)
+            for (r, _c), v in basis.matrix.entries.items()
+        },
+    )
+    coupling = invert(p) @ m.y_mat @ p
+    forward = [(c, r) for (r, c) in coupling.entries]
+    return n == 0 or (_reaches_all(n, forward) and _reaches_all(n, coupling.entries))
+
+
+def _reaches_all(n: int, edges) -> bool:
+    """True iff node 0 reaches all n nodes along the (source, target) edges."""
+    targets: dict = {}
+    for source, target in edges:
+        targets.setdefault(source, []).append(target)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for target in targets.get(stack.pop(), ()):
+            if target not in seen:
+                seen.add(target)
+                stack.append(target)
+    return len(seen) == n
 
 
 def trace_table(d: int) -> dict:

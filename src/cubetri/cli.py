@@ -318,9 +318,9 @@ def _format_verify_text(payload) -> str:
 
 
 def cmd_classify(args) -> int:
-    triple = ModuleActionTriple(
-        read_matrix(args.x), read_matrix(args.y), read_matrix(args.z)
-    )
+    mats = [read_matrix(path) for path in (args.x, args.y, args.z)]
+    _check_cap(args, "diameter", max(max(m.nrows, m.ncols) for m in mats) - 1)
+    triple = ModuleActionTriple(*mats)
     relations_ok, detail = check_relations(triple)
     payload = {
         "dim": triple.dimension,

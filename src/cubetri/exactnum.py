@@ -9,8 +9,6 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-RationalLike = "int | Fraction"
-
 
 class GaussianRational:
     """An element re + im*i of Q(i), with exact rational parts."""
@@ -73,15 +71,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) * self.inverse()
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        base = self if n >= 0 else self.inverse()
-        result = ONE
-        for _ in range(abs(n)):
-            result = result * base
-        return result
-
     def conjugate(self) -> "GaussianRational":
         return GaussianRational(self.re, -self.im)
 
@@ -92,9 +81,6 @@ class GaussianRational:
 
     def is_zero(self) -> bool:
         return not self
-
-    def is_rational(self) -> bool:
-        return self.im == 0
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -183,6 +169,9 @@ class GaussianRational:
 
 
 def _literal_fraction(piece: str, text: str) -> Fraction:
+    # Fraction() alone would also take decimals and exponents such as "1.5e0"
+    if not _re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", piece):
+        raise ValueError(f"malformed Gaussian rational literal: {text!r}")
     try:
         return Fraction(piece)
     except ZeroDivisionError:

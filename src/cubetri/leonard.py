@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
-from .linalg import ExactMatrix, invert, kernel_basis
+from .linalg import ExactMatrix, integer_eigenspaces, invert
 
 GENERATOR_LABELS = ("A", "B", "C")
 
@@ -81,23 +81,13 @@ def eigenstructure(m: ExactMatrix, bound: int):
     has dimension two or the candidates do not exhaust the space."""
     if not m.is_square():
         raise ValueError("eigenstructure of a non-square matrix")
-    n = m.nrows
-    eye = ExactMatrix.identity(n)
     pairs = []
-    for theta in range(-bound, bound + 1):
-        k = kernel_basis(m - eye * theta)
+    for theta, k in integer_eigenspaces(m, bound):
         if k.size > 1:
             raise ValueError(
                 f"eigenvalue {theta} has multiplicity {k.size}; not a Leonard-triple candidate"
             )
-        if k.size == 1:
-            pairs.append((theta, k.column(0)))
-            if len(pairs) == n:
-                break
-    if len(pairs) != n:
-        raise ValueError(
-            f"integer eigenvalues in [-{bound},{bound}] span {len(pairs)} of {n} dimensions"
-        )
+        pairs.append((theta, k.column(0)))
     return pairs
 
 

@@ -395,20 +395,6 @@ class VectorBasis:
                     entries[(r, j)] = v * inv if normalize else v
         return VectorBasis(ExactMatrix._make(ambient_dim, ncols, entries))
 
-    @staticmethod
-    def concat(bases) -> "VectorBasis":
-        bases = list(bases)
-        ambient = bases[0].ambient_dim
-        entries = {}
-        offset = 0
-        for b in bases:
-            if b.ambient_dim != ambient:
-                raise ValueError("ambient dimension mismatch")
-            for (r, c), v in b.matrix.entries.items():
-                entries[(r, c + offset)] = v
-            offset += b.size
-        return VectorBasis(ExactMatrix._make(ambient, offset, entries))
-
 
 # -- elimination: echelon form, rank, kernels ----------------------------------
 
@@ -477,6 +463,31 @@ def kernel_basis(m: ExactMatrix) -> VectorBasis:
     if not columns:
         return VectorBasis(ExactMatrix.zeros(m.ncols, 0))
     return VectorBasis.from_columns(m.ncols, columns)
+
+
+def integer_eigenspaces(m: ExactMatrix, bound: int):
+    """Yield (theta, kernel basis of m - theta) for each integer eigenvalue
+    theta in [-bound, bound], in increasing order.
+
+    The scan stops once the eigenspaces found span the space; if the range
+    runs out first, m is outside the class this package supports (integer
+    spectrum, diagonalizable) and ValueError is raised.
+    """
+    n = m.nrows
+    eye = ExactMatrix.identity(n)
+    total = 0
+    for theta in range(-bound, bound + 1):
+        if total == n:
+            return
+        k = kernel_basis(m - eye * theta)
+        if k.size:
+            total += k.size
+            yield theta, k
+    if total != n:
+        raise ValueError(
+            f"integer eigenvalues in [-{bound},{bound}] span {total} of {n} dimensions; "
+            "input is outside the supported class"
+        )
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .acsa import ModuleActionTriple, ab_type, check_relations, classify
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
@@ -65,8 +66,11 @@ def check_brackets(action: Sl2Action) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def build_irreducible_sl2(d: int) -> Sl2Module:
-    """The (d+1)-dimensional irreducible module, with both standard bases."""
+    """The (d+1)-dimensional irreducible module, with both standard bases.
+
+    Memoized: the module is immutable, so every caller shares one copy."""
     if d < 0:
         raise ValueError("diameter must be nonnegative")
     n = d + 1
@@ -120,8 +124,12 @@ def raising_lowering_halves(action: Sl2Action):
     return (iy - action.x_mat) * half, (iy + action.x_mat) * half
 
 
+@lru_cache(maxsize=None)
 def build_h(action: Sl2Action, nilpotency_bound: int) -> ExactMatrix:
-    """h as a product of three nilpotent exponentials, computed exactly."""
+    """h as a product of three nilpotent exponentials, computed exactly.
+
+    Memoized on the action's value, so the canonical modules and the cube's
+    sl2 structure each pay for their exponentials once per process."""
     n_minus, n_plus = raising_lowering_halves(action)
     e_minus = exp_nilpotent(n_minus, nilpotency_bound)
     e_plus = exp_nilpotent(n_plus, nilpotency_bound)

@@ -35,11 +35,11 @@ from cubetri.tmodules import (
 
 BUDGETS = {
     "relations": 60.0,
-    "skew": 5.0,
+    "skew": 2.5,
     "idempotents-small": 30.0,
     "idempotents-full": 180.0,
     "decomposition": 30.0,
-    "families": 5.0,
+    "families": 3.5,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and

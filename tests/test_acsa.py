@@ -15,7 +15,7 @@ from cubetri.acsa import (
     scale_to_normalized,
 )
 from cubetri.exactnum import gr
-from cubetri.linalg import ExactMatrix, invert, rank
+from cubetri.linalg import ExactMatrix, integer_eigenspaces, invert, rank
 
 ALL_TYPES_SMALL = [b_type(d) for d in range(0, 11, 2)] + [
     ab_type(d, n) for d in range(0, 11) for n in "0xyz"
@@ -84,6 +84,95 @@ def test_irreducibility():
     b2 = build_canonical(b_type(2))
     assert not is_irreducible(_direct_sum(b2, b2))
     assert not is_irreducible(_direct_sum(b2, build_canonical(ab_type(1, "x"))))
+
+
+def _columns(n, vectors):
+    return ExactMatrix(
+        n,
+        len(vectors),
+        {(r, j): v for j, vec in enumerate(vectors) for (r, _c), v in vec.entries.items()},
+    )
+
+
+def _closure_dimension(seed, mats):
+    """Dimension of the smallest subspace containing seed and invariant under mats."""
+    n = seed.nrows
+    span = [seed]
+    queue = [seed]
+    while queue:
+        vec = queue.pop()
+        for g in mats:
+            img = g @ vec
+            if rank(_columns(n, span + [img])) > len(span):
+                span.append(img)
+                queue.append(img)
+    return len(span)
+
+
+def _irreducible_by_closure(m):
+    """The former definition: every x-eigenvector generates the space under {x, y}."""
+    spaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
+    if any(basis.size > 1 for _theta, basis in spaces):
+        return False
+    gens = (m.x_mat, m.y_mat)
+    return all(
+        _closure_dimension(basis.column(0), gens) == m.dimension for _theta, basis in spaces
+    )
+
+
+def test_irreducibility_matches_closure_oracle_on_canonical_modules_and_sums():
+    small = [t for t in ALL_TYPES_SMALL if t.d <= 6]
+    for t in small:
+        triple = build_canonical(t)
+        assert is_irreducible(triple) is _irreducible_by_closure(triple) is True, t
+    tiny = [build_canonical(t) for t in small if t.d <= 2]
+    for a in tiny:
+        for b in tiny:
+            summed = _direct_sum(a, b)
+            assert is_irreducible(summed) is _irreducible_by_closure(summed) is False
+
+
+def test_irreducibility_matches_closure_oracle_on_random_conjugates():
+    rng = random.Random(20240817)
+    verdicts = []
+    for _ in range(120):
+        n = rng.randint(1, 5)
+        spectrum = rng.sample(range(-(2 * n - 1), 2 * n), n)
+        if n > 1 and rng.random() < 0.15:
+            spectrum[1] = spectrum[0]
+        g = _random_invertible(rng, n)
+        ginv = invert(g)
+        sparse = ExactMatrix(
+            n,
+            n,
+            {
+                (r, c): gr(rng.choice([-2, -1, 1, 3]), rng.randint(-1, 1))
+                for r in range(n)
+                for c in range(n)
+                if rng.random() < 0.35
+            },
+        )
+        triple = ModuleActionTriple(
+            g @ ExactMatrix.diagonal(spectrum) @ ginv,
+            g @ sparse @ ginv,
+            ExactMatrix.zeros(n, n),
+        )
+        got = is_irreducible(triple)
+        assert got is _irreducible_by_closure(triple), (spectrum, sparse.entries)
+        verdicts.append(got)
+    assert 20 <= sum(verdicts) <= 100
+
+
+def test_one_way_coupling_is_reducible():
+    # x = diag(1, 2), y = E_01: the support graph 1 -> 0 is weakly but not
+    # strongly connected, and span{v_0} is a proper submodule
+    x = ExactMatrix.diagonal([1, 2])
+    zero = ExactMatrix.zeros(2, 2)
+    forward = ExactMatrix(2, 2, {(0, 1): 1})
+    backward = forward.transpose()
+    assert not is_irreducible(ModuleActionTriple(x, forward, zero))
+    assert not is_irreducible(ModuleActionTriple(x, backward, zero))
+    assert is_irreducible(ModuleActionTriple(x, forward + backward, zero))
 
 
 def test_canonical_round_trip_all_families():

@@ -1,4 +1,5 @@
 import json
+import time
 
 from cubetri.acsa import ab_type, build_canonical
 from cubetri import cli
@@ -181,6 +182,22 @@ def test_classify_reports_malformed_scalar_line(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: line 3:") and "1/0" in err
     assert err.count("\n") == 1
+
+
+def test_classify_caps_the_declared_dimension(tmp_path, capsys):
+    zero = tmp_path / "zero.mtx"
+    zero.write_text("dims 600 600\n")
+    small = tmp_path / "small.mtx"
+    small.write_text("dims 3 3\n")
+    for path, extra in ((zero, ()), (small, ("--max-D", "1"))):
+        start = time.perf_counter()
+        code = main(["classify", "--x", str(path), "--y", str(path), "--z", str(path), *extra])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: diameter=") and "--max-D" in err
+        assert err.count("\n") == 1
+        assert elapsed < 1.0
 
 
 def test_output_file_writing(tmp_path, capsys):

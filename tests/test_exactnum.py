@@ -92,6 +92,12 @@ def test_parse_rejects_garbage():
             GaussianRational.parse(bad)
 
 
+def test_parse_rejects_decimal_and_exponent_literals():
+    for bad in ["1.5e0", "1.5", "1e3", "2.0*i", "1/2+0.5*i", "-1E2*i"]:
+        with pytest.raises(ValueError, match="malformed"):
+            GaussianRational.parse(bad)
+
+
 def test_sqrt_in_qi():
     assert gr(1).sqrt() in (gr(1), gr(-1))
     assert gr(-1).sqrt() in (gr(0, 1), gr(0, -1))

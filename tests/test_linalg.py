@@ -9,6 +9,7 @@ from cubetri.linalg import (
     VectorBasis,
     exp_nilpotent,
     format_matrix,
+    integer_eigenspaces,
     invert,
     kernel_basis,
     matmul,
@@ -206,3 +207,16 @@ def test_parse_matrix_rejects_malformed():
     ):
         with pytest.raises(ValueError, match=where):
             parse_matrix(text)
+
+
+def test_integer_eigenspaces_stops_once_they_span(monkeypatch):
+    import cubetri.linalg as linalg
+
+    tried = []
+    monkeypatch.setattr(linalg, "kernel_basis", lambda m: tried.append(m) or kernel_basis(m))
+    m = ExactMatrix.diagonal([3, -1, 3])
+    scan = integer_eigenspaces(m, 50)
+    assert [(theta, k.size) for theta, k in scan] == [(-1, 1), (3, 2)]
+    assert len(tried) == 54  # candidates -50..3, none above the last eigenvalue
+    with pytest.raises(ValueError, match="span 0 of 2"):
+        list(integer_eigenspaces(ExactMatrix.from_rows([[0, 2], [1, 0]]), 5))

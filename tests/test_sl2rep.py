@@ -5,6 +5,7 @@ from cubetri.acsa import ab_type, b_type, classify
 from cubetri.exactnum import gr
 from cubetri.linalg import ExactMatrix, exp_nilpotent, invert
 from cubetri.sl2rep import (
+    Sl2Action,
     build_h,
     build_irreducible_sl2,
     build_k,
@@ -188,3 +189,17 @@ def test_split_odd_diameter_seven_pairs():
 def test_split_odd_rejects_even():
     with pytest.raises(ValueError):
         split_odd(build_irreducible_sl2(4), 1)
+
+
+def test_canonical_module_is_built_once():
+    assert build_irreducible_sl2(5) is build_irreducible_sl2(5)
+
+
+def test_build_h_agrees_on_equal_but_distinct_actions():
+    action = build_irreducible_sl2(3).action
+    twin = Sl2Action(*(ExactMatrix(m.nrows, m.ncols, dict(m.entries)) for m in action.matrices()))
+    assert twin is not action and twin == action
+    h = build_h(action, 4)
+    assert build_h(twin, 4) == h
+    assert build_h.__wrapped__(twin, 4) == h  # the uncached computation
+    assert h == ExactMatrix.diagonal([expected_h_eigenvalue(i, 3) for i in range(4)])

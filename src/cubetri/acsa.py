@@ -12,7 +12,7 @@ import re as _re
 from dataclasses import dataclass
 
 from .exactnum import GaussianRational
-from .linalg import ExactMatrix, integer_eigenspaces, invert
+from .linalg import ExactMatrix, conjugate_by_columns, integer_eigenspaces
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -202,16 +202,7 @@ def is_irreducible(m: ModuleActionTriple) -> bool:
     eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
     if any(basis.size > 1 for _theta, basis in eigenspaces):
         return False
-    p = ExactMatrix(
-        n,
-        n,
-        {
-            (r, j): v
-            for j, (_theta, basis) in enumerate(eigenspaces)
-            for (r, _c), v in basis.matrix.entries.items()
-        },
-    )
-    coupling = invert(p) @ m.y_mat @ p
+    (coupling,) = conjugate_by_columns([basis.matrix for _theta, basis in eigenspaces], m.y_mat)
     forward = [(c, r) for (r, c) in coupling.entries]
     return n == 0 or (_reaches_all(n, forward) and _reaches_all(n, coupling.entries))
 

@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
     common.add_argument("--out", type=Path, help="output file or directory")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=20240817, help="seed for sampled checks")
+    common.add_argument("--seed", type=int, default=20240817, help="accepted; no suite reads it")
     common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
     common.add_argument("--force", action="store_true", help="exceed the default D caps")
 
@@ -246,8 +246,6 @@ def _format_decompose_text(payload) -> str:
 def _suite_kwargs(name: str, args) -> dict:
     D = args.D
     kwargs: dict = {}
-    if name == "idempotents":
-        kwargs["seed"] = args.seed
     if name == "leonard-quotient":
         kwargs["reference_tables"] = args.reference_tables
     if D is None:

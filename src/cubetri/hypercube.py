@@ -3,9 +3,9 @@ Go's sl2 structure, and the induced anticommutator-algebra structures.
 
 Vertices are integers 0..2^D-1, bit j is coordinate j, distance is XOR
 popcount, and the base vertex is the all-zeros string.  Each primitive
-idempotent E_i is read off its base column: a Krylov interpolation in the
-adjacency matrix gives E_i e_0, and since the XOR-translations are
-automorphisms of Q_D commuting with A, E_i[y, z] = E_i[y ^ z, 0].
+idempotent E_i is read off its base column E_i e_0, a combination of the
+Krylov vectors A^k e_0 (k <= D) computed once per D; since XOR-translations
+are automorphisms of Q_D commuting with A, E_i[y, z] = E_i[y ^ z, 0].
 """
 from __future__ import annotations
 
@@ -136,17 +136,22 @@ def _interpolation_coefficients(D: int, i: int) -> tuple[Fraction, ...]:
 
 
 @lru_cache(maxsize=None)
+def _krylov_powers(D: int) -> tuple[ExactMatrix, ...]:
+    """A^k e_0 for k = 0..D, shared by every base column of Q_D."""
+    a = adjacency(CubeContext(D))
+    powers = [ExactMatrix.column_vector([1] + [0] * ((1 << D) - 1))]
+    for _k in range(D):
+        powers.append(a @ powers[-1])
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
 def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
-    """E_i applied to the base vertex, via Krylov iteration on A."""
-    ctx = CubeContext(D)
-    a = adjacency(ctx)
-    coeffs = _interpolation_coefficients(D, i)
-    vec = ExactMatrix.column_vector([1] + [0] * (ctx.nvertices - 1))
-    total = ExactMatrix.zeros(ctx.nvertices, 1)
-    for c in coeffs:
+    """E_i e_0 = sum_k c_k A^k e_0, with c_k the interpolation coefficients."""
+    total = ExactMatrix.zeros(1 << D, 1)
+    for c, power in zip(_interpolation_coefficients(D, i), _krylov_powers(D)):
         if c:
-            total = total + vec * c
-        vec = a @ vec
+            total = total + power * c
     return total
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
-from .linalg import ExactMatrix, integer_eigenspaces, invert
+from .linalg import ExactMatrix, conjugate_by_columns, integer_eigenspaces
 
 GENERATOR_LABELS = ("A", "B", "C")
 
@@ -98,18 +98,7 @@ def standard_ordering(pairs, other1: ExactMatrix, other2: ExactMatrix):
     The support graph over eigenvalues must be a path; the traversal starts
     at the endpoint with the larger eigenvalue."""
     n = len(pairs)
-    p = ExactMatrix(
-        pairs[0][1].nrows if n else 0,
-        n,
-        {
-            (r, j): v
-            for j, (_theta, vec) in enumerate(pairs)
-            for (r, _c), v in vec.entries.items()
-        },
-    )
-    pinv = invert(p)
-    c1 = pinv @ other1 @ p
-    c2 = pinv @ other2 @ p
+    c1, c2 = conjugate_by_columns([vec for _theta, vec in pairs], other1, other2)
     neighbors: dict = {j: set() for j in range(n)}
     for mat in (c1, c2):
         for (r, c) in mat.entries:

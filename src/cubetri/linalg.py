@@ -511,6 +511,18 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._make(n, n, entries)
 
 
+def conjugate_by_columns(columns, *mats: ExactMatrix) -> tuple[ExactMatrix, ...]:
+    """P^-1 M P for each M, where P stacks the given column vectors; one
+    inversion of P serves every M."""
+    p = ExactMatrix(
+        columns[0].nrows if columns else 0,
+        len(columns),
+        {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()},
+    )
+    pinv = invert(p)
+    return tuple(pinv @ m @ p for m in mats)
+
+
 # -- restriction to an invariant subspace --------------------------------------
 
 

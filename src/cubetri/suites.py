@@ -6,7 +6,6 @@ Every check is an exact identity: there are no tolerances anywhere.
 """
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,10 +35,10 @@ from .hypercube import (
     second_dual_adjacency,
     v_plus_minus,
     weighted_adjacency,
-    _interpolation_coefficients,
+    _idempotent_base_column,
 )
 from .leonard import certify_triple
-from .linalg import ExactMatrix, VectorBasis, exp_nilpotent, kernel_basis, restrict
+from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, rank, restrict
 from .quotient import (
     psi_matrix,
     quotient,
@@ -188,76 +187,82 @@ def suite_skew(ds=None, cube_D=None, **_kw):
     return notes, []
 
 
-def suite_idempotents(Ds=None, seed: int = 20240817, sample_count: int = 12, **_kw):
+# Up to this D the idempotents suite also materializes and pins every E_i.
+_PIN_MAX_D = 8
+
+
+def suite_idempotents(Ds=None, **_kw):
+    """The idempotent algebra, checked on the base columns col_i = E_i e_0.
+
+    M_f[y, z] = f[y ^ z] has M_f e_0 = f, M_{e_0} = I and M_f M_g = M_{f*g}
+    for the XOR-convolution (f*g)[x] = sum_w f[w] g[x ^ w], which the
+    Walsh-Hadamard transform (Hf)[u] = sum_z (-1)^(u.z) f[z] turns into a
+    pointwise product (H^2 = 2^D I).  With E_i = M_{col_i} and A = M_{A e_0}
+    (checked first), the matrix identities are equivalent to identities on
+    the columns, which are checked at all 2^D coordinates for every D:
+      sum E_i = I, sum theta_i E_i = A <=> sum col_i = e_0, sum theta_i col_i = A e_0
+      E_i E_j = delta_ij E_i           <=> (H col_i)(H col_j) = delta_ij H col_i
+      E_0 = J/2^D, trace E_i = C(D, i) <=> col_0 = 1/2^D, 2^D col_i[0] = C(D, i)
+      E_{D-i} = (-1)^dist(y,z) E_i     <=> col_{D-i}[z] = (-1)^wt(z) col_i[z]
+    The first two rows give A E_j = theta_j E_j.  Up to _PIN_MAX_D every entry
+    of each materialized E_i is pinned to col_i[y ^ z], zero pattern included,
+    so the identities hold for the matrices whatever built them."""
     Ds = Ds or tuple(range(1, 9))
     notes = []
     for D in Ds:
         ctx = cube(D)
-        if D <= 8:
-            _idempotents_dense(ctx, notes)
-        else:
-            _idempotents_sampled(ctx, seed, sample_count, notes)
+        n = ctx.nvertices
+        a = adjacency(ctx)
+        a_col = [a.get(x, 0) for x in range(n)]
+        _require(_translation_invariant(a, a_col), f"D={D}: A is not translation-invariant")
+        cols = [[_idempotent_base_column(D, i).get(x, 0) for x in range(n)] for i in range(D + 1)]
+        total = [sum(vs) for vs in zip(*cols)]
+        _require(total == [1] + [0] * (n - 1), f"D={D}: sum of idempotents is not I")
+        spectral = [sum(v * eigenvalue(ctx, i) for i, v in enumerate(vs)) for vs in zip(*cols)]
+        _require(spectral == a_col, f"D={D}: sum theta_i E_i is not A")
+        hats = [_walsh_hadamard(col) for col in cols]
+        for i, hi in enumerate(hats):
+            for j in range(i, D + 1):
+                product = [u * v for u, v in zip(hi, hats[j])]
+                want = hi if i == j else [0] * n
+                _require(product == want, f"D={D}: E_{i} E_{j} != delta * E_{i}")
+        _require(cols[0] == [Fraction(1, n)] * n, f"D={D}: E_0 != J/2^D")
+        for i, col in enumerate(cols):
+            _require(col[0] * n == comb(D, i), f"D={D}: rank E_{i} != C(D,{i})")
+            twisted = [v * (-1) ** ctx.weight(x) for x, v in enumerate(col)]
+            _require(cols[D - i] == twisted, f"D={D}: sign relation fails for E_{i}, E_{D - i}")
+        note = (
+            f"D={D}: sum, spectral sum theta_i E_i = A, orthogonality, E_0, ranks, "
+            f"sign relation on all {n} coordinates of the base columns"
+        )
+        if D <= _PIN_MAX_D:
+            for i, col in enumerate(cols):
+                e = primitive_idempotent(ctx, i)
+                _require(
+                    (e.nrows, e.ncols) == (n, n) and _translation_invariant(e, col),
+                    f"D={D}: E_{i} fails the entrywise pin E_{i}[y, z] = col_{i}[y ^ z]",
+                )
+            note += "; every E_i entry pinned to its base column"
+        notes.append(note)
     return notes, []
 
 
-def _idempotents_dense(ctx, notes):
-    D, n = ctx.D, ctx.nvertices
-    es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
-    total = ExactMatrix.zeros(n, n)
-    spectral = ExactMatrix.zeros(n, n)
-    for i, e in enumerate(es):
-        total = total + e
-        spectral = spectral + e * eigenvalue(ctx, i)
-    _require(total == ExactMatrix.identity(n), f"D={D}: sum of idempotents is not I")
-    # with the orthogonality below this gives A E_j = theta_j E_j for every j,
-    # so the E_i are the eigenprojections of A whatever built them
-    _require(spectral == adjacency(ctx), f"D={D}: sum theta_i E_i is not A")
-    for i, ei in enumerate(es):
-        for j in range(i, D + 1):
-            expected = ei if i == j else ExactMatrix.zeros(n, n)
-            _require(ei @ es[j] == expected, f"D={D}: E_{i} E_{j} != delta * E_{i}")
-    j_matrix = ExactMatrix(n, n, {(r, c): 1 for r in range(n) for c in range(n)})
-    _require(es[0] == j_matrix * Fraction(1, n), f"D={D}: E_0 != J/2^D")
-    for i, ei in enumerate(es):
-        _require(ei.trace() == comb(D, i), f"D={D}: rank E_{i} != C(D,{i})")
-        twisted = ExactMatrix(
-            n, n, {(y, z): v * ((-1) ** ctx.distance(y, z)) for (y, z), v in ei.entries.items()}
-        )
-        _require(es[D - i] == twisted, f"D={D}: sign relation fails between E_{i} and E_{D - i}")
-    notes.append(
-        f"D={D}: sum, spectral sum theta_i E_i = A, orthogonality, E_0, ranks, "
-        "sign relation (dense products)"
-    )
+def _translation_invariant(m, col) -> bool:
+    """m[y, z] == col[y ^ z] at every stored entry, and no entry is missing."""
+    if len(m.entries) != len(col) * sum(1 for v in col if v):
+        return False
+    return all(v == col[y ^ z] for (y, z), v in m.entries.items())
 
 
-def _apply_idempotent(ctx, i, vec):
-    """E_i applied through its interpolation polynomial; never materializes E_i."""
-    a = adjacency(ctx)
-    total = ExactMatrix.zeros(ctx.nvertices, 1)
-    power = vec
-    for c in _interpolation_coefficients(ctx.D, i):
-        if c:
-            total = total + power * c
-        power = a @ power
-    return total
-
-
-def _idempotents_sampled(ctx, seed, sample_count, notes):
-    # beyond D=8 dense products are out of budget: the same identities are
-    # checked against seeded coordinate vectors via Krylov application
-    D, n = ctx.D, ctx.nvertices
-    rng = random.Random(seed)
-    vertices = [rng.randrange(n) for _ in range(sample_count)]
-    for y in vertices:
-        basis_vec = ExactMatrix.column_vector([1 if v == y else 0 for v in range(n)])
-        total = ExactMatrix.zeros(n, 1)
-        for i in range(D + 1):
-            img = _apply_idempotent(ctx, i, basis_vec)
-            total = total + img
-            again = _apply_idempotent(ctx, i, img)
-            _require(again == img, f"D={D}: E_{i}^2 fails on sampled vertex {y}")
-        _require(total == basis_vec, f"D={D}: sum of projections misses sampled vertex {y}")
-    notes.append(f"D={D}: idempotent identities on {sample_count} sampled vertices (seeded)")
+def _walsh_hadamard(values) -> list:
+    """(H f)[u] = sum_z (-1)^(u.z) f[z], by in-place butterflies on a copy."""
+    out, h = list(values), 1
+    while h < len(out):
+        for start in range(0, len(out), 2 * h):
+            for z in range(start, start + h):
+                out[z], out[z + h] = out[z] + out[z + h], out[z] - out[z + h]
+        h *= 2
+    return out
 
 
 def suite_decomposition(Ds=None, **_kw):
@@ -298,13 +303,10 @@ def suite_decomposition(Ds=None, **_kw):
             want = comb(D, r) - (comb(D, r - 1) if r else 0)
             _require(c == want, f"D={D}: endpoint {r} multiplicity {c} != {want}")
         for w, cols in slices.items():
-            entries = {}
-            for j, col in enumerate(cols):
-                for (r, _c), v in col.entries.items():
-                    entries[(r, j)] = v
-            stacked = ExactMatrix(ctx.nvertices, len(cols), entries)
+            # the vectors stay in their slice (checked above): rank on its C(D, w) rows
+            rows = [[col.get(y, 0) for col in cols] for y in ctx.vertices() if ctx.weight(y) == w]
             _require(
-                len(cols) == comb(D, w) and VectorBasis(stacked).verify_independent(),
+                len(cols) == comb(D, w) and rank(ExactMatrix.from_rows(rows)) == len(cols),
                 f"D={D}: weight-{w} slice vectors are not a basis",
             )
         notes.append(

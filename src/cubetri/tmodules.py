@@ -156,9 +156,10 @@ def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
 # endpoint parity does not enter: the dual adjacency restricted to an
 # endpoint-r module carries an inherent (-1)^r which the classification
 # absorbs.
+# psi is injective on W+ and intertwines the structures, so a quotient image
+# psi(W+) has the type of W+ and uses _PLUS_TABLE too.
 _PLUS_TABLE = {0: "0", 1: "z"}
 _MINUS_TABLE = {0: "y", 1: "x"}
-_QUOTIENT_TABLE = {0: "0", 1: "z"}
 
 # Reference tables keyed additionally by endpoint parity.  They describe the
 # other convention: classification after rescaling the restricted dual
@@ -252,7 +253,7 @@ def quotient_modules(q: QuotientContext):
             cols.append({r: v for (r, _c), v in img.entries.items()})
         cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
         basis = VectorBasis.from_columns(q.nclasses, cols)
-        want = ab_type(cal_d - w.endpoint, _QUOTIENT_TABLE[cal_d % 2])
+        want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
         sub = _restricted_triple(triple, basis)
         found = _classify_against(sub, want, f"Q~_{q.D} image of {w.module_id}")
         out.append((SubmoduleBasis(w.module_id, w.endpoint, basis), found))

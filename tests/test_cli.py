@@ -106,6 +106,19 @@ def test_verify_reports_are_deterministic(capsys):
     assert snapshot() == snapshot()
 
 
+def test_verify_accepts_seed_that_no_suite_reads(capsys):
+    def report(*extra):
+        code, out = run_cli(
+            capsys, "verify", "--suite", "idempotents", "--D", "3", *extra, "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        del payload["timing"]
+        return payload
+
+    assert report("--seed", "1") == report()
+
+
 def test_verify_suite_parity_guards(capsys):
     code, _ = run_cli(capsys, "verify", "--D", "5", "--suite", "leonard-even")
     assert code == 2

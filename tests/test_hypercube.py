@@ -55,7 +55,8 @@ def test_distance_matrix_easy_cases():
 
 
 def test_idempotent_algebra_small():
-    for D in (2, 3, 4):
+    # the dense-product oracle for the idempotents suite's base-column check
+    for D in (2, 3, 4, 5):
         ctx = cube(D)
         n = ctx.nvertices
         es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
@@ -161,21 +162,78 @@ def test_dual_distance_matrix_krawtchouk_oracle():
                 assert diag.get(y, y) == _krawtchouk(D, i, ctx.weight(y))
 
 
+def _idempotents_failure(D):
+    r = suites.run_suite("idempotents", Ds=(D,))
+    assert r.status == "fail"
+    return r.detail
+
+
 def test_idempotents_suite_catches_swapped_eigenprojections(monkeypatch):
     # E_1 and E_{D-1} share rank and the sign relation, so only the
-    # spectral sum tells them apart
+    # spectral sum tells their base columns apart
+    D = 4
+    swap = {1: D - 1, D - 1: 1}
+    column = suites._idempotent_base_column
+    monkeypatch.setattr(suites, "_idempotent_base_column", lambda d, i: column(d, swap.get(i, i)))
+    assert "sum theta_i E_i is not A" in _idempotents_failure(D)
+    monkeypatch.undo()
+    # with the columns intact, swapped matrices fail the entrywise pin
+    monkeypatch.setattr(
+        suites, "primitive_idempotent", lambda ctx, i: primitive_idempotent(ctx, swap.get(i, i))
+    )
+    assert "entrywise pin" in _idempotents_failure(D)
+    monkeypatch.undo()
+    r = suites.run_suite("idempotents", Ds=(D,))
+    assert r.passed, r.detail
+    assert "spectral sum" in r.detail and "pinned" in r.detail
+
+
+def test_idempotents_suite_checks_every_coordinate_at_d9():
+    r = suites.run_suite("idempotents", Ds=(9,))
+    assert r.passed, r.detail
+    assert "on all 512 coordinates" in r.detail
+    assert "pinned" not in r.detail  # E_i is not materialized beyond D = 8
+
+
+def test_idempotents_suite_catches_entry_off_translation_pattern(monkeypatch):
+    # E_2 of Q_4 vanishes at distance 1, so moving its (0, 0) entry to (0, 1)
+    # keeps the entry count and breaks only the XOR pattern
     D = 4
 
-    def swapped(ctx, i):
-        return primitive_idempotent(ctx, {1: D - 1, D - 1: 1}.get(i, i))
+    def moved(ctx, i):
+        e = primitive_idempotent(ctx, i)
+        if i != 2:
+            return e
+        assert e.get(0, 1) == 0
+        entries = dict(e.entries)
+        entries[(0, 1)] = entries.pop((0, 0))
+        return ExactMatrix(e.nrows, e.ncols, entries)
 
-    monkeypatch.setattr(suites, "primitive_idempotent", swapped)
-    with pytest.raises(suites.CheckFailure, match="sum theta_i E_i is not A"):
-        suites._idempotents_dense(cube(D), [])
-    monkeypatch.undo()
-    notes = []
-    suites._idempotents_dense(cube(D), notes)
-    assert "spectral sum" in notes[0]
+    monkeypatch.setattr(suites, "primitive_idempotent", moved)
+    assert "E_2 fails the entrywise pin" in _idempotents_failure(D)
+
+
+def test_idempotents_suite_catches_perturbed_base_column_at_d9(monkeypatch):
+    column = suites._idempotent_base_column
+    bump = ExactMatrix(1 << 9, 1, {(37, 0): Fraction(1, 7)})
+
+    def perturbed(D, i):
+        col = column(D, i)
+        return col + bump if i == 3 else col
+
+    monkeypatch.setattr(suites, "_idempotent_base_column", perturbed)
+    assert "sum of idempotents is not I" in _idempotents_failure(9)
+
+
+def test_idempotents_suite_catches_missing_adjacency_entry(monkeypatch):
+    def damaged(ctx):
+        a = adjacency(ctx)
+        entries = dict(a.entries)
+        del entries[(5, 4)]
+        return ExactMatrix(a.nrows, a.ncols, entries)
+
+    monkeypatch.setattr(suites, "adjacency", damaged)
+    assert "A is not translation-invariant" in _idempotents_failure(4)
 
 
 def test_go_sl2_structure():

@@ -327,12 +327,11 @@ def cmd_classify(args) -> int:
     if relations_ok:
         irreducible = is_irreducible(triple)
         payload["irreducible"] = irreducible
+        payload["certificate"] = None
         if irreducible:
             payload["type"] = str(classify(triple))
-        cert = certify_triple(
-            triple.x_mat, triple.y_mat, triple.z_mat, module_id="cli"
-        )
-        payload["certificate"] = cert.to_json_dict()
+            cert = certify_triple(triple.x_mat, triple.y_mat, triple.z_mat, module_id="cli")
+            payload["certificate"] = cert.to_json_dict()
     _emit(args, payload, _format_classify_text)
     return 0 if relations_ok else 1
 
@@ -343,8 +342,8 @@ def _format_classify_text(payload) -> str:
         lines.append(f"irreducible: {payload['irreducible']}")
     if "type" in payload:
         lines.append(f"type: {payload['type']}")
-    if "certificate" in payload:
-        cert = payload["certificate"]
+    cert = payload.get("certificate")
+    if cert is not None:
         lines.append(f"verdict: {cert['verdict']}")
         lines.append(f"orderings: {cert['orderings']}")
     return "\n".join(lines)

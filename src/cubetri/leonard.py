@@ -2,8 +2,9 @@
 tridiagonal shape tests, the Bannai/Ito condition, anticommutator scalars,
 and normalization verdicts, gathered into machine-checkable certificates.
 
-Every eigenvalue here is an integer found by exhaustive kernel scans; no
-root finding, no floating point.
+Every eigenvalue here is an integer root of an exact characteristic
+polynomial, and its eigenvector an exact kernel vector; no numeric root
+finding, no floating point.
 """
 from __future__ import annotations
 
@@ -77,10 +78,9 @@ class LeonardTripleCertificate:
 def eigenstructure(m: ExactMatrix, bound: int):
     """All (integer eigenvalue, eigenvector) pairs, multiplicity-free.
 
-    Scans the integer candidates in [-bound, bound]; fails if an eigenspace
-    has dimension two or the candidates do not exhaust the space."""
-    if not m.is_square():
-        raise ValueError("eigenstructure of a non-square matrix")
+    Scans the integer roots in [-bound, bound] of the characteristic
+    polynomial (see `integer_eigenspaces`); fails if an eigenspace has
+    dimension two or they do not exhaust the space."""
     pairs = []
     for theta, k in integer_eigenspaces(m, bound):
         if k.size > 1:

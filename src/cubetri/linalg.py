@@ -465,20 +465,73 @@ def kernel_basis(m: ExactMatrix) -> VectorBasis:
     return VectorBasis.from_columns(m.ncols, columns)
 
 
+def _char_poly(m: ExactMatrix):
+    """(d, coeffs): coeffs of det(t*I - d*m), highest degree first, as
+    (re, im) integer pairs, where d is the common denominator of m.
+
+    Division-free Berkowitz (1984) over Z[i].  With A the leading k x k
+    block of d*m, bordered by row r, column c and corner a, and
+    det(t*I - A) = sum_i p_i t^(k-i), the next leading block has
+    det = (t - a) det(t*I - A) - sum_{j<k} t^(k-1-j) sum_{i<=j} p_i r A^(j-i) c.
+    """
+    d, re_rows, im_rows = _scaled_int_parts(m)
+    n, zero = m.nrows, (0, 0)
+    a = [
+        [(x, im_rows[r][c] if im_rows else 0) for c, x in enumerate(row)]
+        for r, row in enumerate(re_rows)
+    ]
+    poly = [(1, 0)]
+    for k in range(n):
+        vec, moments = [a[r][k] for r in range(k)], []
+        for _ in range(k):
+            moments.append(_gauss_dot(a[k], vec))
+            vec = [_gauss_dot(a[r], vec) for r in range(k)]
+        scaled = [zero] + [_gauss_dot((a[k][k],), (p,)) for p in poly]
+        conv = [zero, zero] + [_gauss_dot(poly, moments[j::-1]) for j in range(k)]
+        poly = [
+            (p[0] - q[0] - s[0], p[1] - q[1] - s[1])
+            for p, q, s in zip(poly + [zero], scaled, conv)
+        ]
+    return d, poly
+
+
+def _gauss_dot(a, b):
+    """sum a_j b_j over Z[i] for (re, im) pairs, on the common length."""
+    re = im = 0
+    for (ar, ai), (br, bi) in zip(a, b):
+        re += ar * br - ai * bi
+        im += ar * bi + ai * br
+    return re, im
+
+
 def integer_eigenspaces(m: ExactMatrix, bound: int):
     """Yield (theta, kernel basis of m - theta) for each integer eigenvalue
     theta in [-bound, bound], in increasing order.
 
-    The scan stops once the eigenspaces found span the space; if the range
-    runs out first, m is outside the class this package supports (integer
-    spectrum, diagonalizable) and ValueError is raised.
+    The candidates are filtered by one exact characteristic polynomial:
+    with d the common denominator of m and chi(t) = det(t*I - d*m),
+    chi(d*theta) = d^n det(theta*I - m), so a nonzero value proves that
+    m - theta is invertible and its kernel need not be computed.  Only the
+    roots reach `kernel_basis`.  The scan stops once the eigenspaces found
+    span the space; if the range runs out first, m is outside the class
+    this package supports (integer spectrum, diagonalizable) and ValueError
+    is raised.  That span check, not the filter, proves completeness: a
+    wrongly skipped candidate could only end in this error.
     """
+    if not m.is_square():
+        raise ValueError(f"integer eigenvalues of a non-square {m.nrows}x{m.ncols} matrix")
     n = m.nrows
+    d, chi = _char_poly(m)
     eye = ExactMatrix.identity(n)
     total = 0
     for theta in range(-bound, bound + 1):
         if total == n:
             return
+        t, re, im = d * theta, 0, 0
+        for c_re, c_im in chi:
+            re, im = re * t + c_re, im * t + c_im
+        if re or im:
+            continue
         k = kernel_basis(m - eye * theta)
         if k.size:
             total += k.size

@@ -39,7 +39,7 @@ BUDGETS = {
     "idempotents-small": 3.0,
     "idempotents-full": 15.0,
     "decomposition": 30.0,
-    "families": 3.5,
+    "families": 2.0,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and

@@ -162,6 +162,22 @@ def test_classify_rejects_non_module(tmp_path, capsys):
     assert "xy+yx=2z" in json.loads(out)["relations"]
 
 
+def test_classify_certifies_only_irreducible_triples(tmp_path, capsys):
+    from cubetri.linalg import ExactMatrix
+
+    zero = tmp_path / "zero.mtx"
+    write_matrix(ExactMatrix.zeros(2, 2), zero)
+    argv = ("classify", "--x", str(zero), "--y", str(zero), "--z", str(zero))
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == {
+        "dim": 2, "relations": "ok", "irreducible": False, "certificate": None,
+    }
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    assert out.splitlines() == ["dim 2", "relations: ok", "irreducible: False"]
+
+
 def test_skew_command(capsys):
     code, out = run_cli(capsys, "skew", "--d", "7")
     assert code == 0

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetri.exactnum import gr
 from cubetri.linalg import (
@@ -16,6 +18,7 @@ from cubetri.linalg import (
     parse_matrix,
     rank,
     restrict,
+    _char_poly,
     _matmul_sparse,
 )
 
@@ -217,6 +220,141 @@ def test_integer_eigenspaces_stops_once_they_span(monkeypatch):
     m = ExactMatrix.diagonal([3, -1, 3])
     scan = integer_eigenspaces(m, 50)
     assert [(theta, k.size) for theta, k in scan] == [(-1, 1), (3, 2)]
-    assert len(tried) == 54  # candidates -50..3, none above the last eigenvalue
+    # the characteristic polynomial rules out every other candidate
+    eye = ExactMatrix.identity(3)
+    assert tried == [m + eye, m - eye * 3]
     with pytest.raises(ValueError, match="span 0 of 2"):
         list(integer_eigenspaces(ExactMatrix.from_rows([[0, 2], [1, 0]]), 5))
+
+
+def test_integer_eigenspaces_rejects_non_square_in_one_line():
+    tall = _random_matrix(random.Random(5), 3, 2)
+    for m in (ExactMatrix.zeros(2, 3), ExactMatrix.zeros(0, 3), tall):
+        with pytest.raises(ValueError, match="non-square") as err:
+            list(integer_eigenspaces(m, 4))
+        assert "\n" not in str(err.value)
+
+
+# -- characteristic polynomial: sympy oracle -----------------------------------
+
+
+def _sympy_matrix(sympy, m):
+    def entry(r, c):
+        v = m.get(r, c)
+        return sympy.Rational(v.re.numerator, v.re.denominator) + sympy.I * sympy.Rational(
+            v.im.numerator, v.im.denominator
+        )
+
+    return sympy.Matrix(m.nrows, m.ncols, entry)
+
+
+def _assert_char_poly_matches_sympy(sympy, m):
+    d, coeffs = _char_poly(m)
+    t = sympy.Symbol("t")
+    expected = sympy.Poly(_sympy_matrix(sympy, m).charpoly(t).as_expr(), t).all_coeffs()
+    expected = [0] * (m.nrows + 1 - len(expected)) + expected
+    # det(t I - d m) has the coefficients of det(t I - m) times d^k at t^(n-k)
+    assert [sympy.expand(d**k * c) for k, c in enumerate(expected)] == [
+        re + im * sympy.I for re, im in coeffs
+    ]
+
+
+def test_char_poly_matches_sympy_on_seeded_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(41)
+    cases = [ExactMatrix.zeros(0, 0), ExactMatrix.from_rows([[gr(Fraction(-3, 7), 2)]])]
+    for n in range(1, 7):
+        cases.append(_random_matrix(rng, n, n))  # complex, mixed denominators
+        cases.append(_random_matrix(rng, n, n, density=0.3, complex_part=False))
+        negative = {(r, c): -rng.randint(1, 9) for r in range(n) for c in range(n)}
+        cases.append(ExactMatrix(n, n, negative))
+    for m in cases:
+        _assert_char_poly_matches_sympy(sympy, m)
+
+
+def test_char_poly_matches_sympy_on_certificate_triples(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    import cubetri.suites as suites
+
+    triples = []
+    certify = suites.certify_triple
+    monkeypatch.setattr(
+        suites, "certify_triple", lambda *mats, **kw: triples.append(mats) or certify(*mats, **kw)
+    )
+    assert suites.run_suite("leonard-even", Ds=(6, 8)).passed
+    assert suites.run_suite("leonard-quotient", Ds=(5, 7)).passed
+    assert len(triples) > 20
+    for mats in triples:
+        for m in mats:
+            _assert_char_poly_matches_sympy(sympy, m)
+
+
+# -- integer_eigenspaces against the exhaustive scan it replaced ---------------
+
+
+def _exhaustive_scan(m, bound):
+    n = m.nrows
+    eye = ExactMatrix.identity(n)
+    total = 0
+    for theta in range(-bound, bound + 1):
+        if total == n:
+            return
+        k = kernel_basis(m - eye * theta)
+        if k.size:
+            total += k.size
+            yield theta, k
+    if total != n:
+        raise ValueError(
+            f"integer eigenvalues in [-{bound},{bound}] span {total} of {n} dimensions; "
+            "input is outside the supported class"
+        )
+
+
+def _outcome(scan):
+    found = []
+    try:
+        for theta, k in scan:
+            found.append((theta, k))
+    except ValueError as exc:
+        return found, str(exc)
+    return found, None
+
+
+_EIGENVALUES = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-3, 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    st.builds(gr, st.integers(-3, 3), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _conjugated_jordan_forms(draw):
+    """P J P^-1 with J block diagonal: Jordan blocks of sizes 1..3 whose
+    eigenvalues may repeat, be non-integer or lie outside the scan range."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=1, max_size=3))
+    pool = draw(st.lists(_EIGENVALUES, min_size=1, max_size=2))
+    n = sum(sizes)
+    jordan, start = {}, 0
+    for size in sizes:
+        theta = draw(st.sampled_from(pool))
+        for i in range(start, start + size):
+            jordan[(i, i)] = theta
+            if i + 1 < start + size:
+                jordan[(i, i + 1)] = 1
+        start += size
+    # unit upper triangular, permutation, nonzero diagonal: always invertible;
+    # the diagonal puts denominators into m even when the spectrum is integer
+    perm = draw(st.permutations(range(n)))
+    upper = {(r, c): draw(st.integers(-2, 2)) for r in range(n) for c in range(r + 1, n)}
+    upper.update({(i, i): 1 for i in range(n)})
+    scale = st.sampled_from([1, 1, 2, -3, gr(1, 1), gr(0, 2)])
+    mixed = ExactMatrix(n, n, {(i, perm[i]): draw(scale) for i in range(n)})
+    p = ExactMatrix(n, n, upper) @ mixed
+    return p @ ExactMatrix(n, n, jordan) @ invert(p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_conjugated_jordan_forms(), st.integers(0, 6))
+def test_integer_eigenspaces_equals_exhaustive_scan(m, bound):
+    assert _outcome(integer_eigenspaces(m, bound)) == _outcome(_exhaustive_scan(m, bound))

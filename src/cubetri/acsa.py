@@ -12,7 +12,7 @@ import re as _re
 from dataclasses import dataclass
 
 from .exactnum import GaussianRational
-from .linalg import ExactMatrix, conjugate_by_columns, integer_eigenspaces
+from .linalg import ExactMatrix, VectorBasis, conjugate_by_columns, integer_eigenspaces, restrict
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -93,6 +93,12 @@ class ModuleActionTriple:
 
     def traces(self):
         return tuple(m.trace() for m in self.matrices())
+
+
+def restrict_triple(triple: ModuleActionTriple, basis: VectorBasis) -> ModuleActionTriple:
+    """The triple acting on span(basis); `restrict` proves each generator
+    leaves the span invariant."""
+    return ModuleActionTriple(*(restrict(m, basis) for m in triple.matrices()))
 
 
 def _sign(k: int) -> int:

@@ -135,24 +135,30 @@ def _interpolation_coefficients(D: int, i: int) -> tuple[Fraction, ...]:
     return tuple(c / denom for c in coeffs)
 
 
-@lru_cache(maxsize=None)
-def _krylov_powers(D: int) -> tuple[ExactMatrix, ...]:
-    """A^k e_0 for k = 0..D, shared by every base column of Q_D."""
-    a = adjacency(CubeContext(D))
-    powers = [ExactMatrix.column_vector([1] + [0] * ((1 << D) - 1))]
+def _spectral_images(m: ExactMatrix, v: ExactMatrix, D: int) -> list[ExactMatrix]:
+    """p_i(m) v for i = 0..D, with p_i the interpolation polynomial of E_i
+    (1 at theta_i = D - 2i, 0 at the other eigenvalues of Q_D).  The Krylov
+    powers v, m v, ..., m^D v are formed once, and each p_i(m) v is their
+    combination with the coefficients of p_i."""
+    powers = [v]
     for _k in range(D):
-        powers.append(a @ powers[-1])
-    return tuple(powers)
+        powers.append(m @ powers[-1])
+    zero = ExactMatrix.zeros(v.nrows, v.ncols)
+    return [
+        sum((power * c for c, power in zip(_interpolation_coefficients(D, i), powers) if c), zero)
+        for i in range(D + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
+def _idempotent_base_columns(D: int) -> tuple[ExactMatrix, ...]:
+    e0 = ExactMatrix.column_vector([1] + [0] * ((1 << D) - 1))
+    return tuple(_spectral_images(adjacency(CubeContext(D)), e0, D))
+
+
 def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
-    """E_i e_0 = sum_k c_k A^k e_0, with c_k the interpolation coefficients."""
-    total = ExactMatrix.zeros(1 << D, 1)
-    for c, power in zip(_interpolation_coefficients(D, i), _krylov_powers(D)):
-        if c:
-            total = total + power * c
-    return total
+    """E_i e_0 = p_i(A) e_0; all D+1 columns share one set of Krylov vectors."""
+    return _idempotent_base_columns(D)[i]
 
 
 def dual_distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:

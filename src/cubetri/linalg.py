@@ -4,6 +4,12 @@ Matrices are immutable maps (row, col) -> nonzero GaussianRational.  Large
 products route through a packed-integer path: rows are encoded as big
 integers in a base wide enough that digit arithmetic cannot carry, so one
 CPython bigint multiply does a whole row-times-row-of-blocks step exactly.
+
+Every elimination runs through the one row reducer `_echelon`: `rank` and
+`kernel_basis` directly, and `invert`, `restrict` and `conjugate_by_columns`
+through `_solve`, which reads the unique X with S X = B off the reduced
+form of [S | B] and proves, from where its pivots fall, that S has full
+column rank and that every column of B lies in span S.
 """
 from __future__ import annotations
 
@@ -543,105 +549,69 @@ def integer_eigenspaces(m: ExactMatrix, bound: int):
         )
 
 
+# -- solving against a basis: inverse, restriction, change of basis -----------
+
+
+def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """The unique X with s @ X == b, from one `_echelon` of [s | b] over
+    the rows nonzero in s or in b, in sorted order (a zero row holds no
+    pivot).  With k = s.ncols, rank [s | b] = rank s = k holds exactly when
+    s has full column rank and every column of b lies in span s; the first
+    k rows are then [I | X].  Pivot columns increase, so if the first k are
+    not 0..k-1 the columns of s are dependent; otherwise the first further
+    pivot, in column k+j, marks the first b_j outside
+    span(s, b_0..b_{j-1}) = span s.  Either failure raises ValueError."""
+    k, width = s.ncols, s.ncols + b.ncols
+    rows: dict = {}
+    for offset, m in ((0, s), (k, b)):
+        for (r, c), v in m.entries.items():
+            rows.setdefault(r, [ZERO] * width)[offset + c] = v
+    aug = [rows[r] for r in sorted(rows)]
+    pivot_cols = [c for (_r, c) in _echelon(aug, width)]
+    if pivot_cols[:k] != list(range(k)):
+        raise ValueError("basis columns are linearly dependent")
+    if len(pivot_cols) > k:
+        raise ValueError(
+            f"subspace not invariant: image of basis vector {pivot_cols[k] - k} leaves the span"
+        )
+    entries = {(i, j): v for i in range(k) for j, v in enumerate(aug[i][k:]) if v}
+    return ExactMatrix._make(k, b.ncols, entries)
+
+
 def invert(m: ExactMatrix) -> ExactMatrix:
+    """m^-1 as the unique X with m @ X == I (`_solve`); a square m has n
+    rows, so [m | I] can hold no pivot beyond m's n columns, and m is
+    singular exactly when its own columns are dependent."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    one = GaussianRational(1)
-    aug = [
-        row + [one if j == i else ZERO for j in range(n)]
-        for i, row in enumerate(m.to_rows())
-    ]
-    pivots = _echelon(aug, 2 * n)
-    if len(pivots) < n or any(c >= n for (_r, c) in pivots[:n]):
-        raise ValueError("matrix is singular")
-    entries = {}
-    for i in range(n):
-        for j in range(n):
-            v = aug[i][n + j]
-            if v:
-                entries[(i, j)] = v
-    return ExactMatrix._make(n, n, entries)
+    try:
+        return _solve(m, ExactMatrix.identity(m.nrows))
+    except ValueError:
+        raise ValueError("matrix is singular") from None
+
+
+def restrict(m: ExactMatrix, basis: VectorBasis) -> ExactMatrix:
+    """Matrix of m in basis coordinates: the unique X with m S = S X, for S
+    the basis matrix.  `_solve(S, m S)` succeeds exactly when
+    rank [S | m S] = rank S = k, i.e. S has full column rank and m maps
+    span S into itself; otherwise it fails loudly, naming dependent columns
+    first and else the first basis vector whose image leaves the span."""
+    if not m.nrows == m.ncols == basis.ambient_dim:
+        raise ValueError("matrix and basis ambient dimensions differ")
+    s = basis.matrix
+    return _solve(s, m @ s)
 
 
 def conjugate_by_columns(columns, *mats: ExactMatrix) -> tuple[ExactMatrix, ...]:
-    """P^-1 M P for each M, where P stacks the given column vectors; one
-    inversion of P serves every M."""
+    """P^-1 M P for each M, where P stacks the given column vectors: the
+    unique X with P X = M P (`_solve`), so P^-1 itself is never formed.
+    Dependent columns raise ValueError, as in `restrict`."""
     p = ExactMatrix(
         columns[0].nrows if columns else 0,
         len(columns),
         {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()},
     )
-    pinv = invert(p)
-    return tuple(pinv @ m @ p for m in mats)
-
-
-# -- restriction to an invariant subspace --------------------------------------
-
-
-class BasisSolver:
-    """Solves S*c = w repeatedly for a fixed full-column-rank S."""
-
-    def __init__(self, basis: VectorBasis):
-        s = basis.matrix
-        k = s.ncols
-        row_data: dict = {}
-        for (r, c), v in s.entries.items():
-            row_data.setdefault(r, [ZERO] * k)[c] = v
-        picked_rows = []
-        reduced = []
-        pivot_pos = []
-        for r in sorted(row_data):
-            vec = list(row_data[r])
-            for pos, red in zip(pivot_pos, reduced):
-                f = vec[pos]
-                if f:
-                    for j in range(k):
-                        if red[j]:
-                            vec[j] = vec[j] - f * red[j]
-            lead = next((j for j in range(k) if vec[j]), None)
-            if lead is None:
-                continue
-            inv = vec[lead].inverse()
-            vec = [x * inv for x in vec]
-            reduced.append(vec)
-            pivot_pos.append(lead)
-            picked_rows.append(r)
-            if len(picked_rows) == k:
-                break
-        if len(picked_rows) < k:
-            raise ValueError("basis columns are linearly dependent")
-        square = ExactMatrix.from_rows(
-            [[s.get(r, c) for c in range(k)] for r in picked_rows]
-        )
-        self.basis = basis
-        self.picked_rows = picked_rows
-        self.inverse = invert(square)
-
-    def solve(self, w: ExactMatrix) -> ExactMatrix | None:
-        """Coordinates of column vector w in the basis, or None if outside span."""
-        sub = ExactMatrix.column_vector([w.get(r, 0) for r in self.picked_rows])
-        c = self.inverse @ sub
-        if (self.basis.matrix @ c) != w:
-            return None
-        return c
-
-
-def restrict(m: ExactMatrix, basis: VectorBasis) -> ExactMatrix:
-    """Matrix of m in basis coordinates; fails loudly if span is not invariant."""
-    if m.ncols != basis.ambient_dim:
-        raise ValueError("matrix and basis ambient dimensions differ")
-    solver = BasisSolver(basis)
-    k = basis.size
-    entries = {}
-    for j in range(k):
-        w = m @ basis.column(j)
-        c = solver.solve(w)
-        if c is None:
-            raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
-        for (r, _), v in c.entries.items():
-            entries[(r, j)] = v
-    return ExactMatrix._make(k, k, entries)
+    return tuple(_solve(p, m @ p) for m in mats)
 
 
 # -- nilpotent exponentials ------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .acsa import ModuleActionTriple, ab_type, check_relations, classify
+from .acsa import ModuleActionTriple, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, VectorBasis, exp_nilpotent, kernel_basis, restrict
 
@@ -254,8 +254,7 @@ def split_odd(module: Sl2Module, structure_index: int):
     out = []
     expected = _SPLIT_TYPES[(structure_index, delta % 2)]
     for basis, want_n in zip((plus, minus), expected):
-        sub = ModuleActionTriple(*(restrict(m, basis) for m in structure.matrices()))
-        found = classify(sub)
+        found = classify(restrict_triple(structure, basis))
         want = ab_type(delta, want_n)
         if found != want:
             raise AssertionError(

@@ -18,6 +18,7 @@ from .acsa import (
     check_relations,
     classify,
     is_irreducible,
+    restrict_triple,
     trace_table,
 )
 from .exactnum import gr
@@ -59,7 +60,6 @@ from .sl2rep import (
 from .tmodules import (
     REFERENCE_MINUS_TABLE,
     REFERENCE_PLUS_TABLE,
-    REFERENCE_QUOTIENT_TABLE,
     decompose,
     dual_profile,
     quotient_modules,
@@ -330,7 +330,7 @@ def suite_leonard_even(Ds=None, **_kw):
         for m in decompose(ctx):
             if m.diameter < 3:
                 continue
-            mats = [restrict(g, m.vectors) for g in triple.matrices()]
+            mats = restrict_triple(triple, m.vectors).matrices()
             cert = certify_triple(*mats, module_id=f"Q{D}:{m.module_id}")
             _require(
                 set(cert.shapes) == {"bipartite"},
@@ -368,6 +368,7 @@ def suite_leonard_quotient(Ds=None, reference_tables: bool = False, **_kw):
             raise ValueError("leonard-quotient runs on odd D")
         ctx = cube(D)
         q = quotient(D)
+        qtriple = quotient_acsa_structure(q)
         cal_d = q.cal_d
         for m in decompose(ctx):
             typed = split_and_type(ctx, m)  # verifies the computed tables itself
@@ -393,7 +394,7 @@ def suite_leonard_quotient(Ds=None, reference_tables: bool = False, **_kw):
             if reference_tables:
                 want = ab_type(
                     cal_d - sb.endpoint,
-                    REFERENCE_QUOTIENT_TABLE[(sb.endpoint % 2, cal_d % 2)],
+                    REFERENCE_PLUS_TABLE[(sb.endpoint % 2, cal_d % 2)],
                 )
                 if t != want:
                     mismatches.append(
@@ -402,8 +403,7 @@ def suite_leonard_quotient(Ds=None, reference_tables: bool = False, **_kw):
                     )
             if t.d < 3:
                 continue
-            qtriple = quotient_acsa_structure(q)
-            mats = [restrict(g, sb.vectors) for g in qtriple.matrices()]
+            mats = restrict_triple(qtriple, sb.vectors).matrices()
             cert = certify_triple(*mats, module_id=f"Q~{D}:{sb.module_id}")
             _require(
                 set(cert.shapes) == {"almost-bipartite"},

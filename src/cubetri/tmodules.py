@@ -12,14 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .acsa import ModuleActionTriple, ModuleType, ab_type, b_type, classify
+from .acsa import ModuleActionTriple, ModuleType, ab_type, b_type, classify, restrict_triple
 from .exactnum import gr
 from .hypercube import (
     CubeContext,
     adjacency,
     distance_matrix,
     positive_structure,
-    _interpolation_coefficients,
+    _spectral_images,
 )
 from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from .quotient import QuotientContext, psi_matrix, quotient_acsa_structure
@@ -138,17 +138,8 @@ def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     dim E_i W = rank p_i(A_W).  All the work is on the (d+1)x(d+1) matrix
     A_W; the idempotents and ambient Krylov vectors are never formed."""
     a_w = restrict(adjacency(ctx), w.vectors)
-    powers = [ExactMatrix.identity(w.dimension)]
-    for _k in range(ctx.D):
-        powers.append(powers[-1] @ a_w)
-    profile = []
-    for i in range(ctx.D + 1):
-        p_i = ExactMatrix.zeros(w.dimension, w.dimension)
-        for c, power in zip(_interpolation_coefficients(ctx.D, i), powers):
-            if c:
-                p_i = p_i + power * c
-        profile.append(rank(p_i))
-    return profile
+    eye = ExactMatrix.identity(w.dimension)
+    return [rank(p_i) for p_i in _spectral_images(a_w, eye, ctx.D)]
 
 
 # Variant tables for the odd-diameter splits of T-modules under the positive
@@ -167,14 +158,10 @@ _MINUS_TABLE = {0: "y", 1: "x"}
 # endpoints).  The verification suites compare them against the untwisted
 # classification and report every cell where the conventions disagree.
 # tests/test_acceptance.py::test_criterion_7_odd_types_reference_tables_known_defect
-# checks every cell at D = 5, 7, 9 under the twisted convention.
+# checks every cell at D = 5, 7, 9 under the twisted convention.  Quotient
+# images psi(W+) are read from REFERENCE_PLUS_TABLE, for the reason above.
 REFERENCE_PLUS_TABLE = {(0, 0): "0", (0, 1): "z", (1, 0): "x", (1, 1): "y"}
 REFERENCE_MINUS_TABLE = {(0, 0): "y", (0, 1): "x", (1, 0): "z", (1, 1): "0"}
-REFERENCE_QUOTIENT_TABLE = {(0, 0): "0", (0, 1): "z", (1, 0): "x", (1, 1): "y"}
-
-
-def _restricted_triple(triple: ModuleActionTriple, basis: VectorBasis) -> ModuleActionTriple:
-    return ModuleActionTriple(*(restrict(m, basis) for m in triple.matrices()))
 
 
 def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> ModuleType:
@@ -218,7 +205,7 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
     r = w.endpoint
     if ctx.D % 2 == 0:
         want = b_type(ctx.D - 2 * r)
-        sub = _restricted_triple(triple, w.vectors)
+        sub = restrict_triple(triple, w.vectors)
         found = _classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}")
         return [(w.vectors, found)]
     cal_d = ctx.D // 2
@@ -230,7 +217,7 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
         (minus, _MINUS_TABLE, "minus"),
     ):
         want = ab_type(delta, table[cal_d % 2])
-        sub = _restricted_triple(triple, basis)
+        sub = restrict_triple(triple, basis)
         found = _classify_against(
             sub, want, f"Q_{ctx.D} module {w.module_id} ({label} half)"
         )
@@ -254,7 +241,7 @@ def quotient_modules(q: QuotientContext):
         cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
         basis = VectorBasis.from_columns(q.nclasses, cols)
         want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
-        sub = _restricted_triple(triple, basis)
+        sub = restrict_triple(triple, basis)
         found = _classify_against(sub, want, f"Q~_{q.D} image of {w.module_id}")
         out.append((SubmoduleBasis(w.module_id, w.endpoint, basis), found))
     return out

@@ -343,18 +343,141 @@ def _conjugated_jordan_forms(draw):
             if i + 1 < start + size:
                 jordan[(i, i + 1)] = 1
         start += size
-    # unit upper triangular, permutation, nonzero diagonal: always invertible;
-    # the diagonal puts denominators into m even when the spectrum is integer
+    # the diagonal of P puts denominators into m even when the spectrum is integer
+    p = draw(_invertible_matrices(n))
+    return p @ ExactMatrix(n, n, jordan) @ invert(p)
+
+
+@st.composite
+def _invertible_matrices(draw, n):
+    """Unit upper triangular times a permutation with nonzero Q(i) scales:
+    always invertible."""
     perm = draw(st.permutations(range(n)))
     upper = {(r, c): draw(st.integers(-2, 2)) for r in range(n) for c in range(r + 1, n)}
     upper.update({(i, i): 1 for i in range(n)})
     scale = st.sampled_from([1, 1, 2, -3, gr(1, 1), gr(0, 2)])
     mixed = ExactMatrix(n, n, {(i, perm[i]): draw(scale) for i in range(n)})
-    p = ExactMatrix(n, n, upper) @ mixed
-    return p @ ExactMatrix(n, n, jordan) @ invert(p)
+    return ExactMatrix(n, n, upper) @ mixed
 
 
 @settings(max_examples=80, deadline=None)
 @given(_conjugated_jordan_forms(), st.integers(0, 6))
 def test_integer_eigenspaces_equals_exhaustive_scan(m, bound):
     assert _outcome(integer_eigenspaces(m, bound)) == _outcome(_exhaustive_scan(m, bound))
+
+
+# -- invert and restrict: the one solve, pinned through the public API ---------
+
+
+def _reference_restrict(m, basis):
+    """restrict as it was computed before the shared solve: pick k independent
+    rows of S, invert that k x k block, and solve and check S c == m s_j one
+    column at a time."""
+    if m.ncols != basis.ambient_dim:
+        raise ValueError("matrix and basis ambient dimensions differ")
+    s, k = basis.matrix, basis.size
+    row_data: dict = {}
+    for (r, c), v in s.entries.items():
+        row_data.setdefault(r, [gr(0)] * k)[c] = v
+    picked_rows, reduced, pivot_pos = [], [], []
+    for r in sorted(row_data):
+        vec = list(row_data[r])
+        for pos, red in zip(pivot_pos, reduced):
+            f = vec[pos]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, red)]
+        lead = next((j for j in range(k) if vec[j]), None)
+        if lead is None:
+            continue
+        inv = vec[lead].inverse()
+        reduced.append([x * inv for x in vec])
+        pivot_pos.append(lead)
+        picked_rows.append(r)
+        if len(picked_rows) == k:
+            break
+    if len(picked_rows) < k:
+        raise ValueError("basis columns are linearly dependent")
+    square_inv = invert(ExactMatrix.from_rows([[s.get(r, c) for c in range(k)] for r in picked_rows]))
+    entries = {}
+    for j in range(k):
+        w = m @ basis.column(j)
+        c = square_inv @ ExactMatrix.column_vector([w.get(r, 0) for r in picked_rows])
+        if s @ c != w:
+            raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
+        entries.update({(r, j): v for (r, _c), v in c.entries.items()})
+    return ExactMatrix(k, k, entries)
+
+
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.builds(gr, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6).flatmap(_invertible_matrices), st.data())
+def test_invert_is_a_two_sided_inverse(m, data):
+    n = m.nrows
+    eye = ExactMatrix.identity(n)
+    inverse = invert(m)
+    assert m @ inverse == eye and inverse @ m == eye
+    if n >= 2:
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        rows = m.to_rows()
+        rows[j] = rows[i]
+        with pytest.raises(ValueError, match="matrix is singular"):
+            invert(ExactMatrix.from_rows(rows))
+
+
+@st.composite
+def _invariant_subspaces(draw):
+    """(M, S, B, P) with M = P B P^-1, B block upper triangular with a
+    leading k x k block, and S the first k columns of P as an unnormalized
+    basis.  P is a row permutation of diag(P0, I), so the rows of the
+    identity part are never touched by S."""
+    k = draw(st.integers(1, 4))
+    n = k + draw(st.integers(0, 3))
+    ambient = n + draw(st.integers(1, 3))
+    spots = draw(st.permutations(range(ambient)))
+    p0 = draw(_invertible_matrices(n))
+    p_entries = {(spots[r], c): v for (r, c), v in p0.entries.items()}
+    p_entries.update({(spots[t], t): 1 for t in range(n, ambient)})
+    p = ExactMatrix(ambient, ambient, p_entries)
+    b_entries = {}
+    for r in range(ambient):
+        for c in range(ambient):
+            if (r < k or c >= k) and draw(st.booleans()):
+                b_entries[(r, c)] = draw(_SCALARS)
+    b = ExactMatrix(ambient, ambient, b_entries)
+    s = VectorBasis(ExactMatrix(ambient, k, {(r, c): v for (r, c), v in p_entries.items() if c < k}))
+    return p @ b @ invert(p), s, b, p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_invariant_subspaces(), st.data())
+def test_restrict_recovers_the_leading_block(case, data):
+    m, s, b, p = case
+    k = s.size
+    leading = ExactMatrix(k, k, {(r, c): v for (r, c), v in b.entries.items() if r < k and c < k})
+    assert restrict(m, s) == leading == _reference_restrict(m, s)
+    # entries below the block in column j and maybe later columns send the
+    # image of s_j, and of no earlier basis vector, out of span S
+    j = data.draw(st.integers(0, k - 1))
+    spikes = st.sampled_from([1, -2, gr(0, 1), Fraction(1, 3)])
+    rows_below = st.integers(k, s.ambient_dim - 1)
+    bent = {**b.entries, (data.draw(rows_below), j): data.draw(spikes)}
+    for c in range(j + 1, k):
+        if data.draw(st.booleans()):
+            bent[(data.draw(rows_below), c)] = data.draw(spikes)
+    leaky = p @ ExactMatrix(b.nrows, b.ncols, bent) @ invert(p)
+    for solve in (restrict, _reference_restrict):
+        with pytest.raises(ValueError, match=f"image of basis vector {j} leaves the span"):
+            solve(leaky, s)
+    # a repeated column is reported as dependence, invariant span or not
+    cols = [s.matrix.column(c) for c in range(k)]
+    repeated = VectorBasis.from_columns(s.ambient_dim, cols + [cols[j]], normalize=False)
+    for mat in (m, leaky):
+        for solve in (restrict, _reference_restrict):
+            with pytest.raises(ValueError, match="basis columns are linearly dependent"):
+                solve(mat, repeated)

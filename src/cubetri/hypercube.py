@@ -62,17 +62,13 @@ def cube(D: int) -> CubeContext:
     return CubeContext(D)
 
 
+@lru_cache(maxsize=None)
 def distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
     """The 0/1 matrix pairing vertices at distance exactly i."""
     _check_index(ctx, i)
-    return _distance_matrix(ctx.D, i)
-
-
-@lru_cache(maxsize=None)
-def _distance_matrix(D: int, i: int) -> ExactMatrix:
-    n = 1 << D
+    n = ctx.nvertices
     one = gr(1)
-    masks = [_bits_to_mask(bits) for bits in combinations(range(D), i)]
+    masks = [_bits_to_mask(bits) for bits in combinations(range(ctx.D), i)]
     entries = {(y, y ^ m): one for y in range(n) for m in masks}
     return ExactMatrix(n, n, entries)
 
@@ -94,16 +90,12 @@ def eigenvalue(ctx: CubeContext, i: int) -> int:
     return ctx.D - 2 * i
 
 
+@lru_cache(maxsize=None)
 def primitive_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
     """E_i, with (y, z)-entry the base column of E_i at y XOR z."""
     _check_index(ctx, i)
-    return _primitive_idempotent(ctx.D, i)
-
-
-@lru_cache(maxsize=None)
-def _primitive_idempotent(D: int, i: int) -> ExactMatrix:
-    col = [(x, v) for (x, _c), v in _idempotent_base_column(D, i).entries.items()]
-    n = 1 << D
+    col = [(x, v) for (x, _c), v in _idempotent_base_column(ctx.D, i).entries.items()]
+    n = ctx.nvertices
     return ExactMatrix(n, n, {(y, y ^ x): v for y in range(n) for x, v in col})
 
 
@@ -179,42 +171,37 @@ def second_dual_adjacency(ctx: CubeContext) -> ExactMatrix:
     return dual_distance_matrix(ctx, ctx.D - 1)
 
 
+@lru_cache(maxsize=None)
 def go_sl2_structure(ctx: CubeContext) -> Sl2Action:
     """X = A, Y = A*, Z = (XY - YX)/(2i); the brackets are re-verified."""
-    return _go_sl2_structure(ctx.D)
-
-
-@lru_cache(maxsize=None)
-def _go_sl2_structure(D: int) -> Sl2Action:
-    ctx = CubeContext(D)
     x = adjacency(ctx)
     y = dual_adjacency(ctx)
     z = (x @ y - y @ x) * gr(0, Fraction(-1, 2))
     action = Sl2Action(x, y, z)
     if not check_brackets(action):
-        raise AssertionError(f"sl2 brackets fail on Q_{D}; construction bug")
+        raise AssertionError(f"sl2 brackets fail on Q_{ctx.D}; construction bug")
     return action
 
 
 def positive_structure(ctx: CubeContext) -> ModuleActionTriple:
     """x = A, y = A*_{D-1}, z = (xy+yx)/2; all three relations verified."""
-    return _signed_structure(ctx.D, +1)
+    return _signed_structure(ctx, +1)
 
 
 def negative_structure(ctx: CubeContext) -> ModuleActionTriple:
-    return _signed_structure(ctx.D, -1)
+    return _signed_structure(ctx, -1)
 
 
 @lru_cache(maxsize=None)
-def _signed_structure(D: int, sign: int) -> ModuleActionTriple:
-    ctx = CubeContext(D)
+def _signed_structure(ctx: CubeContext, sign: int) -> ModuleActionTriple:
     x = adjacency(ctx)
     y = second_dual_adjacency(ctx) * sign
     z = (x @ y + y @ x) * Fraction(1, 2)
     triple = ModuleActionTriple(x, y, z)
     ok, detail = check_relations(triple)
     if not ok:
-        raise AssertionError(f"Q_{D} {'positive' if sign > 0 else 'negative'} structure: {detail}")
+        label = "positive" if sign > 0 else "negative"
+        raise AssertionError(f"Q_{ctx.D} {label} structure: {detail}")
     return triple
 
 
@@ -247,29 +234,24 @@ def k_scalar(ctx: CubeContext) -> GaussianRational:
     return gr(1) if ctx.D % 2 == 0 else gr(0, -1)
 
 
+@lru_cache(maxsize=None)
 def s_diagonal(ctx: CubeContext) -> ExactMatrix:
     """The skew involution on the standard module: diagonal entry
     (-1)^(floor(D/2)+w) at a weight-w vertex; cross-checked against the
     triple-exponential construction of h times k."""
-    return _s_diagonal(ctx.D)
-
-
-@lru_cache(maxsize=None)
-def _s_diagonal(D: int) -> ExactMatrix:
-    ctx = CubeContext(D)
-    base = D // 2
+    base = ctx.D // 2
     closed = ExactMatrix.diagonal(
         [(-1) ** (base + ctx.weight(y)) for y in ctx.vertices()]
     )
     action = go_sl2_structure(ctx)
-    h = build_h(action, D + 1)
+    h = build_h(action, ctx.D + 1)
     s = h * k_scalar(ctx)
     if s != closed:
         raise AssertionError(
-            f"skew operator on Q_{D}: closed form disagrees with the exponential construction"
+            f"skew operator on Q_{ctx.D}: closed form disagrees with the exponential construction"
         )
     if not verify_skew(action, closed):
-        raise AssertionError(f"skew relations fail on Q_{D}")
+        raise AssertionError(f"skew relations fail on Q_{ctx.D}")
     return closed
 
 

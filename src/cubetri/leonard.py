@@ -113,12 +113,12 @@ def standard_ordering(pairs, other1: ExactMatrix, other2: ExactMatrix):
                     f"{label} companion matrix is tridiagonal but not irreducible: "
                     f"zero block between eigenvalues {pairs[a][0]} and {pairs[b][0]}"
                 )
-    perm = ExactMatrix(
-        n, n, {(j, pos): 1 for pos, j in enumerate(order)}
+    pos = {j: p for p, j in enumerate(order)}
+    c1, c2 = (
+        ExactMatrix(n, n, {(pos[r], pos[c]): v for (r, c), v in m.entries.items()})
+        for m in (c1, c2)
     )
-    perm_inv = perm.transpose()
-    ordering = [pairs[j][0] for j in order]
-    return ordering, perm_inv @ c1 @ perm, perm_inv @ c2 @ perm
+    return [pairs[j][0] for j in order], c1, c2
 
 
 def _path_order(neighbors: dict, thetas) -> list[int]:

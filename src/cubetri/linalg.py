@@ -20,7 +20,7 @@ from math import lcm
 
 from .exactnum import ZERO, GaussianRational
 
-# Above this many scalar multiplies the dict-walk product loses to packing.
+# Below this many scalar multiplies the dict-walk product beats packing.
 _PACK_CUTOFF = 1 << 16
 
 
@@ -211,7 +211,11 @@ class ExactMatrix:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product; dispatches between dict-walk and packed-integer paths."""
+    """Exact product; dispatches between dict-walk and packed-integer paths.
+
+    The packed path makes both factors dense integer rows, so it runs only
+    when the product has more terms than `_PACK_CUTOFF` and than a has
+    cells; products of the sparse hypercube operators stay on the dict walk."""
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
     if not a.entries or not b.entries:
@@ -219,10 +223,11 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     b_row_count = {}
     for (k, _j) in b.entries:
         b_row_count[k] = b_row_count.get(k, 0) + 1
+    cutoff = max(_PACK_CUTOFF, a.nrows * a.ncols)
     cost = 0
     for (_i, k) in a.entries:
         cost += b_row_count.get(k, 0)
-        if cost > _PACK_CUTOFF:
+        if cost > cutoff:
             return _matmul_packed(a, b)
     return _matmul_sparse(a, b)
 

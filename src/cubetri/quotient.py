@@ -81,14 +81,9 @@ def push_through(q: QuotientContext, m: ExactMatrix) -> ExactMatrix:
     return psi_matrix(q) @ m @ section_matrix(q)
 
 
+@lru_cache(maxsize=None)
 def quotient_adjacency(q: QuotientContext) -> ExactMatrix:
     """Brute-force adjacency: classes joined when some lifts are neighbors."""
-    return _quotient_adjacency(q.D)
-
-
-@lru_cache(maxsize=None)
-def _quotient_adjacency(D: int) -> ExactMatrix:
-    q = quotient(D)
     one = gr(1)
     entries = {}
     for u in q.classes():
@@ -98,50 +93,40 @@ def _quotient_adjacency(D: int) -> ExactMatrix:
     return ExactMatrix(q.nclasses, q.nclasses, entries)
 
 
+@lru_cache(maxsize=None)
 def quotient_dual_adjacency(q: QuotientContext) -> ExactMatrix:
     """Conjugate of the parent's second dual adjacency, cross-checked against
     the closed form (-1)^i (D-2i) at quotient distance i."""
-    return _quotient_dual_adjacency(q.D)
-
-
-@lru_cache(maxsize=None)
-def _quotient_dual_adjacency(D: int) -> ExactMatrix:
-    q = quotient(D)
     conjugated = push_through(q, second_dual_adjacency(q.parent))
     closed = ExactMatrix.diagonal(
         [
-            (-1) ** q.class_weight(u) * (D - 2 * q.class_weight(u))
+            (-1) ** q.class_weight(u) * (q.D - 2 * q.class_weight(u))
             for u in q.classes()
         ]
     )
     if conjugated != closed:
         raise AssertionError(
-            f"quotient dual adjacency of Q_{D}: conjugation and closed form disagree"
+            f"quotient dual adjacency of Q_{q.D}: conjugation and closed form disagree"
         )
     return conjugated
 
 
+@lru_cache(maxsize=None)
 def quotient_acsa_structure(q: QuotientContext) -> ModuleActionTriple:
     """x, y act as the quotient adjacency and dual adjacency; z = (xy+yx)/2.
 
     The relations are verified, and z is checked to be the image of the
     parent weighted adjacency matrix under the quotient map."""
-    return _quotient_acsa_structure(q.D)
-
-
-@lru_cache(maxsize=None)
-def _quotient_acsa_structure(D: int) -> ModuleActionTriple:
-    q = quotient(D)
     x = quotient_adjacency(q)
     y = quotient_dual_adjacency(q)
     z = (x @ y + y @ x) * Fraction(1, 2)
     triple = ModuleActionTriple(x, y, z)
     ok, detail = check_relations(triple)
     if not ok:
-        raise AssertionError(f"quotient structure on Q~_{D} fails relations: {detail}")
+        raise AssertionError(f"quotient structure on Q~_{q.D} fails relations: {detail}")
     if z != push_through(q, weighted_adjacency(q.parent)):
         raise AssertionError(
-            f"quotient weighted adjacency of Q~_{D} is not the image of the parent's"
+            f"quotient weighted adjacency of Q~_{q.D} is not the image of the parent's"
         )
     return triple
 

@@ -18,20 +18,9 @@ from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, VectorBasis, exp_nilpotent, kernel_basis, restrict
 
 
-@dataclass(frozen=True)
-class Sl2Action:
-    """Actions of X, Y, Z on one space; brackets [X,Y]=2iZ etc. hold exactly."""
-
-    x_mat: ExactMatrix
-    y_mat: ExactMatrix
-    z_mat: ExactMatrix
-
-    def matrices(self):
-        return (self.x_mat, self.y_mat, self.z_mat)
-
-    @property
-    def dimension(self) -> int:
-        return self.x_mat.nrows
+# Actions of X, Y, Z on one space, as three square matrices like a module
+# triple; the brackets [X,Y]=2iZ etc. are what `check_brackets` verifies.
+Sl2Action = ModuleActionTriple
 
 
 @dataclass(frozen=True)

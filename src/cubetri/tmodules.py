@@ -78,14 +78,10 @@ def _raise_vector(ctx: CubeContext, vec: dict, w: int) -> dict:
     return {z: v for z, v in out.items() if v}
 
 
+@lru_cache(maxsize=None)
 def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
     """All irreducible T-modules, as raising chains seeded in ker(lowering)."""
-    return _decompose(ctx.D)
-
-
-@lru_cache(maxsize=None)
-def _decompose(D: int) -> list[SubmoduleBasis]:
-    ctx = CubeContext(D)
+    D = ctx.D
     modules: list[SubmoduleBasis] = []
     total_dim = 0
     for r in range(D // 2 + 1):
@@ -171,17 +167,13 @@ def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> M
     return found
 
 
+@lru_cache(maxsize=None)
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
     """Intersections of W with the symmetric/antisymmetric halves, computed
     from the +-1 eigenspaces of the antipodal involution restricted to W.
-    Memoized per module: `split_and_type` and `quotient_modules` share it."""
-    return _antipodal_split(ctx.D, w)
-
-
-@lru_cache(maxsize=None)
-def _antipodal_split(D: int, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
-    ctx = CubeContext(D)
-    ad = distance_matrix(ctx, D)
+    Memoized on the values of (ctx, w): `split_and_type` and
+    `quotient_modules` share one split per module."""
+    ad = distance_matrix(ctx, ctx.D)
     inside = restrict(ad, w.vectors)
     eye = ExactMatrix.identity(w.vectors.size)
     parts = []

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubetri import linalg
 from cubetri.exactnum import gr
+from cubetri.hypercube import adjacency, cube
 from cubetri.linalg import (
     ExactMatrix,
     VectorBasis,
@@ -98,6 +100,33 @@ def test_packed_path_matches_sparse_path():
     a = _random_matrix(rng, 50, 50, density=0.9, complex_part=False)
     b = _random_matrix(rng, 50, 50, density=0.9, complex_part=False)
     assert matmul(a, b) == _matmul_sparse(a, b)
+
+
+def test_matmul_packs_only_above_cutoff_and_left_cells(monkeypatch):
+    # the packed path pays for densifying a, so a sparse product stays on the
+    # dict walk even when its term count is far above the cutoff
+    monkeypatch.setattr(linalg, "_PACK_CUTOFF", 100)
+    taken = []
+
+    def spy(name):
+        path = getattr(linalg, name)
+        return lambda a, b: taken.append(name) or path(a, b)
+
+    for name in ("_matmul_packed", "_matmul_sparse"):
+        monkeypatch.setattr(linalg, name, spy(name))
+    adj = adjacency(cube(6))  # 64x64 with 6 entries a row: 2,304 terms, 4,096 cells
+    assert adj @ adj == _matmul_sparse(adj, adj)
+    assert taken == ["_matmul_sparse"]
+    rng = random.Random(29)
+    dense = _random_matrix(rng, 12, 12, density=1.0)  # 1,728 terms, 144 cells
+    taken.clear()
+    assert dense @ dense == _matmul_sparse(dense, dense)
+    assert taken == ["_matmul_packed"]
+    # equal to the left cell count is not above it
+    taken.clear()
+    dense10 = _random_matrix(rng, 10, 10, density=1.0)
+    assert dense10 @ ExactMatrix.identity(10) == dense10
+    assert taken == ["_matmul_sparse"]
 
 
 def test_kernel_of_identity_empty():

@@ -4,11 +4,20 @@ import pytest
 
 from cubetri import suites
 from cubetri.acsa import ab_type, b_type
-from cubetri.hypercube import adjacency, cube, go_sl2_structure, primitive_idempotent
+from cubetri.hypercube import (
+    CubeContext,
+    adjacency,
+    cube,
+    distance_matrix,
+    go_sl2_structure,
+    positive_structure,
+    primitive_idempotent,
+)
 from cubetri.linalg import ExactMatrix, VectorBasis, rank, restrict
-from cubetri.quotient import quotient
+from cubetri.quotient import quotient, quotient_acsa_structure
 from cubetri.tmodules import (
     SubmoduleBasis,
+    antipodal_split,
     decompose,
     dual_profile,
     module_summary,
@@ -195,3 +204,15 @@ def test_module_summary_shape():
     assert record["id"] == "r0#0"
     assert record["type"] is None
     assert record["parity_split"] == {"plus": "AB(1,z)", "minus": "AB(1,x)"}
+
+
+def test_builders_cache_on_the_value_of_the_context():
+    assert decompose(cube(7)) is decompose(CubeContext(7))
+    assert positive_structure(cube(5)) is positive_structure(CubeContext(5))
+    assert quotient_acsa_structure(quotient(5)) is quotient_acsa_structure(quotient(5))
+    w = decompose(cube(5))[1]
+    assert antipodal_split(cube(5), w) is antipodal_split(CubeContext(5), w)
+    # a failed index check is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="index 4 out of range 0..3"):
+            distance_matrix(cube(3), 4)

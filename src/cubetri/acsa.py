@@ -298,17 +298,9 @@ def scale_to_normalized(
 
 def _verify_normalizing(m: ModuleActionTriple, scalars) -> None:
     xi, xi_star, xi_eps = scalars
-    a = m.x_mat * xi
-    a_star = m.y_mat * xi_star
-    a_eps = m.z_mat * xi_eps
-    checks = (
-        (a @ a_star + a_star @ a, a_eps),
-        (a_star @ a_eps + a_eps @ a_star, a),
-        (a_eps @ a + a @ a_eps, a_star),
-    )
-    for lhs, rhs in checks:
-        if lhs != rhs * 2:
-            raise ValueError(
-                f"scaling ({xi},{xi_star},{xi_eps}) does not normalize the triple; "
-                "were the supplied nu scalars computed from it?"
-            )
+    scaled = ModuleActionTriple(m.x_mat * xi, m.y_mat * xi_star, m.z_mat * xi_eps)
+    if not check_relations(scaled)[0]:
+        raise ValueError(
+            f"scaling ({xi},{xi_star},{xi_eps}) does not normalize the triple; "
+            "were the supplied nu scalars computed from it?"
+        )

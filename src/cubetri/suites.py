@@ -18,7 +18,6 @@ from .acsa import (
     check_relations,
     classify,
     is_irreducible,
-    restrict_triple,
     trace_table,
 )
 from .exactnum import gr
@@ -43,7 +42,6 @@ from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, rank, restrict
 from .quotient import (
     psi_matrix,
     quotient,
-    quotient_acsa_structure,
     quotient_adjacency,
     quotient_dual_adjacency,
     quotient_weighted_adjacency,
@@ -62,7 +60,9 @@ from .tmodules import (
     REFERENCE_PLUS_TABLE,
     decompose,
     dual_profile,
+    module_structure,
     quotient_modules,
+    quotient_structure,
     split_and_type,
 )
 
@@ -324,13 +324,12 @@ def suite_leonard_even(Ds=None, **_kw):
         if D % 2:
             raise ValueError("leonard-even runs on even D")
         ctx = cube(D)
-        triple = positive_structure(ctx)
         two = gr(2)
         count = 0
         for m in decompose(ctx):
             if m.diameter < 3:
                 continue
-            mats = restrict_triple(triple, m.vectors).matrices()
+            mats = module_structure(ctx, m).matrices()
             cert = certify_triple(*mats, module_id=f"Q{D}:{m.module_id}")
             _require(
                 set(cert.shapes) == {"bipartite"},
@@ -368,7 +367,6 @@ def suite_leonard_quotient(Ds=None, reference_tables: bool = False, **_kw):
             raise ValueError("leonard-quotient runs on odd D")
         ctx = cube(D)
         q = quotient(D)
-        qtriple = quotient_acsa_structure(q)
         cal_d = q.cal_d
         for m in decompose(ctx):
             typed = split_and_type(ctx, m)  # verifies the computed tables itself
@@ -403,7 +401,7 @@ def suite_leonard_quotient(Ds=None, reference_tables: bool = False, **_kw):
                     )
             if t.d < 3:
                 continue
-            mats = restrict_triple(qtriple, sb.vectors).matrices()
+            mats = quotient_structure(q, sb).matrices()
             cert = certify_triple(*mats, module_id=f"Q~{D}:{sb.module_id}")
             _require(
                 set(cert.shapes) == {"almost-bipartite"},

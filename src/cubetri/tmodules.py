@@ -9,6 +9,7 @@ which is the thinness witness and keeps all downstream solves cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -167,75 +168,79 @@ def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> M
     return found
 
 
+def _restrict_xy(triple: ModuleActionTriple, basis: VectorBasis) -> ModuleActionTriple:
+    """The triple on span(basis) from two restrictions.  `restrict` proves
+    span(basis) x- and y-invariant, and the cube and quotient structures
+    satisfy xy+yx = 2z (checked when they are built), so S z_W = z S holds
+    exactly for z_W = (x_W y_W + y_W x_W)/2: z is never restricted."""
+    x, y = restrict(triple.x_mat, basis), restrict(triple.y_mat, basis)
+    return ModuleActionTriple(x, y, (x @ y + y @ x) * Fraction(1, 2))
+
+
+@lru_cache(maxsize=None)
+def module_structure(ctx: CubeContext, w: SubmoduleBasis) -> ModuleActionTriple:
+    """The positive structure on W, in the coordinates of w.vectors.
+    Memoized on the values of (ctx, w), so each module is restricted once."""
+    return _restrict_xy(positive_structure(ctx), w.vectors)
+
+
+@lru_cache(maxsize=None)
+def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTriple:
+    """The quotient structure on a quotient image sb, in the coordinates of
+    sb.vectors.  Memoized on the values of (q, sb), like `module_structure`."""
+    return _restrict_xy(quotient_acsa_structure(q), sb.vectors)
+
+
 @lru_cache(maxsize=None)
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
-    """Intersections of W with the symmetric/antisymmetric halves, computed
-    from the +-1 eigenspaces of the antipodal involution restricted to W.
-    Memoized on the values of (ctx, w): `split_and_type` and
-    `quotient_modules` share one split per module."""
-    ad = distance_matrix(ctx, ctx.D)
-    inside = restrict(ad, w.vectors)
-    eye = ExactMatrix.identity(w.vectors.size)
-    parts = []
-    for sign in (1, -1):
-        coords = kernel_basis(inside - eye * sign)
-        cols = []
-        for j in range(coords.size):
-            ambient = w.vectors.matrix @ coords.column(j)
-            cols.append({r: v for (r, _c), v in ambient.entries.items()})
-        parts.append(VectorBasis.from_columns(ctx.nvertices, cols))
-    return parts[0], parts[1]
+    """Intersections of W with the symmetric/antisymmetric halves, in
+    W-coordinates: the kernels of (A_D)_W - I and (A_D)_W + I for the
+    antipodal involution A_D restricted to W.  A half's ambient vectors are
+    S c for S = w.vectors.matrix.  Memoized on the values of (ctx, w):
+    `split_and_type` and `quotient_modules` share one split per module."""
+    inside = restrict(distance_matrix(ctx, ctx.D), w.vectors)
+    eye = ExactMatrix.identity(w.dimension)
+    return kernel_basis(inside - eye), kernel_basis(inside + eye)
 
 
 def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
     """Module structure carried by one T-module under the positive structure.
 
-    Even D: the module itself, of type B(D-2r).  Odd D: the two halves
-    under the antipodal involution, with variants from the parity tables.
+    Even D: the module itself (basis w.vectors), of type B(D-2r).  Odd D:
+    the two halves under the antipodal involution, in W-coordinates as
+    `antipodal_split` returns them, with variants from the parity tables.
     """
-    triple = positive_structure(ctx)
-    r = w.endpoint
+    sub = module_structure(ctx, w)
     if ctx.D % 2 == 0:
-        want = b_type(ctx.D - 2 * r)
-        sub = restrict_triple(triple, w.vectors)
-        found = _classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}")
-        return [(w.vectors, found)]
+        want = b_type(ctx.D - 2 * w.endpoint)
+        return [(w.vectors, _classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}"))]
     cal_d = ctx.D // 2
-    delta = cal_d - r
-    plus, minus = antipodal_split(ctx, w)
     out = []
-    for basis, table, label in (
-        (plus, _PLUS_TABLE, "plus"),
-        (minus, _MINUS_TABLE, "minus"),
+    for basis, table, label in zip(
+        antipodal_split(ctx, w), (_PLUS_TABLE, _MINUS_TABLE), ("plus", "minus")
     ):
-        want = ab_type(delta, table[cal_d % 2])
-        sub = restrict_triple(triple, basis)
-        found = _classify_against(
-            sub, want, f"Q_{ctx.D} module {w.module_id} ({label} half)"
-        )
-        out.append((basis, found))
+        want = ab_type(cal_d - w.endpoint, table[cal_d % 2])
+        what = f"Q_{ctx.D} module {w.module_id} ({label} half)"
+        out.append((basis, _classify_against(restrict_triple(sub, basis), want, what)))
     return out
 
 
 def quotient_modules(q: QuotientContext):
-    """Images of the parent T-modules in the quotient, with their types."""
+    """Images of the parent T-modules in the quotient, with their types.
+    psi S c maps the W-coordinates c of each W+ into the quotient."""
     ctx = q.parent
     psi = psi_matrix(q)
-    triple = quotient_acsa_structure(q)
     cal_d = q.cal_d
     out = []
     for w in decompose(ctx):
         plus, _minus = antipodal_split(ctx, w)
-        cols = []
-        for j in range(plus.size):
-            img = psi @ plus.column(j)
-            cols.append({r: v for (r, _c), v in img.entries.items()})
+        img = psi @ w.vectors.matrix @ plus.matrix
+        cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
         cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
-        basis = VectorBasis.from_columns(q.nclasses, cols)
+        sb = SubmoduleBasis(w.module_id, w.endpoint, VectorBasis.from_columns(q.nclasses, cols))
         want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
-        sub = restrict_triple(triple, basis)
-        found = _classify_against(sub, want, f"Q~_{q.D} image of {w.module_id}")
-        out.append((SubmoduleBasis(w.module_id, w.endpoint, basis), found))
+        what = f"Q~_{q.D} image of {w.module_id}"
+        out.append((sb, _classify_against(quotient_structure(q, sb), want, what)))
     return out
 
 

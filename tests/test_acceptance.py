@@ -16,11 +16,13 @@ module has basis v0 = e001 - e010, v1 = e101 - e110; the dual adjacency
 acts on it as -I, the traces on the symmetric half come out (-1, -1, +1),
 and that trace row is the z variant where the reference table expects y.
 """
+import hashlib
+import json
 import time
 
 from cubetri.acsa import ModuleActionTriple, ab_type, classify
 from cubetri.hypercube import cube, negative_structure, positive_structure
-from cubetri.linalg import restrict
+from cubetri.linalg import VectorBasis, restrict
 from cubetri.quotient import quotient, quotient_acsa_structure
 from cubetri.suites import run_suite
 from cubetri.tmodules import (
@@ -39,11 +41,20 @@ BUDGETS = {
     "idempotents-full": 15.0,
     "decomposition": 30.0,
     "families": 2.0,
+    "leonard-quotient": 15.0,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and
 # z-traces, which permutes the almost-bipartite variants as below.
 SIGMA_VARIANT = {"0": "x", "x": "0", "y": "z", "z": "y"}
+
+
+def _certificate_digest(result) -> str:
+    """sha256 of the certificates as JSON with sorted keys and compact separators."""
+    blob = json.dumps(
+        [c.to_json_dict() for c in result.certificates], sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _report(number: str, label: str, ok: bool, seconds: float, detail: str = "") -> None:
@@ -107,20 +118,28 @@ def test_criterion_6_even_leonard_certificates():
     _report("6", "even-D normalized bipartite certificates", r.passed, r.seconds, r.detail)
     assert r.passed, r.detail
     assert len(r.certificates) == 6 + 28  # diameters >= 3 at D=6 and D=8
+    assert _certificate_digest(r) == (
+        "5503542d9b7511945e382c794a3e5e03c18d82486044455a628fa9ee86443fb6"
+    )
 
 
 def test_criterion_7_odd_types_exact_classification():
     r = run_suite("leonard-quotient", Ds=(5, 7, 9))
+    ok = r.passed and r.seconds < BUDGETS["leonard-quotient"]
     _report(
         "7 (verified tables)",
         "odd-D module types and quotient certificates",
-        r.passed,
+        ok,
         r.seconds,
         r.detail,
     )
     assert r.passed, r.detail
     # quotient images of diameter >= 3: none at D=5, one at D=7, nine at D=9
     assert len(r.certificates) == 0 + 1 + 9
+    assert _certificate_digest(r) == (
+        "4a843abbd308f9ef2fb1304fa505e6ef6675e13522d5a3879b419cd5ab37655e"
+    )
+    assert r.seconds < BUDGETS["leonard-quotient"]
 
 
 def test_criterion_7_odd_types_reference_tables_known_defect():
@@ -153,7 +172,8 @@ def test_criterion_7_odd_types_reference_tables_known_defect():
         for m in decompose(ctx):
             r = m.endpoint
             key = (r % 2, cal_d % 2)
-            halves = antipodal_split(ctx, m)
+            # the halves come in W-coordinates c; restrict on the ambient S c
+            halves = [VectorBasis(m.vectors.matrix @ c.matrix) for c in antipodal_split(ctx, m)]
             typed = split_and_type(ctx, m)
             for label, basis, (_b, untwisted) in zip(("V+", "V-"), halves, typed):
                 sub = ModuleActionTriple(

@@ -257,6 +257,12 @@ def test_scale_to_normalized_rejects_zero():
         scale_to_normalized(None, gr(0), gr(2), gr(2))
 
 
+def test_scale_to_normalized_rejects_scalars_not_computed_from_the_triple():
+    # B(4) has nu = (2, 2, 2); claiming nu^eps = 8 gives a scaling that breaks xy+yx=2z
+    with pytest.raises(ValueError, match=r"scaling \(1/2,1/2,1\) does not normalize the triple"):
+        scale_to_normalized(build_canonical(b_type(4)), 2, 2, 8)
+
+
 def test_scaled_canonical_triple_recovers_normalization():
     # scaling a canonical triple by (2, 2, 2) multiplies each nu by 2
     triple = build_canonical(b_type(4))

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from cubetri import suites
-from cubetri.acsa import ab_type, b_type
+from cubetri.acsa import ab_type, b_type, restrict_triple
 from cubetri.hypercube import (
     CubeContext,
     adjacency,
@@ -20,8 +20,10 @@ from cubetri.tmodules import (
     antipodal_split,
     decompose,
     dual_profile,
+    module_structure,
     module_summary,
     quotient_modules,
+    quotient_structure,
     split_and_type,
 )
 
@@ -180,6 +182,38 @@ def test_split_and_type_odd():
             assert typed[0][1] == ab_type(delta, plus_n)
             assert typed[1][1] == ab_type(delta, minus_n)
             assert typed[0][0].size + typed[1][0].size == m.dimension
+
+
+def test_module_structure_is_the_restricted_positive_structure():
+    # z_W = (x_W y_W + y_W x_W)/2 equals the restriction of the ambient z
+    for D in range(1, 8):
+        ctx = cube(D)
+        for m in decompose(ctx):
+            want = restrict_triple(positive_structure(ctx), m.vectors)
+            assert module_structure(ctx, m) == want, (D, m.module_id)
+
+
+def test_quotient_structure_is_the_restricted_quotient_structure():
+    for D in (3, 5, 7):
+        q = quotient(D)
+        for sb, _t in quotient_modules(q):
+            want = restrict_triple(quotient_acsa_structure(q), sb.vectors)
+            assert quotient_structure(q, sb) == want, (D, sb.module_id)
+
+
+def test_antipodal_halves_in_module_coordinates():
+    # S c+ and S c- are +1 and -1 eigenvectors of A_D; the halves fill W
+    for D in range(1, 8):
+        ctx = cube(D)
+        ad = distance_matrix(ctx, D)
+        for m in decompose(ctx):
+            plus, minus = antipodal_split(ctx, m)
+            assert plus.ambient_dim == minus.ambient_dim == m.dimension
+            assert plus.size + minus.size == m.dimension
+            for half, sign in ((plus, 1), (minus, -1)):
+                ambient = m.vectors.matrix @ half.matrix
+                assert ad @ ambient == ambient * sign, (D, m.module_id, sign)
+                assert rank(ambient) == half.size
 
 
 def test_quotient_modules_types_and_dimensions():

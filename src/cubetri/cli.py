@@ -273,10 +273,9 @@ def _suite_kwargs(name: str, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or sorted(SUITES)
-    results = []
-    for name in sorted(names):
-        results.append(run_suite(name, **_suite_kwargs(name, args)))
+    names = sorted(args.suite or SUITES)
+    kwargs = {name: _suite_kwargs(name, args) for name in names}  # reject a bad --D before any work
+    results = [run_suite(name, **kwargs[name]) for name in names]
     certificates = []
     for r in results:
         certificates.extend(c.to_json_dict() for c in r.certificates)

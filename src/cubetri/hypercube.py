@@ -153,6 +153,7 @@ def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
     return _idempotent_base_columns(D)[i]
 
 
+@lru_cache(maxsize=None)
 def dual_distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
     """Diagonal matrix with (y,y)-entry 2^D times the base-vertex row of E_i."""
     _check_index(ctx, i)

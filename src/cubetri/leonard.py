@@ -8,8 +8,9 @@ finding, no floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
@@ -196,7 +197,14 @@ def certify_triple(
     a_eps: ExactMatrix,
     module_id: str = "",
 ) -> LeonardTripleCertificate:
-    """Full verification record for the ordered triple (a, a_star, a_eps)."""
+    """Full verification record for the ordered triple (a, a_star, a_eps),
+    memoized on the triple's value: equal triples share one certification."""
+    cert = _certify(a, a_star, a_eps)
+    return replace(cert, module_id=module_id, orderings={k: list(v) for k, v in cert.orderings.items()})
+
+
+@lru_cache(maxsize=None)
+def _certify(a: ExactMatrix, a_star: ExactMatrix, a_eps: ExactMatrix) -> LeonardTripleCertificate:
     mats = {"A": a, "B": a_star, "C": a_eps}
     n = a.nrows
     bound = 2 * n + 1
@@ -225,7 +233,7 @@ def certify_triple(
     traces = (a.trace(), a_star.trace(), a_eps.trace())
     verdict, classification = _verdict(n - 1, shapes, bannai, nu, traces)
     return LeonardTripleCertificate(
-        module_id=module_id,
+        module_id="",
         dimension=n,
         orderings=orderings,
         shapes=shapes,

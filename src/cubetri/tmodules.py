@@ -3,8 +3,9 @@ Terwilliger modules, and the induced module structures on each piece.
 
 The decomposition follows the raising/lowering structure: seed vectors are
 the kernel of the lowering map inside each weight slice, and each seed is
-raised until it dies.  Every basis vector lives in a single weight slice,
-which is the thinness witness and keeps all downstream solves cheap.
+raised until it dies.  Every basis vector lives in a single weight slice:
+the thinness witness, and the disjoint supports that let `_class_action`
+check each module against one restricted triple per class (D, r).
 """
 from __future__ import annotations
 
@@ -19,11 +20,11 @@ from .hypercube import (
     CubeContext,
     adjacency,
     distance_matrix,
-    positive_structure,
+    second_dual_adjacency,
     _spectral_images,
 )
 from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
-from .quotient import QuotientContext, psi_matrix, quotient_acsa_structure
+from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 
 
 @dataclass(frozen=True)
@@ -128,15 +129,14 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     """Dimensions of the spectral projections E_i W for i = 0..D.
 
-    `restrict` returns A_W only if the basis matrix S of W has full column
-    rank and A S = S A_W holds exactly, i.e. W is A-invariant; otherwise it
-    raises ValueError.  Given both, E_i S = p_i(A) S = S p_i(A_W) for the
-    interpolation polynomial p_i of E_i, and S is injective, so
-    dim E_i W = rank p_i(A_W).  All the work is on the (d+1)x(d+1) matrix
-    A_W; the idempotents and ambient Krylov vectors are never formed."""
-    a_w = restrict(adjacency(ctx), w.vectors)
-    eye = ExactMatrix.identity(w.dimension)
-    return [rank(p_i) for p_i in _spectral_images(a_w, eye, ctx.D)]
+    `_class_action` proves that S = w.vectors.matrix has full column rank and
+    A S = S A_W, or raises ValueError.  Then E_i S = p_i(A) S = S p_i(A_W) for
+    the interpolation polynomial p_i of E_i, so dim E_i W = rank p_i(A_W)."""
+    return list(_class_action(ctx, w, (adjacency,), _window_ranks))
+
+
+def _window_ranks(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
+    return tuple(rank(p) for p in _spectral_images(a_w, ExactMatrix.identity(a_w.nrows), ctx.D))
 
 
 # Variant tables for the odd-diameter splits of T-modules under the positive
@@ -168,39 +168,86 @@ def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> M
     return found
 
 
-def _restrict_xy(triple: ModuleActionTriple, basis: VectorBasis) -> ModuleActionTriple:
-    """The triple on span(basis) from two restrictions.  `restrict` proves
-    span(basis) x- and y-invariant, and the cube and quotient structures
-    satisfy xy+yx = 2z (checked when they are built), so S z_W = z S holds
-    exactly for z_W = (x_W y_W + y_W x_W)/2: z is never restricted."""
-    x, y = restrict(triple.x_mat, basis), restrict(triple.y_mat, basis)
+@lru_cache(maxsize=None)
+def _class_value(space, r: int, builders, derive):
+    """The basis of the class (D, r) representative, the first T-module of
+    endpoint r (for a quotient, the image of its W+), each build(space)
+    `restrict`ed to it, and derive(space, *those matrices)."""
+    is_quotient = isinstance(space, QuotientContext)
+    reps = [w for w in decompose(space.parent if is_quotient else space) if w.endpoint == r]
+    if not reps:
+        raise ValueError(f"Q_{space.D} has no T-module with endpoint {r}")
+    rep = (_quotient_image(space, psi_matrix(space), reps[0]) if is_quotient else reps[0]).vectors
+    mats = tuple(restrict(build(space), rep) for build in builders)
+    return rep, mats, derive(space, *mats)
+
+
+def _class_action(space, w: SubmoduleBasis, builders, derive):
+    """derive(space, *M_W) for the matrices M = build(space) on span(w.vectors),
+    in its coordinates, w a module of class (D, r = w.endpoint).
+
+    Every module of a class carries the same action in its normalized chain
+    basis, so the M_class are `restrict`ed once, on the representative.  Any
+    other basis S is proved by products: its columns are nonzero with
+    pairwise disjoint supports (so S has full column rank) and M S == S M_class
+    holds exactly, so M_W = M_class.  Anything else raises ValueError."""
+    rep, mats, value = _class_value(space, w.endpoint, builders, derive)
+    if w.vectors == rep:
+        return value
+    s = w.vectors.matrix
+    owner: dict = {}
+    for (row, c) in s.entries:
+        if owner.setdefault(row, c) != c:
+            raise ValueError(f"basis vectors {owner[row]} and {c} overlap at coordinate {row}")
+    where = f"class (D={space.D}, r={w.endpoint}) action"
+    nonzero = len(set(owner.values()))
+    if (s.nrows, s.ncols, nonzero) != (rep.ambient_dim, rep.size, rep.size):
+        raise ValueError(f"subspace not invariant under the {where}: a {s.nrows}x{s.ncols} "
+                         f"basis with {nonzero} nonzero vectors")
+    for build, m in zip(builders, mats):
+        image, want = build(space) @ s, s @ m
+        if image != want:
+            j = min(c for _row, c in (image - want).entries)
+            raise ValueError(f"subspace not invariant: image of basis vector {j} is not the {where}")
+    return value
+
+
+def _antipodal_map(ctx: CubeContext) -> ExactMatrix:
+    return distance_matrix(ctx, ctx.D)
+
+
+def _anticommutator_triple(_space, x: ExactMatrix, y: ExactMatrix) -> ModuleActionTriple:
     return ModuleActionTriple(x, y, (x @ y + y @ x) * Fraction(1, 2))
+
+
+def _halves(_ctx, inside: ExactMatrix) -> tuple[VectorBasis, VectorBasis]:
+    eye = ExactMatrix.identity(inside.nrows)
+    return kernel_basis(inside - eye), kernel_basis(inside + eye)
 
 
 @lru_cache(maxsize=None)
 def module_structure(ctx: CubeContext, w: SubmoduleBasis) -> ModuleActionTriple:
-    """The positive structure on W, in the coordinates of w.vectors.
-    Memoized on the values of (ctx, w), so each module is restricted once."""
-    return _restrict_xy(positive_structure(ctx), w.vectors)
+    """The positive structure on W in the coordinates of w.vectors: x = A and
+    y = A*_{D-1} by `_class_action`, z_W = (x_W y_W + y_W x_W)/2 as z = (xy+yx)/2.
+    One triple per class; memoized on (ctx, w), so each module is checked once."""
+    return _class_action(ctx, w, (adjacency, second_dual_adjacency), _anticommutator_triple)
 
 
 @lru_cache(maxsize=None)
 def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTriple:
-    """The quotient structure on a quotient image sb, in the coordinates of
-    sb.vectors.  Memoized on the values of (q, sb), like `module_structure`."""
-    return _restrict_xy(quotient_acsa_structure(q), sb.vectors)
+    """`module_structure` for a quotient image sb, with x, y the quotient
+    adjacency and dual adjacency; one triple per (q, endpoint)."""
+    builders = (quotient_adjacency, quotient_dual_adjacency)
+    return _class_action(q, sb, builders, _anticommutator_triple)
 
 
 @lru_cache(maxsize=None)
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
     """Intersections of W with the symmetric/antisymmetric halves, in
-    W-coordinates: the kernels of (A_D)_W - I and (A_D)_W + I for the
-    antipodal involution A_D restricted to W.  A half's ambient vectors are
-    S c for S = w.vectors.matrix.  Memoized on the values of (ctx, w):
-    `split_and_type` and `quotient_modules` share one split per module."""
-    inside = restrict(distance_matrix(ctx, ctx.D), w.vectors)
-    eye = ExactMatrix.identity(w.dimension)
-    return kernel_basis(inside - eye), kernel_basis(inside + eye)
+    W-coordinates (ambient vectors S c): the kernels of (A_D)_W - I and
+    (A_D)_W + I for the antipodal involution A_D, once per class.  Memoized
+    on (ctx, w): `split_and_type` and `quotient_modules` share one split."""
+    return _class_action(ctx, w, (_antipodal_map,), _halves)
 
 
 def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
@@ -226,22 +273,25 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
 
 
 def quotient_modules(q: QuotientContext):
-    """Images of the parent T-modules in the quotient, with their types.
-    psi S c maps the W-coordinates c of each W+ into the quotient."""
-    ctx = q.parent
+    """Images psi(W+) of the parent T-modules in the quotient, with their types."""
     psi = psi_matrix(q)
     cal_d = q.cal_d
     out = []
-    for w in decompose(ctx):
-        plus, _minus = antipodal_split(ctx, w)
-        img = psi @ w.vectors.matrix @ plus.matrix
-        cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
-        cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
-        sb = SubmoduleBasis(w.module_id, w.endpoint, VectorBasis.from_columns(q.nclasses, cols))
+    for w in decompose(q.parent):
+        sb = _quotient_image(q, psi, w)
         want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
         what = f"Q~_{q.D} image of {w.module_id}"
         out.append((sb, _classify_against(quotient_structure(q, sb), want, what)))
     return out
+
+
+def _quotient_image(q: QuotientContext, psi: ExactMatrix, w: SubmoduleBasis) -> SubmoduleBasis:
+    """psi S c for the W-coordinates c of W+, columns by class weight."""
+    plus, _minus = antipodal_split(q.parent, w)
+    img = psi @ w.vectors.matrix @ plus.matrix
+    cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
+    cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
+    return SubmoduleBasis(w.module_id, w.endpoint, VectorBasis.from_columns(q.nclasses, cols))
 
 
 def module_summary(ctx: CubeContext, w: SubmoduleBasis, typed) -> dict:

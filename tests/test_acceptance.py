@@ -41,7 +41,8 @@ BUDGETS = {
     "idempotents-full": 15.0,
     "decomposition": 30.0,
     "families": 2.0,
-    "leonard-quotient": 15.0,
+    "leonard-even": 1.8,
+    "leonard-quotient": 8.0,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and
@@ -115,12 +116,14 @@ def test_criterion_5_decomposition_audit():
 
 def test_criterion_6_even_leonard_certificates():
     r = run_suite("leonard-even", Ds=(6, 8))
-    _report("6", "even-D normalized bipartite certificates", r.passed, r.seconds, r.detail)
+    ok = r.passed and r.seconds < BUDGETS["leonard-even"]
+    _report("6", "even-D normalized bipartite certificates", ok, r.seconds, r.detail)
     assert r.passed, r.detail
     assert len(r.certificates) == 6 + 28  # diameters >= 3 at D=6 and D=8
     assert _certificate_digest(r) == (
         "5503542d9b7511945e382c794a3e5e03c18d82486044455a628fa9ee86443fb6"
     )
+    assert r.seconds < BUDGETS["leonard-even"]
 
 
 def test_criterion_7_odd_types_exact_classification():

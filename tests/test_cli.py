@@ -126,6 +126,17 @@ def test_verify_suite_parity_guards(capsys):
     assert code == 2
 
 
+def test_verify_all_suites_rejects_parity_before_running_any(capsys, monkeypatch):
+    def no_run(name, **_kw):
+        raise AssertionError(f"suite {name} ran before the parity check")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for D, message in (("9", "leonard-even needs even D"), ("8", "leonard-quotient needs odd D")):
+        assert main(["verify", "--D", D]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_classify_round_trip(tmp_path, capsys):
     triple = build_canonical(ab_type(3, "y"))
     paths = []

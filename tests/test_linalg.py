@@ -510,3 +510,50 @@ def test_restrict_recovers_the_leading_block(case, data):
         for solve in (restrict, _reference_restrict):
             with pytest.raises(ValueError, match="basis columns are linearly dependent"):
                 solve(mat, repeated)
+
+
+# -- kernel_basis and rank: a property and a sympy oracle ----------------------
+
+
+@st.composite
+def _low_rank_matrices(draw):
+    """L @ R with L m x k and R k x n, so rank <= k and kernels are common;
+    any of m, k, n may be 0."""
+    m, k, n = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+
+    def sparse(rows, cols):
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        return ExactMatrix(rows, cols, {rc: draw(_SCALARS) for rc in cells if draw(st.booleans())})
+
+    return sparse(m, k) @ sparse(k, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_low_rank_matrices())
+def test_kernel_basis_spans_the_null_space(m):
+    k = kernel_basis(m)
+    assert k.ambient_dim == m.ncols
+    assert (m @ k.matrix).is_zero()
+    assert rank(m) + k.size == m.ncols
+    assert rank(k.matrix) == k.size
+
+
+def test_rank_and_kernel_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(59)
+    cases = [ExactMatrix.zeros(0, 3), ExactMatrix.zeros(3, 0), ExactMatrix.zeros(2, 4)]
+    for nrows, ncols in ((1, 1), (2, 3), (3, 2), (3, 3), (4, 5), (5, 4), (5, 5)):
+        cases.append(_random_matrix(rng, nrows, ncols, density=0.6))
+        cases.append(_random_matrix(rng, nrows, ncols, density=0.4, complex_part=False))
+        inner = rng.randint(1, min(nrows, ncols))
+        cases.append(_random_matrix(rng, nrows, inner) @ _random_matrix(rng, inner, ncols))
+    for m in cases:
+        want = _sympy_matrix(sympy, m)
+        assert rank(m) == want.rank(), m
+        null = want.nullspace()
+        k = kernel_basis(m)
+        assert k.size == len(null), m
+        if null:
+            # the two bases span one space: stacking them adds no rank
+            both = sympy.Matrix.hstack(*null, _sympy_matrix(sympy, k.matrix))
+            assert both.rank() == len(null), m

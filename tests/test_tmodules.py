@@ -1,8 +1,10 @@
+from dataclasses import replace
+from functools import lru_cache
 from math import comb
 
 import pytest
 
-from cubetri import suites
+from cubetri import leonard, suites
 from cubetri.acsa import ab_type, b_type, restrict_triple
 from cubetri.hypercube import (
     CubeContext,
@@ -13,7 +15,7 @@ from cubetri.hypercube import (
     positive_structure,
     primitive_idempotent,
 )
-from cubetri.linalg import ExactMatrix, VectorBasis, rank, restrict
+from cubetri.linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from cubetri.quotient import quotient, quotient_acsa_structure
 from cubetri.tmodules import (
     SubmoduleBasis,
@@ -185,20 +187,83 @@ def test_split_and_type_odd():
 
 
 def test_module_structure_is_the_restricted_positive_structure():
-    # z_W = (x_W y_W + y_W x_W)/2 equals the restriction of the ambient z
+    # z_W = (x_W y_W + y_W x_W)/2 equals the restriction of the ambient z;
+    # the product proof gives every module of a class (D, r) one triple
     for D in range(1, 8):
         ctx = cube(D)
+        by_class = {}
         for m in decompose(ctx):
             want = restrict_triple(positive_structure(ctx), m.vectors)
             assert module_structure(ctx, m) == want, (D, m.module_id)
+            by_class.setdefault(m.endpoint, set()).add(want)
+        assert all(len(v) == 1 for v in by_class.values()), D
 
 
 def test_quotient_structure_is_the_restricted_quotient_structure():
     for D in (3, 5, 7):
         q = quotient(D)
+        by_class = {}
         for sb, _t in quotient_modules(q):
             want = restrict_triple(quotient_acsa_structure(q), sb.vectors)
             assert quotient_structure(q, sb) == want, (D, sb.module_id)
+            by_class.setdefault(sb.endpoint, set()).add(want)
+        assert all(len(v) == 1 for v in by_class.values()), D
+
+
+def _rebased(m, columns):
+    """m with its basis columns replaced, unnormalized."""
+    entries = {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()}
+    basis = VectorBasis(ExactMatrix(m.vectors.ambient_dim, len(columns), entries))
+    return SubmoduleBasis(m.module_id, m.endpoint, basis)
+
+
+def test_class_action_rejects_scaled_and_overlapping_bases():
+    # r1#1 of Q_5 is not its class representative, so it takes the product path
+    ctx = cube(5)
+    m = decompose(ctx)[2]
+    assert m.module_id == "r1#1"
+    cols = [m.vectors.column(j) for j in range(m.dimension)]
+    scaled = _rebased(m, [cols[0] * 2, *cols[1:]])
+    overlapping = _rebased(m, [cols[0], cols[1] + cols[0], *cols[2:]])
+    short = _rebased(m, cols[:-1])
+    checks = (
+        lambda w: module_structure(ctx, w),
+        lambda w: antipodal_split(ctx, w),
+        lambda w: dual_profile(ctx, w),
+    )
+    for check in checks:
+        with pytest.raises(ValueError, match="image of basis vector 0 is not the class .D=5, r=1. action"):
+            check(scaled)
+        with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
+            check(overlapping)
+        with pytest.raises(ValueError, match="not invariant under the class .D=5, r=1. action"):
+            check(short)
+    # the same for a quotient image that is not its class representative
+    q = quotient(5)
+    sb = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][1]
+    cols = [sb.vectors.column(j) for j in range(sb.dimension)]
+    with pytest.raises(ValueError, match="not the class .D=5, r=1. action"):
+        quotient_structure(q, _rebased(sb, [cols[0] * 2, *cols[1:]]))
+    with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
+        quotient_structure(q, _rebased(sb, [cols[0], cols[1] + cols[0]]))
+
+
+def test_certify_triple_certifies_each_class_once(monkeypatch):
+    runs = []
+    body = leonard._certify.__wrapped__
+    counted = lru_cache(maxsize=None)(lambda *mats: runs.append(mats) or body(*mats))
+    monkeypatch.setattr(leonard, "_certify", counted)
+    for suite, Ds, classes in (("leonard-even", (6, 8), 5), ("leonard-quotient", (5, 7, 9), 3)):
+        runs.clear()
+        r = suites.run_suite(suite, Ds=Ds)
+        assert r.passed and len(runs) == classes, suite
+        certs = r.certificates
+        assert len({c.module_id for c in certs}) == len(certs)
+        first = {}
+        for c in certs:  # module ids read "Q8:r1#3": the class is "Q8:r1"
+            rep = first.setdefault(c.module_id.split("#")[0], c)
+            assert replace(c, module_id=rep.module_id) == rep
+        assert len(first) == classes
 
 
 def test_antipodal_halves_in_module_coordinates():
@@ -208,6 +273,8 @@ def test_antipodal_halves_in_module_coordinates():
         ad = distance_matrix(ctx, D)
         for m in decompose(ctx):
             plus, minus = antipodal_split(ctx, m)
+            inside, eye = restrict(ad, m.vectors), ExactMatrix.identity(m.dimension)
+            assert (plus, minus) == (kernel_basis(inside - eye), kernel_basis(inside + eye))
             assert plus.ambient_dim == minus.ambient_dim == m.dimension
             assert plus.size + minus.size == m.dimension
             for half, sign in ((plus, 1), (minus, -1)):

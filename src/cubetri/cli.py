@@ -35,7 +35,6 @@ from .quotient import (
     quotient_weighted_adjacency,
 )
 from .sl2rep import (
-    build_h,
     build_irreducible_sl2,
     build_skew,
     expected_h_eigenvalue,
@@ -43,7 +42,7 @@ from .sl2rep import (
     split_odd,
 )
 from .suites import SUITES, run_suite
-from .tmodules import decompose, module_summary, quotient_modules, split_and_type
+from .tmodules import decompose, h_by_class, module_summary, quotient_modules, split_and_type
 
 DEFAULT_MAX_D = 10
 
@@ -139,8 +138,8 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         "AD-1*": lambda: second_dual_adjacency(ctx),
         "B": lambda: second_dual_adjacency(ctx),
         "C": lambda: weighted_adjacency(ctx),
-        "s": lambda: s_diagonal(ctx),
-        "h": lambda: build_h(go_sl2_structure(ctx), D + 1),
+        "s": lambda: _proved_s(ctx),
+        "h": lambda: _proved_s(ctx) * k_scalar(ctx).inverse(),
         "k": lambda: ExactMatrix.identity(ctx.nvertices) * k_scalar(ctx),
         "Z": lambda: go_sl2_structure(ctx).z_mat,
         "AD": lambda: distance_matrix(ctx, D),
@@ -170,6 +169,12 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         f"unknown matrix name {name!r}; try A, A<i>, A*, A*<i>, AD-1*, B, C, "
         "E<i>, E*<i>, I, J, s, h, k, Z, A~, B~, C~, psi"
     )
+
+
+def _proved_s(ctx) -> ExactMatrix:
+    """The closed-form skew operator, once `h_by_class` proves it is h*k."""
+    h_by_class(ctx)
+    return s_diagonal(ctx)
 
 
 def _safe_filename(name: str) -> str:

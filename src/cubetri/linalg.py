@@ -1,9 +1,9 @@
 """Exact sparse linear algebra over Q(i).
 
-Matrices are immutable maps (row, col) -> nonzero GaussianRational.  Large
-products route through a packed-integer path: rows are encoded as big
-integers in a base wide enough that digit arithmetic cannot carry, so one
-CPython bigint multiply does a whole row-times-row-of-blocks step exactly.
+Matrices are immutable maps (row, col) -> nonzero GaussianRational, and
+every product is one dict walk over the stored entries.  No code path forms
+a dense 2^D-dimensional product: the cube operators are sparse, and the
+skew operator is built per T-module class (`tmodules.h_by_class`).
 
 Every elimination runs through the one row reducer `_echelon`: `rank` and
 `kernel_basis` directly, and `invert`, `restrict` and `conjugate_by_columns`
@@ -19,10 +19,6 @@ from fractions import Fraction
 from math import lcm
 
 from .exactnum import ZERO, GaussianRational
-
-# Below this many scalar multiplies the dict-walk product beats packing.
-_PACK_CUTOFF = 1 << 16
-
 
 def _as_scalar(value) -> GaussianRational:
     return GaussianRational.coerce(value)
@@ -211,28 +207,10 @@ class ExactMatrix:
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product; dispatches between dict-walk and packed-integer paths.
-
-    The packed path makes both factors dense integer rows, so it runs only
-    when the product has more terms than `_PACK_CUTOFF` and than a has
-    cells; products of the sparse hypercube operators stay on the dict walk."""
+    """Exact product by a dict walk: each stored a[i, k] meets the stored
+    entries of row k of b, so the cost is the number of those pairs."""
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    if not a.entries or not b.entries:
-        return ExactMatrix.zeros(a.nrows, b.ncols)
-    b_row_count = {}
-    for (k, _j) in b.entries:
-        b_row_count[k] = b_row_count.get(k, 0) + 1
-    cutoff = max(_PACK_CUTOFF, a.nrows * a.ncols)
-    cost = 0
-    for (_i, k) in a.entries:
-        cost += b_row_count.get(k, 0)
-        if cost > cutoff:
-            return _matmul_packed(a, b)
-    return _matmul_sparse(a, b)
-
-
-def _matmul_sparse(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     b_rows: dict = {}
     for (k, j), v in b.entries.items():
         b_rows.setdefault(k, []).append((j, v))
@@ -263,94 +241,6 @@ def _scaled_int_parts(m: ExactMatrix):
                 im_rows = [[0] * m.ncols for _ in range(m.nrows)]
             im_rows[r][c] = v.im.numerator * (den // v.im.denominator)
     return den, re_rows, im_rows
-
-
-def _pack_rows(rows, width, shift):
-    buf_rows = []
-    for row in rows:
-        buf = b"".join((x + shift).to_bytes(width, "little") for x in row)
-        buf_rows.append(int.from_bytes(buf, "little"))
-    return buf_rows
-
-
-def _int_matmul_packed(a_rows, b_rows, n, k, p):
-    """Exact integer matrix product via carry-free bigint packing."""
-    if k == 0 or n == 0 or p == 0:
-        return [[0] * p for _ in range(n)]
-    amin = min(min(r) for r in a_rows)
-    amax = max(max(r) for r in a_rows)
-    bmin = min(min(r) for r in b_rows)
-    bmax = max(max(r) for r in b_rows)
-    sa = -amin if amin < 0 else 0
-    sb = -bmin if bmin < 0 else 0
-    digit_bound = k * (amax + sa) * (bmax + sb) + 1
-    width = (digit_bound.bit_length() + 7) // 8
-    packed_b = _pack_rows(b_rows, width, sb)
-    row_sum_a = [sum(r) for r in a_rows]
-    col_sum_b = [0] * p
-    for row in b_rows:
-        for j, x in enumerate(row):
-            if x:
-                col_sum_b[j] += x
-    corr_const = k * sa * sb
-    c_rows = []
-    for i in range(n):
-        arow = a_rows[i]
-        acc = 0
-        for j in range(k):
-            acc += (arow[j] + sa) * packed_b[j]
-        buf = acc.to_bytes(width * p + width, "little")
-        corr_i = sb * row_sum_a[i] + corr_const
-        crow = [
-            int.from_bytes(buf[width * j : width * j + width], "little")
-            - sa * col_sum_b[j]
-            - corr_i
-            for j in range(p)
-        ]
-        c_rows.append(crow)
-    return c_rows
-
-
-def _matmul_packed(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n, k, p = a.nrows, a.ncols, b.ncols
-    da, a_re, a_im = _scaled_int_parts(a)
-    db, b_re, b_im = _scaled_int_parts(b)
-    re_part = _int_matmul_packed(a_re, b_re, n, k, p)
-    if a_im is not None and b_im is not None:
-        tmp = _int_matmul_packed(a_im, b_im, n, k, p)
-        for i in range(n):
-            ri, ti = re_part[i], tmp[i]
-            for j in range(p):
-                ri[j] -= ti[j]
-    im_part = None
-    if b_im is not None:
-        im_part = _int_matmul_packed(a_re, b_im, n, k, p)
-    if a_im is not None:
-        tmp = _int_matmul_packed(a_im, b_re, n, k, p)
-        if im_part is None:
-            im_part = tmp
-        else:
-            for i in range(n):
-                ri, ti = im_part[i], tmp[i]
-                for j in range(p):
-                    ri[j] += ti[j]
-    den = da * db
-    entries = {}
-    cache: dict = {}
-    for i in range(n):
-        re_row = re_part[i]
-        im_row = im_part[i] if im_part is not None else None
-        for j in range(p):
-            x = re_row[j]
-            y = im_row[j] if im_row is not None else 0
-            if x or y:
-                key = (x, y)
-                v = cache.get(key)
-                if v is None:
-                    v = GaussianRational(Fraction(x, den), Fraction(y, den))
-                    cache[key] = v
-                entries[(i, j)] = v
-    return ExactMatrix._make(n, p, entries)
 
 
 # -- vector bases --------------------------------------------------------------

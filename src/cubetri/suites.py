@@ -26,19 +26,16 @@ from .hypercube import (
     cube,
     distance_matrix,
     eigenvalue,
-    go_sl2_structure,
-    k_scalar,
     negative_structure,
     positive_structure,
     primitive_idempotent,
-    s_diagonal,
     second_dual_adjacency,
     v_plus_minus,
     weighted_adjacency,
     _idempotent_base_column,
 )
 from .leonard import certify_triple
-from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, rank, restrict
+from .linalg import ExactMatrix, exp_nilpotent, kernel_basis
 from .quotient import (
     psi_matrix,
     quotient,
@@ -58,8 +55,10 @@ from .sl2rep import (
 from .tmodules import (
     REFERENCE_MINUS_TABLE,
     REFERENCE_PLUS_TABLE,
+    check_span,
     decompose,
     dual_profile,
+    h_by_class,
     module_structure,
     quotient_modules,
     quotient_structure,
@@ -106,7 +105,7 @@ def suite_relations(Ds=None, **_kw):
 
 def suite_weights(Ds=None, quotient_Ds=None, **_kw):
     Ds = Ds or tuple(range(1, 9))
-    quotient_Ds = quotient_Ds or (3, 5, 7, 9)
+    quotient_Ds = quotient_Ds if quotient_Ds is not None else (3, 5, 7, 9)
     notes = []
     for D in Ds:
         ctx = cube(D)
@@ -171,17 +170,11 @@ def suite_skew(ds=None, cube_D=None, **_kw):
     )
     notes.append(f"diameters {min(ds)}..{max(ds)}: h pattern, h^2 sign, skew relations, exp-ad matrices")
     if cube_D is not None:
-        ctx = cube(cube_D)
-        action = go_sl2_structure(ctx)
-        h = build_h(action, cube_D + 1)
-        s = s_diagonal(ctx)  # cross-checks h * k against the closed form
-        _require(s == h * k_scalar(ctx), f"cube D={cube_D}: s != h*k")
-        for m in decompose(ctx):
-            inside = restrict(h, m.vectors)
-            d = m.diameter
+        for r, h in enumerate(h_by_class(cube(cube_D))):  # proves s = h*k on V
+            d = cube_D - 2 * r
             _require(
-                inside @ inside == ExactMatrix.identity(d + 1) * ((-1) ** d),
-                f"cube D={cube_D} {m.module_id}: h^2 != (-1)^(D-2r) on the module",
+                h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d),
+                f"cube D={cube_D} endpoint {r}: h^2 != (-1)^(D-2r) on its modules",
             )
         notes.append(f"cube D={cube_D}: h^2 sign verified on every irreducible module")
     return notes, []
@@ -276,20 +269,12 @@ def suite_decomposition(Ds=None, **_kw):
             f"D={D}: dimensions do not sum to 2^D",
         )
         counts: dict = {}
-        slices: dict = {}
         for m in mods:
             counts[m.endpoint] = counts.get(m.endpoint, 0) + 1
             _require(
                 m.diameter == D - 2 * m.endpoint,
                 f"D={D} {m.module_id}: diameter {m.diameter} != D-2r",
             )
-            for j, label in enumerate(m.slice_labels()):
-                col = m.vectors.column(j)
-                _require(
-                    {ctx.weight(r) for (r, _c) in col.entries} == {label},
-                    f"D={D} {m.module_id}: vector {j} leaves its weight slice",
-                )
-                slices.setdefault(label, []).append(col)
             try:
                 profile = dual_profile(ctx, m)
             except ValueError as err:
@@ -302,13 +287,10 @@ def suite_decomposition(Ds=None, **_kw):
         for r, c in counts.items():
             want = comb(D, r) - (comb(D, r - 1) if r else 0)
             _require(c == want, f"D={D}: endpoint {r} multiplicity {c} != {want}")
-        for w, cols in slices.items():
-            # the vectors stay in their slice (checked above): rank on its C(D, w) rows
-            rows = [[col.get(y, 0) for col in cols] for y in ctx.vertices() if ctx.weight(y) == w]
-            _require(
-                len(cols) == comb(D, w) and rank(ExactMatrix.from_rows(rows)) == len(cols),
-                f"D={D}: weight-{w} slice vectors are not a basis",
-            )
+        try:
+            check_span(ctx)
+        except ValueError as err:
+            raise CheckFailure(str(err)) from err
         notes.append(
             f"D={D}: {len(mods)} thin modules, dimensions sum to {ctx.nvertices}, "
             "multiplicities and spectral windows verified"

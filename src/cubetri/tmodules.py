@@ -20,11 +20,15 @@ from .hypercube import (
     CubeContext,
     adjacency,
     distance_matrix,
+    dual_adjacency,
+    k_scalar,
+    s_diagonal,
     second_dual_adjacency,
     _spectral_images,
 )
 from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
+from .sl2rep import Sl2Action, build_h
 
 
 @dataclass(frozen=True)
@@ -124,6 +128,59 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
             f"decomposition of Q_{D} spans {total_dim} of {ctx.nvertices} dimensions"
         )
     return modules
+
+
+@lru_cache(maxsize=None)
+def check_span(ctx: CubeContext) -> None:
+    """Prove that the modules of `decompose(ctx)` together span V."""
+    _check_slices(ctx, decompose(ctx))
+
+
+def _check_slices(ctx: CubeContext, modules) -> None:
+    """Each vector of a module lies in the weight slice its label names, and
+    for each w = 0..D the C(D, w) vectors labelled w have full rank on that
+    slice's rows.  The slices partition the vertices, so the vectors are
+    independent and span V; anything else raises ValueError."""
+    slices: dict = {}
+    for m in modules:
+        for j, label in enumerate(m.slice_labels()):
+            col = m.vectors.column(j)
+            if {ctx.weight(r) for (r, _c) in col.entries} != {label}:
+                raise ValueError(f"D={ctx.D} {m.module_id}: vector {j} leaves its weight slice")
+            slices.setdefault(label, []).append(col)
+    for w in range(ctx.D + 1):
+        cols = slices.get(w, [])
+        rows = [[col.get(y, 0) for col in cols] for y in _slice_vertices(ctx, w)]
+        if len(cols) != comb(ctx.D, w) or rank(ExactMatrix.from_rows(rows)) != len(cols):
+            raise ValueError(f"D={ctx.D}: weight-{w} slice vectors are not a basis")
+
+
+@lru_cache(maxsize=None)
+def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
+    """h_W for the classes r = 0..D//2, once s = `s_diagonal(ctx)` is proved
+    to equal h k on V, for h = exp(n-) exp(n+) exp(n-) and n+- = (iY -+ X)/2.
+
+    n+- lie in span(X, Y), so each T-module W is n+--invariant and h acts on
+    it as `build_h` of the restricted sl2 action.  `_class_action` restricts
+    X = A, Y = A* and s to W (by products for every module but its class
+    representative), and `_skew_class` requires s_W = h_W k.  `check_span`
+    proves the modules span V, so h = s k^-1 holds on V."""
+    check_span(ctx)
+    builders = (adjacency, dual_adjacency, s_diagonal)
+    by_class = {w.endpoint: _class_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
+    return tuple(by_class.values())
+
+
+def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
+    """h_W from x_W, y_W and z_W = (x_W y_W - y_W x_W)/(2i); requires s_W = h_W k."""
+    z = (x @ y - y @ x) * gr(0, Fraction(-1, 2))
+    h = build_h(Sl2Action(x, y, z), x.nrows)
+    if s != h * k_scalar(ctx):
+        raise AssertionError(
+            f"skew operator on Q_{ctx.D}: closed form disagrees with h*k "
+            f"on the diameter-{x.nrows - 1} modules"
+        )
+    return h
 
 
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:

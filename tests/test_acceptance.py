@@ -37,6 +37,7 @@ from cubetri.tmodules import (
 BUDGETS = {
     "relations": 60.0,
     "skew": 2.5,
+    "skew-cube": 7.3,
     "idempotents-small": 3.0,
     "idempotents-full": 15.0,
     "decomposition": 30.0,
@@ -86,6 +87,14 @@ def test_criterion_3_skew_operator_suite():
     _report("3", "skew operators on canonical modules", ok, r.seconds, r.detail)
     assert r.passed, r.detail
     assert r.seconds < BUDGETS["skew"]
+
+
+def test_criterion_3_skew_operator_on_the_cube():
+    r = run_suite("skew", cube_D=8)
+    ok = r.passed and r.seconds < BUDGETS["skew-cube"]
+    _report("3", "skew operator on Q_8, one check per T-module class", ok, r.seconds, r.detail)
+    assert r.passed, r.detail
+    assert r.seconds < BUDGETS["skew-cube"]
 
 
 def test_criterion_4_idempotent_algebra():

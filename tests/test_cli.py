@@ -119,6 +119,14 @@ def test_verify_accepts_seed_that_no_suite_reads(capsys):
     assert report("--seed", "1") == report()
 
 
+def test_verify_weights_at_even_D_checks_no_quotient(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "weights", "--D", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["suites"][0]["detail"] == (
+        "D=4: C is (+-1)-weighted with sign (-1)^min-weight on every edge"
+    )
+
+
 def test_verify_suite_parity_guards(capsys):
     code, _ = run_cli(capsys, "verify", "--D", "5", "--suite", "leonard-even")
     assert code == 2

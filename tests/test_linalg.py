@@ -5,9 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubetri import linalg
 from cubetri.exactnum import gr
-from cubetri.hypercube import adjacency, cube
 from cubetri.linalg import (
     ExactMatrix,
     VectorBasis,
@@ -21,7 +19,6 @@ from cubetri.linalg import (
     rank,
     restrict,
     _char_poly,
-    _matmul_sparse,
 )
 
 
@@ -90,43 +87,15 @@ def test_matmul_associative_random():
         assert (a @ b) @ c == a @ (b @ c)
 
 
-def test_packed_path_matches_sparse_path():
+def test_matmul_matches_row_by_column_sums():
     rng = random.Random(17)
-    for trial in range(3):
-        a = _random_matrix(rng, 48, 52, density=0.9)
-        b = _random_matrix(rng, 52, 47, density=0.9)
-        # 48*52*47 scalar steps exceeds the packing cutoff
-        assert matmul(a, b) == _matmul_sparse(a, b)
-    a = _random_matrix(rng, 50, 50, density=0.9, complex_part=False)
-    b = _random_matrix(rng, 50, 50, density=0.9, complex_part=False)
-    assert matmul(a, b) == _matmul_sparse(a, b)
-
-
-def test_matmul_packs_only_above_cutoff_and_left_cells(monkeypatch):
-    # the packed path pays for densifying a, so a sparse product stays on the
-    # dict walk even when its term count is far above the cutoff
-    monkeypatch.setattr(linalg, "_PACK_CUTOFF", 100)
-    taken = []
-
-    def spy(name):
-        path = getattr(linalg, name)
-        return lambda a, b: taken.append(name) or path(a, b)
-
-    for name in ("_matmul_packed", "_matmul_sparse"):
-        monkeypatch.setattr(linalg, name, spy(name))
-    adj = adjacency(cube(6))  # 64x64 with 6 entries a row: 2,304 terms, 4,096 cells
-    assert adj @ adj == _matmul_sparse(adj, adj)
-    assert taken == ["_matmul_sparse"]
-    rng = random.Random(29)
-    dense = _random_matrix(rng, 12, 12, density=1.0)  # 1,728 terms, 144 cells
-    taken.clear()
-    assert dense @ dense == _matmul_sparse(dense, dense)
-    assert taken == ["_matmul_packed"]
-    # equal to the left cell count is not above it
-    taken.clear()
-    dense10 = _random_matrix(rng, 10, 10, density=1.0)
-    assert dense10 @ ExactMatrix.identity(10) == dense10
-    assert taken == ["_matmul_sparse"]
+    for density in (0.1, 0.5, 1.0):
+        a = _random_matrix(rng, 7, 9, density=density)
+        b = _random_matrix(rng, 9, 6, density=density)
+        a_rows, b_rows = a.to_rows(), b.to_rows()
+        want = [[sum((a_rows[i][k] * b_rows[k][j] for k in range(9)), gr(0)) for j in range(6)]
+                for i in range(7)]
+        assert matmul(a, b) == ExactMatrix.from_rows(want)
 
 
 def test_kernel_of_identity_empty():

@@ -12,16 +12,21 @@ from cubetri.hypercube import (
     cube,
     distance_matrix,
     go_sl2_structure,
+    k_scalar,
     positive_structure,
     primitive_idempotent,
+    s_diagonal,
 )
 from cubetri.linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
+from cubetri import tmodules
 from cubetri.quotient import quotient, quotient_acsa_structure
+from cubetri.sl2rep import build_h
 from cubetri.tmodules import (
     SubmoduleBasis,
     antipodal_split,
     decompose,
     dual_profile,
+    h_by_class,
     module_structure,
     module_summary,
     quotient_modules,
@@ -114,6 +119,48 @@ def test_modules_are_sl2_irreducible():
         assert y == ExactMatrix.diagonal([ctx.D - 2 * (m.endpoint + j) for j in range(d + 1)])
         for (r, c) in x.entries:
             assert abs(r - c) == 1
+
+
+def test_h_by_class_matches_the_ambient_exponentials():
+    # the old construction: three exponentials of 2^D-dimensional matrices
+    for D in range(1, 6):
+        ctx = cube(D)
+        h = build_h(go_sl2_structure(ctx), D + 1)
+        assert h == s_diagonal(ctx) * k_scalar(ctx).inverse()
+        by_class = h_by_class(ctx)
+        assert len(by_class) == D // 2 + 1
+        for m in decompose(ctx):
+            assert restrict(h, m.vectors) == by_class[m.endpoint], (D, m.module_id)
+
+
+def test_h_by_class_rejects_a_flipped_closed_form(monkeypatch):
+    ctx = cube(3)
+
+    def flipped_at(vertex):
+        s = s_diagonal(ctx)
+        entries = dict(s.entries)
+        entries[(vertex, vertex)] = -entries[(vertex, vertex)]
+        return lambda _ctx: ExactMatrix(s.nrows, s.ncols, entries)
+
+    # e_0 spans its own slice, so the representative stays invariant and
+    # only s_W = h_W k fails; a flip at weight 1 breaks invariance first
+    monkeypatch.setattr(tmodules, "s_diagonal", flipped_at(0))
+    with pytest.raises(AssertionError, match="skew operator on Q_3: closed form disagrees with h.k"):
+        h_by_class.__wrapped__(ctx)
+    monkeypatch.setattr(tmodules, "s_diagonal", flipped_at(1))
+    with pytest.raises(ValueError, match="not invariant"):
+        h_by_class.__wrapped__(ctx)
+
+
+def test_span_check_rejects_a_repeated_module():
+    ctx = cube(4)
+    mods = decompose(ctx)
+    tmodules._check_slices(ctx, mods)
+    assert [m.module_id for m in mods[-2:]] == ["r2#0", "r2#1"]
+    with pytest.raises(ValueError, match="D=4: weight-2 slice vectors are not a basis"):
+        tmodules._check_slices(ctx, mods[:-1] + mods[-2:-1])
+    with pytest.raises(ValueError, match="weight-0 slice vectors are not a basis"):
+        tmodules._check_slices(ctx, mods[1:2] + mods[1:])
 
 
 def test_dual_profile_windows():

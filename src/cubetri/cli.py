@@ -19,7 +19,6 @@ from .hypercube import (
     dual_distance_matrix,
     dual_idempotent,
     go_sl2_structure,
-    k_scalar,
     primitive_idempotent,
     s_diagonal,
     second_dual_adjacency,
@@ -39,6 +38,7 @@ from .sl2rep import (
     build_skew,
     expected_h_eigenvalue,
     induce_acsa_structures,
+    k_scalar,
     split_odd,
 )
 from .suites import SUITES, run_suite
@@ -139,8 +139,8 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         "B": lambda: second_dual_adjacency(ctx),
         "C": lambda: weighted_adjacency(ctx),
         "s": lambda: _proved_s(ctx),
-        "h": lambda: _proved_s(ctx) * k_scalar(ctx).inverse(),
-        "k": lambda: ExactMatrix.identity(ctx.nvertices) * k_scalar(ctx),
+        "h": lambda: _proved_s(ctx) * k_scalar(D + 1).inverse(),
+        "k": lambda: ExactMatrix.identity(ctx.nvertices) * k_scalar(D + 1),
         "Z": lambda: go_sl2_structure(ctx).z_mat,
         "AD": lambda: distance_matrix(ctx, D),
     }
@@ -255,12 +255,12 @@ def _suite_kwargs(name: str, args) -> dict:
         kwargs["reference_tables"] = args.reference_tables
     if D is None:
         return kwargs
-    _check_cap(args, "D", D)
+    _check_d(args)
     if name in ("relations", "decomposition", "idempotents"):
         kwargs["Ds"] = (D,)
     elif name == "weights":
         kwargs["Ds"] = (D,)
-        kwargs["quotient_Ds"] = (D,) if D % 2 else ()
+        kwargs["quotient_Ds"] = (D,) if D % 2 and D >= 3 else ()
     elif name == "skew":
         kwargs["ds"] = tuple(range(0, min(D, 10) + 1))
         kwargs["cube_D"] = D
@@ -271,6 +271,7 @@ def _suite_kwargs(name: str, args) -> dict:
     elif name in ("leonard-quotient", "transport"):
         if D % 2 == 0:
             raise ValueError(f"{name} needs odd D")
+        quotient(D)  # rejects D < 3
         kwargs["Ds"] = (D,)
     elif name in ("sl2-factory", "families"):
         kwargs["ds"] = tuple(range(0, min(D, 10) + 1))
@@ -361,21 +362,21 @@ def cmd_skew(args) -> int:
     if d < 0:
         raise ValueError("diameter must be nonnegative")
     _check_cap(args, "d", d)
-    module = build_irreducible_sl2(d)
-    skew = build_skew(module.action, [d + 1], d + 1)
+    action = build_irreducible_sl2(d)
+    skew = build_skew(action)
     payload = {
         "d": d,
         "h_eigenvalues": [str(expected_h_eigenvalue(i, d)) for i in range(d + 1)],
         "h_squared": str(gr((-1) ** d)),
-        "k_scalar": "1" if (d + 1) % 2 else "-i",
+        "k_scalar": str(k_scalar(d + 1)),
         "skew_ok": True,
     }
     if d % 2 == 0:
-        first, second = induce_acsa_structures(module.action, skew.s_mat)
+        first, second = induce_acsa_structures(action, skew.s_mat)
         payload["induced"] = {"first": str(classify(first)), "second": str(classify(second))}
     else:
         payload["induced"] = {
-            f"structure_{idx}": [str(t) for _b, t in split_odd(module, idx)] for idx in (1, 2)
+            f"structure_{idx}": [str(t) for _b, t in split_odd(action, idx)] for idx in (1, 2)
         }
     _emit(args, payload, _format_skew_text)
     return 0

@@ -15,9 +15,9 @@ from functools import lru_cache
 from itertools import combinations
 
 from .acsa import ModuleActionTriple, check_relations
-from .exactnum import GaussianRational, gr
+from .exactnum import gr
 from .linalg import ExactMatrix, VectorBasis
-from .sl2rep import Sl2Action, check_brackets, verify_skew
+from .sl2rep import Sl2Action, check_brackets
 
 
 @dataclass(frozen=True)
@@ -231,25 +231,13 @@ def v_plus_minus(ctx: CubeContext) -> tuple[VectorBasis, VectorBasis]:
     )
 
 
-def k_scalar(ctx: CubeContext) -> GaussianRational:
-    """k acts on the whole standard module as 1 (even D) or -i (odd D);
-    every irreducible submodule has dimension of the same parity."""
-    return gr(1) if ctx.D % 2 == 0 else gr(0, -1)
-
-
 @lru_cache(maxsize=None)
 def s_diagonal(ctx: CubeContext) -> ExactMatrix:
-    """The skew involution on the standard module: diagonal entry
-    (-1)^(floor(D/2)+w) at a weight-w vertex, checked here against the skew
-    relations with Go's sl2 action.  That it equals h times k is proved one
-    T-module class at a time by `tmodules.h_by_class`."""
+    """The skew involution on the standard module, in closed form: entry
+    (-1)^(floor(D/2)+w) at a weight-w vertex.  `tmodules.h_by_class` proves
+    it is h k and skew for Go's sl2 action, one T-module class at a time."""
     base = ctx.D // 2
-    closed = ExactMatrix.diagonal(
-        [(-1) ** (base + ctx.weight(y)) for y in ctx.vertices()]
-    )
-    if not verify_skew(go_sl2_structure(ctx), closed):
-        raise AssertionError(f"skew relations fail on Q_{ctx.D}")
-    return closed
+    return ExactMatrix.diagonal([(-1) ** (base + ctx.weight(y)) for y in ctx.vertices()])
 
 
 def _check_index(ctx: CubeContext, i: int) -> None:

@@ -512,19 +512,19 @@ def conjugate_by_columns(columns, *mats: ExactMatrix) -> tuple[ExactMatrix, ...]
 # -- nilpotent exponentials ------------------------------------------------------
 
 
-def exp_nilpotent(n: ExactMatrix, nilpotency_bound: int) -> ExactMatrix:
-    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= nilpotency_bound."""
+def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
+    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= bound."""
     if not n.is_square():
         raise ValueError("exponential of a non-square matrix")
     total = ExactMatrix.identity(n.nrows)
     term = total
-    for j in range(1, nilpotency_bound + 1):
+    for j in range(1, bound + 1):
         term = (term @ n) * Fraction(1, j)
         if term.is_zero():
             return total
         total = total + term
     raise ValueError(
-        f"power series did not terminate within {nilpotency_bound} terms; input is not nilpotent there"
+        f"power series did not terminate within {bound} terms; input is not nilpotent there"
     )
 
 

@@ -20,13 +20,13 @@ from .linalg import ExactMatrix
 
 @dataclass(frozen=True)
 class QuotientContext:
-    """Antipodal quotient of Q_D for odd D = 2*calD + 1."""
+    """Antipodal quotient of Q_D for odd D = 2*calD + 1 >= 3."""
 
     parent: CubeContext
 
     def __post_init__(self):
-        if self.parent.D % 2 == 0:
-            raise ValueError("antipodal quotient machinery requires odd D")
+        if self.parent.D % 2 == 0 or self.parent.D < 3:
+            raise ValueError("antipodal quotient needs odd D >= 3")
 
     @property
     def D(self) -> int:

@@ -3,9 +3,10 @@ anticommutator spin algebra.
 
 Basis X, Y, Z with [X,Y]=2iZ and cyclic variants.  The operator
 h = exp((iY-X)/2) exp((iY+X)/2) exp((iY-X)/2) anticommutes with X and Z and
-commutes with Y; correcting it by k (1 on odd-dimensional irreducibles, -i on
-even) yields an involution s = hk, which twists Y and Z into generators of
-the anticommutator spin algebra.
+commutes with Y; correcting it by the scalar k (1 on an odd-dimensional
+irreducible, -i on an even one) yields an involution s = hk, which twists Y
+and Z into generators of the anticommutator spin algebra.  `build_skew` forms
+and checks s for the canonical modules and the hypercube's T-modules alike.
 """
 from __future__ import annotations
 
@@ -32,19 +33,6 @@ class SkewOperatorRealization:
     s_mat: ExactMatrix
 
 
-@dataclass(frozen=True)
-class Sl2Module:
-    """A canonical irreducible module: the action in the weight basis {v_i}
-    of X plus the change of basis to the {w_i} eigenbasis of Z."""
-
-    action: Sl2Action
-    w_basis: VectorBasis
-
-    @property
-    def diameter(self) -> int:
-        return self.action.dimension - 1
-
-
 def check_brackets(action: Sl2Action) -> bool:
     x, y, z = action.matrices()
     two_i = gr(0, 2)
@@ -56,10 +44,9 @@ def check_brackets(action: Sl2Action) -> bool:
 
 
 @lru_cache(maxsize=None)
-def build_irreducible_sl2(d: int) -> Sl2Module:
-    """The (d+1)-dimensional irreducible module, with both standard bases.
-
-    Memoized: the module is immutable, so every caller shares one copy."""
+def build_irreducible_sl2(d: int) -> Sl2Action:
+    """The (d+1)-dimensional irreducible module, in the basis {v_i} where Y is
+    diagonal.  Memoized: the action is immutable, so callers share one copy."""
     if d < 0:
         raise ValueError("diameter must be nonnegative")
     n = d + 1
@@ -79,12 +66,13 @@ def build_irreducible_sl2(d: int) -> Sl2Module:
     )
     if not check_brackets(action):
         raise AssertionError(f"bracket relations fail on the diameter-{d} module")
-    return Sl2Module(action, _z_weight_basis(action, d))
+    return action
 
 
-def _z_weight_basis(action: Sl2Action, d: int) -> VectorBasis:
-    """The {w_i} basis: Z.w_i = (d-2i)w_i with Y acting tridiagonally."""
-    n = d + 1
+def z_weight_basis(action: Sl2Action) -> VectorBasis:
+    """The {w_i} basis of a canonical module: Z.w_i = (d-2i)w_i with Y acting
+    tridiagonally."""
+    n, d = action.dimension, action.diameter
     top = kernel_basis(action.z_mat - ExactMatrix.identity(n) * d)
     if top.size != 1:
         raise AssertionError("top Z-weight space is not one-dimensional")
@@ -114,15 +102,14 @@ def raising_lowering_halves(action: Sl2Action):
 
 
 @lru_cache(maxsize=None)
-def build_h(action: Sl2Action, nilpotency_bound: int) -> ExactMatrix:
-    """h as a product of three nilpotent exponentials, computed exactly.
-
-    Memoized on the action's value, so the canonical modules and the cube's
-    sl2 structure each pay for their exponentials once per process."""
+def build_h(action: Sl2Action) -> ExactMatrix:
+    """h as a product of three nilpotent exponentials, computed exactly; a
+    nilpotent n x n matrix N has N^n = 0, so the dimension bounds each series.
+    Memoized on the action's value: each canonical module and each T-module
+    class pays for its exponentials once per process."""
     n_minus, n_plus = raising_lowering_halves(action)
-    e_minus = exp_nilpotent(n_minus, nilpotency_bound)
-    e_plus = exp_nilpotent(n_plus, nilpotency_bound)
-    return e_minus @ e_plus @ e_minus
+    e_minus = exp_nilpotent(n_minus, action.dimension)
+    return e_minus @ exp_nilpotent(n_plus, action.dimension) @ e_minus
 
 
 def exp_ad_matrices() -> tuple[ExactMatrix, ExactMatrix]:
@@ -147,26 +134,9 @@ def exp_ad_matrices() -> tuple[ExactMatrix, ExactMatrix]:
     return first, second
 
 
-def build_k(action: Sl2Action, irreducible_dims) -> ExactMatrix:
-    """Block-scalar: 1 on odd-dimensional blocks, -i on even-dimensional ones.
-
-    Blocks are consecutive in the given order; the dims must tile the space.
-    """
-    dims = list(irreducible_dims)
-    if sum(dims) != action.dimension:
-        raise ValueError(
-            f"irreducible dimensions {dims} do not sum to ambient dimension {action.dimension}"
-        )
-    entries = {}
-    offset = 0
-    minus_i = gr(0, -1)
-    one = gr(1)
-    for dim in dims:
-        scalar = one if dim % 2 else minus_i
-        for j in range(offset, offset + dim):
-            entries[(j, j)] = scalar
-        offset += dim
-    return ExactMatrix(action.dimension, action.dimension, entries)
+def k_scalar(dimension: int) -> GaussianRational:
+    """k on an irreducible module: 1 if its dimension is odd, -i if even."""
+    return gr(1) if dimension % 2 else gr(0, -1)
 
 
 def verify_skew(action: Sl2Action, s_mat: ExactMatrix) -> bool:
@@ -181,9 +151,12 @@ def verify_skew(action: Sl2Action, s_mat: ExactMatrix) -> bool:
     )
 
 
-def build_skew(action: Sl2Action, irreducible_dims, nilpotency_bound: int) -> SkewOperatorRealization:
-    h = build_h(action, nilpotency_bound)
-    k = build_k(action, irreducible_dims)
+def build_skew(action: Sl2Action) -> SkewOperatorRealization:
+    """s = h k for an irreducible action, k = k_scalar(dimension) I; raises
+    AssertionError unless `verify_skew` holds (it fails on summands of mixed
+    parity, where s^2 != I)."""
+    h = build_h(action)
+    k = ExactMatrix.identity(action.dimension) * k_scalar(action.dimension)
     s = h @ k
     if not verify_skew(action, s):
         raise AssertionError("h*k is not a skew operator; inputs are inconsistent")
@@ -218,21 +191,21 @@ _SPLIT_TYPES = {
 }
 
 
-def split_odd(module: Sl2Module, structure_index: int):
+def split_odd(action: Sl2Action, structure_index: int):
     """For odd diameter d = 2*delta+1: the two irreducible summands
     span{v_i + v_{d-i}} and span{(-1)^i (v_i - v_{d-i})} with their types.
 
     Returns [(plus_basis, plus_type), (minus_basis, minus_type)].
     """
-    d = module.diameter
+    d = action.diameter
     if d % 2 == 0:
         raise ValueError("split_odd needs odd diameter")
     if structure_index not in (1, 2):
         raise ValueError("structure_index must be 1 or 2")
     delta = (d - 1) // 2
     n = d + 1
-    skew = build_skew(module.action, [n], d + 1)
-    structure = induce_acsa_structures(module.action, skew.s_mat)[structure_index - 1]
+    skew = build_skew(action)
+    structure = induce_acsa_structures(action, skew.s_mat)[structure_index - 1]
     one = gr(1)
     plus_cols = [{i: one, d - i: one} for i in range(delta + 1)]
     minus_cols = [

@@ -132,10 +132,9 @@ def suite_skew(ds=None, cube_D=None, **_kw):
     ds = ds if ds is not None else tuple(range(0, 11))
     notes = []
     for d in ds:
-        module = build_irreducible_sl2(d)
-        action = module.action
+        action = build_irreducible_sl2(d)
         x, y, z = action.matrices()
-        h = build_h(action, d + 1)
+        h = build_h(action)
         _require(h @ x == -(x @ h), f"d={d}: h fails to anticommute with X")
         _require(h @ y == y @ h, f"d={d}: h fails to commute with Y")
         _require(h @ z == -(z @ h), f"d={d}: h fails to anticommute with Z")
@@ -145,7 +144,7 @@ def suite_skew(ds=None, cube_D=None, **_kw):
             h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d),
             f"d={d}: h^2 != (-1)^d",
         )
-        build_skew(action, [d + 1], d + 1)  # raises unless s^2=I and skew relations hold
+        build_skew(action)  # raises unless s^2=I and skew relations hold
     half = Fraction(1, 2)
     two_i = gr(0, 2)
 
@@ -170,7 +169,7 @@ def suite_skew(ds=None, cube_D=None, **_kw):
     )
     notes.append(f"diameters {min(ds)}..{max(ds)}: h pattern, h^2 sign, skew relations, exp-ad matrices")
     if cube_D is not None:
-        for r, h in enumerate(h_by_class(cube(cube_D))):  # proves s = h*k on V
+        for r, h in enumerate(h_by_class(cube(cube_D))):  # proves s = h*k and skew on V
             d = cube_D - 2 * r
             _require(
                 h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d),
@@ -422,10 +421,10 @@ def suite_sl2_factory(ds=None, **_kw):
     ds = ds if ds is not None else tuple(range(0, 10))
     notes = []
     for d in ds:
-        module = build_irreducible_sl2(d)
+        action = build_irreducible_sl2(d)
         if d % 2 == 0:
-            skew = build_skew(module.action, [d + 1], d + 1)
-            for structure in induce_acsa_structures(module.action, skew.s_mat):
+            skew = build_skew(action)
+            for structure in induce_acsa_structures(action, skew.s_mat):
                 _require(
                     classify(structure) == b_type(d),
                     f"d={d}: induced structure does not classify as the bipartite family",
@@ -433,7 +432,7 @@ def suite_sl2_factory(ds=None, **_kw):
         else:
             delta = (d - 1) // 2
             for structure_index in (1, 2):
-                parts = split_odd(module, structure_index)
+                parts = split_odd(action, structure_index)
                 _require(
                     sum(b.size for b, _t in parts) == d + 1,
                     f"d={d}: split does not fill the module",

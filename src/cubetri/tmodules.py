@@ -21,14 +21,13 @@ from .hypercube import (
     adjacency,
     distance_matrix,
     dual_adjacency,
-    k_scalar,
     s_diagonal,
     second_dual_adjacency,
     _spectral_images,
 )
 from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
-from .sl2rep import Sl2Action, build_h
+from .sl2rep import Sl2Action, build_skew, check_brackets
 
 
 @dataclass(frozen=True)
@@ -157,14 +156,13 @@ def _check_slices(ctx: CubeContext, modules) -> None:
 
 @lru_cache(maxsize=None)
 def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
-    """h_W for the classes r = 0..D//2, once s = `s_diagonal(ctx)` is proved
-    to equal h k on V, for h = exp(n-) exp(n+) exp(n-) and n+- = (iY -+ X)/2.
+    """h_W for the classes r = 0..D//2, once Go's brackets, the skew relations
+    of s = `s_diagonal(ctx)` and s = h k are proved on V.
 
-    n+- lie in span(X, Y), so each T-module W is n+--invariant and h acts on
-    it as `build_h` of the restricted sl2 action.  `_class_action` restricts
-    X = A, Y = A* and s to W (by products for every module but its class
-    representative), and `_skew_class` requires s_W = h_W k.  `check_span`
-    proves the modules span V, so h = s k^-1 holds on V."""
+    `_class_action` restricts X = A, Y = A* and s to each T-module W (by
+    products for every module but its class representative), so W is
+    invariant under Z = (XY - YX)/(2i) and h too.  `_skew_class` proves the
+    identities on W, and `check_span` proves the modules span V."""
     check_span(ctx)
     builders = (adjacency, dual_adjacency, s_diagonal)
     by_class = {w.endpoint: _class_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
@@ -172,15 +170,16 @@ def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
 
 
 def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
-    """h_W from x_W, y_W and z_W = (x_W y_W - y_W x_W)/(2i); requires s_W = h_W k."""
-    z = (x @ y - y @ x) * gr(0, Fraction(-1, 2))
-    h = build_h(Sl2Action(x, y, z), x.nrows)
-    if s != h * k_scalar(ctx):
-        raise AssertionError(
-            f"skew operator on Q_{ctx.D}: closed form disagrees with h*k "
-            f"on the diameter-{x.nrows - 1} modules"
-        )
-    return h
+    """h_W from x_W, y_W and z_W = (x_W y_W - y_W x_W)/(2i); requires the sl2
+    brackets, the skew relations (`build_skew`) and s_W = h_W k."""
+    action = Sl2Action(x, y, (x @ y - y @ x) * gr(0, Fraction(-1, 2)))
+    where = f"on the diameter-{action.diameter} modules"
+    if not check_brackets(action):
+        raise AssertionError(f"sl2 brackets fail {where} of Q_{ctx.D}")
+    skew = build_skew(action)
+    if s != skew.s_mat:
+        raise AssertionError(f"skew operator on Q_{ctx.D}: closed form disagrees with h*k {where}")
+    return skew.h_mat
 
 
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:

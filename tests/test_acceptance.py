@@ -37,7 +37,7 @@ from cubetri.tmodules import (
 BUDGETS = {
     "relations": 60.0,
     "skew": 2.5,
-    "skew-cube": 7.3,
+    "skew-cube": 4.7,
     "idempotents-small": 3.0,
     "idempotents-full": 15.0,
     "decomposition": 30.0,

@@ -145,6 +145,41 @@ def test_verify_all_suites_rejects_parity_before_running_any(capsys, monkeypatch
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+def test_verify_rejects_a_nonpositive_d_before_running_any_suite(capsys, monkeypatch):
+    def no_run(name, **_kw):
+        raise AssertionError(f"suite {name} ran with a nonpositive --D")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for D, suite in (("-3", "families"), ("-1", "skew"), ("0", "weights")):
+        assert main(["verify", "--D", D, "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --D must be positive\n")
+
+
+def test_quotient_commands_reject_d_one(capsys, monkeypatch):
+    def no_run(name, **_kw):
+        raise AssertionError(f"suite {name} ran at D=1")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    for argv in (
+        ("verify", "--suite", "transport"),
+        ("verify", "--suite", "leonard-quotient"),
+        ("decompose", "--quotient"),
+        ("build", "--matrix", "A~"),
+    ):
+        assert main([*argv, "--D", "1"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err == "error: antipodal quotient needs odd D >= 3\n", argv
+
+
+def test_weights_at_d_one_checks_the_cube_only(capsys):
+    code, out = run_cli(capsys, "verify", "--D", "1", "--suite", "weights")
+    assert code == 0
+    (suite,) = json.loads(out)["suites"]
+    assert suite["status"] == "pass"
+    assert "quotient" not in suite["detail"]
+
+
 def test_classify_round_trip(tmp_path, capsys):
     triple = build_canonical(ab_type(3, "y"))
     paths = []

@@ -13,7 +13,6 @@ from cubetri.hypercube import (
     dual_distance_matrix,
     dual_idempotent,
     go_sl2_structure,
-    k_scalar,
     negative_structure,
     positive_structure,
     primitive_idempotent,
@@ -23,7 +22,7 @@ from cubetri.hypercube import (
     weighted_adjacency,
 )
 from cubetri.linalg import ExactMatrix, kernel_basis
-from cubetri.sl2rep import induce_acsa_structures
+from cubetri.sl2rep import induce_acsa_structures, k_scalar
 
 
 def test_context_geometry():
@@ -289,7 +288,7 @@ def test_s_diagonal_closed_form():
     ctx = cube(2)
     s = s_diagonal(ctx)
     assert s.get(0, 0) == gr(-1)  # weight 0, floor(D/2) = 1
-    assert k_scalar(cube(3)) == gr(0, -1)
+    assert k_scalar(4) == gr(0, -1)
     for D in (1, 2, 3, 4, 5):
         ctx = cube(D)
         s = s_diagonal(ctx)

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cubetri.exactnum import gr
+from cubetri.exactnum import GaussianRational, gr
 from cubetri.linalg import (
     ExactMatrix,
     VectorBasis,
@@ -192,6 +192,29 @@ def test_exchange_format_round_trip():
 def test_exchange_format_layout():
     m = ExactMatrix(2, 2, {(0, 1): gr(Fraction(1, 2), 1), (1, 0): gr(-2)})
     assert format_matrix(m) == "dims 2 2\n0 1 1/2+i\n1 0 -2\n"
+
+
+_GAUSSIAN_RATIONALS = st.builds(
+    gr, st.fractions(max_denominator=10**6), st.fractions(max_denominator=10**6)
+)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return ExactMatrix(nrows, ncols, {key: draw(_GAUSSIAN_RATIONALS) for key in keys})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_matrices(), _GAUSSIAN_RATIONALS)
+@example(ExactMatrix(0, 3), gr(0))
+@example(ExactMatrix(4, 0), gr(0, -1))
+def test_exchange_format_round_trip_property(m, scalar):
+    assert parse_matrix(format_matrix(m)) == m
+    for v in [scalar, *m.entries.values()]:
+        assert GaussianRational.parse(str(v)) == v
 
 
 def test_parse_matrix_rejects_malformed():

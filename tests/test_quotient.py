@@ -22,6 +22,11 @@ def test_requires_odd_diameter():
         quotient(4)
 
 
+def test_requires_diameter_at_least_three():
+    with pytest.raises(ValueError, match="antipodal quotient needs odd D >= 3"):
+        quotient(1)
+
+
 def test_q3_quotient_is_complete_graph():
     q = quotient(3)
     adj = quotient_adjacency(q)

@@ -1,6 +1,7 @@
 import pytest
 from fractions import Fraction
 
+from cubetri import linalg, sl2rep
 from cubetri.acsa import ab_type, b_type, classify
 from cubetri.exactnum import gr
 from cubetri.linalg import ExactMatrix, exp_nilpotent, invert
@@ -8,32 +9,33 @@ from cubetri.sl2rep import (
     Sl2Action,
     build_h,
     build_irreducible_sl2,
-    build_k,
     build_skew,
     check_brackets,
     exp_ad_matrices,
     expected_h_eigenvalue,
     induce_acsa_structures,
+    k_scalar,
     raising_lowering_halves,
     split_odd,
+    z_weight_basis,
 )
 
 
 def test_diameter_one_matrices():
     m = build_irreducible_sl2(1)
-    assert m.action.x_mat == ExactMatrix.from_rows([[0, 1], [1, 0]])
-    assert m.action.y_mat == ExactMatrix.diagonal([1, -1])
-    assert m.action.z_mat == ExactMatrix.from_rows([[0, gr(0, 1)], [gr(0, -1), 0]])
+    assert m.x_mat == ExactMatrix.from_rows([[0, 1], [1, 0]])
+    assert m.y_mat == ExactMatrix.diagonal([1, -1])
+    assert m.z_mat == ExactMatrix.from_rows([[0, gr(0, 1)], [gr(0, -1), 0]])
 
 
 def test_diameter_zero_is_trivial():
     m = build_irreducible_sl2(0)
-    assert all(mat.is_zero() for mat in m.action.matrices())
+    assert all(mat.is_zero() for mat in m.matrices())
 
 
 def test_brackets_hold():
     for d in range(0, 11):
-        assert check_brackets(build_irreducible_sl2(d).action)
+        assert check_brackets(build_irreducible_sl2(d))
 
 
 def test_exp_of_nilpotent_halves_in_w_basis():
@@ -41,8 +43,8 @@ def test_exp_of_nilpotent_halves_in_w_basis():
     # carries the binomial pattern C(d-i, d-j) * i^(j-i) above the diagonal,
     # the lowering half its mirror below
     m = build_irreducible_sl2(2)
-    n_minus, n_plus = raising_lowering_halves(m.action)
-    w = m.w_basis.matrix
+    n_minus, n_plus = raising_lowering_halves(m)
+    w = z_weight_basis(m).matrix
     winv = invert(w)
     assert winv @ exp_nilpotent(n_plus, 3) @ w == ExactMatrix.from_rows(
         [[1, gr(0, 2), -1], [0, 1, gr(0, 1)], [0, 0, 1]]
@@ -55,7 +57,7 @@ def test_exp_of_nilpotent_halves_in_w_basis():
 def test_h_is_diagonal_with_scale_eigenvalues():
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
-        h = build_h(m.action, d + 1)
+        h = build_h(m)
         assert h == ExactMatrix.diagonal(
             [expected_h_eigenvalue(i, d) for i in range(d + 1)]
         )
@@ -64,15 +66,15 @@ def test_h_is_diagonal_with_scale_eigenvalues():
 def test_h_squared_is_parity_sign():
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
-        h = build_h(m.action, d + 1)
+        h = build_h(m)
         assert h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d)
 
 
 def test_h_commutation_pattern():
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
-        x, y, z = m.action.matrices()
-        h = build_h(m.action, d + 1)
+        x, y, z = m.matrices()
+        h = build_h(m)
         assert h @ x == -(x @ h)
         assert h @ y == y @ h
         assert h @ z == -(z @ h)
@@ -107,26 +109,25 @@ def test_exp_ad_matrices_frozen_and_independently_recomputed():
 
 def test_h_conjugation_negates_x_on_diameter_one():
     m = build_irreducible_sl2(1)
-    h = build_h(m.action, 2)
-    assert h @ m.action.x_mat @ invert(h) == -m.action.x_mat
+    h = build_h(m)
+    assert h @ m.x_mat @ invert(h) == -m.x_mat
 
 
 def test_k_scalars_and_centrality():
     m2 = build_irreducible_sl2(2)
-    assert build_k(m2.action, [3]) == ExactMatrix.identity(3)
+    assert build_skew(m2).k_mat == ExactMatrix.identity(3)
     m3 = build_irreducible_sl2(3)
-    k = build_k(m3.action, [4])
+    k = build_skew(m3).k_mat
     assert k == ExactMatrix.identity(4) * gr(0, -1)
-    for mat in m3.action.matrices():
+    for mat in m3.matrices():
         assert k @ mat == mat @ k
-    with pytest.raises(ValueError):
-        build_k(m3.action, [2, 3])
 
 
 def test_skew_operator_properties():
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
-        skew = build_skew(m.action, [d + 1], d + 1)
+        skew = build_skew(m)
+        assert skew.k_mat == ExactMatrix.identity(d + 1) * k_scalar(d + 1)
         assert skew.s_mat == skew.h_mat @ skew.k_mat
 
 
@@ -136,18 +137,19 @@ def test_weight_sum_vector():
     # top eigenspace of the diagonal generator of the {v_i} basis
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
+        w_basis = z_weight_basis(m)
         total = ExactMatrix.zeros(d + 1, 1)
         for j in range(d + 1):
-            total = total + m.w_basis.column(j)
-        assert m.action.y_mat @ total == total * d
+            total = total + w_basis.column(j)
+        assert m.y_mat @ total == total * d
         assert set(r for (r, _c) in total.entries) == {0}
 
 
 def test_induced_structures_even_diameter():
     for d in (2, 4):
         m = build_irreducible_sl2(d)
-        skew = build_skew(m.action, [d + 1], d + 1)
-        first, second = induce_acsa_structures(m.action, skew.s_mat)
+        skew = build_skew(m)
+        first, second = induce_acsa_structures(m, skew.s_mat)
         assert classify(first) == b_type(d)
         assert classify(second) == b_type(d)
 
@@ -155,7 +157,7 @@ def test_induced_structures_even_diameter():
 def test_induced_structures_reject_bad_skew():
     m = build_irreducible_sl2(2)
     with pytest.raises(ValueError):
-        induce_acsa_structures(m.action, ExactMatrix.identity(3) * 2)
+        induce_acsa_structures(m, ExactMatrix.identity(3) * 2)
 
 
 def test_split_odd_type_table():
@@ -196,10 +198,33 @@ def test_canonical_module_is_built_once():
 
 
 def test_build_h_agrees_on_equal_but_distinct_actions():
-    action = build_irreducible_sl2(3).action
+    action = build_irreducible_sl2(3)
     twin = Sl2Action(*(ExactMatrix(m.nrows, m.ncols, dict(m.entries)) for m in action.matrices()))
     assert twin is not action and twin == action
-    h = build_h(action, 4)
-    assert build_h(twin, 4) == h
-    assert build_h.__wrapped__(twin, 4) == h  # the uncached computation
+    h = build_h(action)
+    assert build_h(twin) == h
+    assert build_h.__wrapped__(twin) == h  # the uncached computation
     assert h == ExactMatrix.diagonal([expected_h_eigenvalue(i, 3) for i in range(4)])
+
+
+def test_build_skew_rejects_summands_of_mixed_parity():
+    # the trivial module (h = 1) beside the diameter-1 module (h^2 = -1): an
+    # sl2 action on which no one scalar k makes s^2 = I
+    action = Sl2Action(*(
+        ExactMatrix(3, 3, {(r + 1, c + 1): v for (r, c), v in m.entries.items()})
+        for m in build_irreducible_sl2(1).matrices()
+    ))
+    assert check_brackets(action)
+    with pytest.raises(AssertionError, match="not a skew operator"):
+        build_skew(action)
+
+
+def test_canonical_module_needs_no_elimination(monkeypatch):
+    def refuse(*_args, **_kw):
+        raise AssertionError("build_irreducible_sl2 called an elimination routine")
+
+    for module in (sl2rep, linalg):
+        monkeypatch.setattr(module, "kernel_basis", refuse)
+        monkeypatch.setattr(module, "restrict", refuse)
+    action = build_irreducible_sl2.__wrapped__(5)
+    assert action == build_irreducible_sl2(5)

@@ -11,8 +11,8 @@ from cubetri.hypercube import (
     adjacency,
     cube,
     distance_matrix,
+    dual_adjacency,
     go_sl2_structure,
-    k_scalar,
     positive_structure,
     primitive_idempotent,
     s_diagonal,
@@ -20,7 +20,7 @@ from cubetri.hypercube import (
 from cubetri.linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
 from cubetri import tmodules
 from cubetri.quotient import quotient, quotient_acsa_structure
-from cubetri.sl2rep import build_h
+from cubetri.sl2rep import build_h, k_scalar
 from cubetri.tmodules import (
     SubmoduleBasis,
     antipodal_split,
@@ -125,8 +125,8 @@ def test_h_by_class_matches_the_ambient_exponentials():
     # the old construction: three exponentials of 2^D-dimensional matrices
     for D in range(1, 6):
         ctx = cube(D)
-        h = build_h(go_sl2_structure(ctx), D + 1)
-        assert h == s_diagonal(ctx) * k_scalar(ctx).inverse()
+        h = build_h(go_sl2_structure(ctx))
+        assert h == s_diagonal(ctx) * k_scalar(D + 1).inverse()
         by_class = h_by_class(ctx)
         assert len(by_class) == D // 2 + 1
         for m in decompose(ctx):
@@ -149,6 +149,14 @@ def test_h_by_class_rejects_a_flipped_closed_form(monkeypatch):
         h_by_class.__wrapped__(ctx)
     monkeypatch.setattr(tmodules, "s_diagonal", flipped_at(1))
     with pytest.raises(ValueError, match="not invariant"):
+        h_by_class.__wrapped__(ctx)
+
+
+def test_h_by_class_rejects_a_class_action_that_is_not_sl2(monkeypatch):
+    # Y = 2A* leaves every module invariant, but [Y, Z] = 8iX, not 2iX
+    ctx = cube(3)
+    monkeypatch.setattr(tmodules, "dual_adjacency", lambda c: dual_adjacency(c) * 2)
+    with pytest.raises(AssertionError, match="sl2 brackets fail on the diameter-3 modules of Q_3"):
         h_by_class.__wrapped__(ctx)
 
 

@@ -10,7 +10,7 @@ from .acsa import ModuleActionTriple, ModuleType, build_canonical, check_relatio
 from .exactnum import GaussianRational, integer_power_of_i
 from .hypercube import CubeContext, cube
 from .leonard import LeonardTripleCertificate, certify_triple
-from .linalg import ExactMatrix, VectorBasis, exp_nilpotent, kernel_basis, matmul, restrict
+from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, matmul, restrict
 from .quotient import QuotientContext, quotient
 from .sl2rep import Sl2Action, build_irreducible_sl2
 from .suites import SUITES, run_suite
@@ -20,7 +20,6 @@ __all__ = [
     "GaussianRational",
     "integer_power_of_i",
     "ExactMatrix",
-    "VectorBasis",
     "matmul",
     "kernel_basis",
     "exp_nilpotent",

@@ -71,9 +71,6 @@ class GaussianRational:
     def __rtruediv__(self, other):
         return GaussianRational.coerce(other) * self.inverse()
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     # -- predicates ------------------------------------------------------
 
     def __bool__(self):

@@ -84,9 +84,9 @@ def eigenstructure(m: ExactMatrix, bound: int):
     dimension two or they do not exhaust the space."""
     pairs = []
     for theta, k in integer_eigenspaces(m, bound):
-        if k.size > 1:
+        if k.ncols > 1:
             raise ValueError(
-                f"eigenvalue {theta} has multiplicity {k.size}; not a Leonard-triple candidate"
+                f"eigenvalue {theta} has multiplicity {k.ncols}; not a Leonard-triple candidate"
             )
         pairs.append((theta, k.column(0)))
     return pairs

@@ -5,6 +5,11 @@ every product is one dict walk over the stored entries.  No code path forms
 a dense 2^D-dimensional product: the cube operators are sparse, and the
 skew operator is built per T-module class (`tmodules.h_by_class`).
 
+A basis of a subspace is the matrix whose columns are its vectors; there is
+no separate basis type.  `ExactMatrix.from_columns` scales each column so
+its first nonzero coordinate is 1, `kernel_basis` returns such a matrix,
+and `restrict` takes one.
+
 Every elimination runs through the one row reducer `_echelon`: `rank` and
 `kernel_basis` directly, and `invert`, `restrict` and `conjugate_by_columns`
 through `_solve`, which reads the unique X with S X = B off the reduced
@@ -14,7 +19,6 @@ column rank and that every column of B lies in span S.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -93,6 +97,21 @@ class ExactMatrix:
         return cls._make(n, n, entries)
 
     @classmethod
+    def from_columns(cls, nrows: int, columns) -> "ExactMatrix":
+        """The nrows x len(columns) matrix whose column j is columns[j], a
+        dict row -> value, scaled so its first nonzero coordinate is 1."""
+        entries = {}
+        for j, col in enumerate(columns):
+            items = [(r, _as_scalar(v)) for r, v in sorted(col.items())]
+            items = [(r, v) for r, v in items if v]
+            if not items:
+                raise ValueError(f"basis vector {j} is zero")
+            inv = items[0][1].inverse()
+            for r, v in items:
+                entries[(r, j)] = v * inv
+        return cls._make(nrows, len(columns), entries)
+
+    @classmethod
     def column_vector(cls, values) -> "ExactMatrix":
         values = list(values)
         entries = {}
@@ -116,8 +135,10 @@ class ExactMatrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def column(self, j: int) -> dict:
-        return {r: v for (r, c), v in self.entries.items() if c == j}
+    def column(self, j: int) -> "ExactMatrix":
+        """Column j as an nrows x 1 matrix."""
+        col = {(r, 0): v for (r, c), v in self.entries.items() if c == j}
+        return ExactMatrix._make(self.nrows, 1, col)
 
     def to_rows(self):
         rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
@@ -184,11 +205,6 @@ class ExactMatrix:
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         return matmul(self, other)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._make(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
     def trace(self) -> GaussianRational:
         t = ZERO
         for (r, c), v in self.entries.items():
@@ -243,60 +259,6 @@ def _scaled_int_parts(m: ExactMatrix):
     return den, re_rows, im_rows
 
 
-# -- vector bases --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorBasis:
-    """Ordered list of vectors, stored as the columns of one matrix.
-
-    Columns are normalized so the first nonzero coordinate is 1;
-    independence is checked on demand via rank.
-    """
-
-    matrix: ExactMatrix
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.matrix.nrows
-
-    @property
-    def size(self) -> int:
-        return self.matrix.ncols
-
-    def column(self, j: int) -> ExactMatrix:
-        col = {(r, 0): v for (r, c), v in self.matrix.entries.items() if c == j}
-        return ExactMatrix._make(self.ambient_dim, 1, col)
-
-    def verify_independent(self) -> bool:
-        return rank(self.matrix) == self.size
-
-    @staticmethod
-    def from_columns(ambient_dim: int, columns, normalize: bool = True) -> "VectorBasis":
-        """Assemble columns into a basis; by default each column is scaled so
-        its first nonzero coordinate is 1.  Pass normalize=False for chain
-        bases whose relative scaling carries meaning."""
-        entries = {}
-        ncols = 0
-        for j, col in enumerate(columns):
-            ncols = j + 1
-            items = sorted(col.items()) if isinstance(col, dict) else list(enumerate(col))
-            lead = None
-            for r, v in items:
-                v = _as_scalar(v)
-                if v:
-                    lead = v
-                    break
-            if lead is None:
-                raise ValueError(f"basis vector {j} is zero")
-            inv = lead.inverse() if normalize else None
-            for r, v in items:
-                v = _as_scalar(v)
-                if v:
-                    entries[(r, j)] = v * inv if normalize else v
-        return VectorBasis(ExactMatrix._make(ambient_dim, ncols, entries))
-
-
 # -- elimination: echelon form, rank, kernels ----------------------------------
 
 
@@ -345,8 +307,9 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(rows, m.ncols, reduce_up=False))
 
 
-def kernel_basis(m: ExactMatrix) -> VectorBasis:
-    """Basis of the right null space, reduced and normalized; empty if injective."""
+def kernel_basis(m: ExactMatrix) -> ExactMatrix:
+    """Basis of the right null space as columns, reduced and normalized;
+    m.ncols x 0 if m is injective."""
     rows = m.to_rows()
     pivots = _echelon(rows, m.ncols)
     pivot_cols = [c for (_r, c) in pivots]
@@ -361,9 +324,7 @@ def kernel_basis(m: ExactMatrix) -> VectorBasis:
             if coeff:
                 vec[c] = -coeff
         columns.append(vec)
-    if not columns:
-        return VectorBasis(ExactMatrix.zeros(m.ncols, 0))
-    return VectorBasis.from_columns(m.ncols, columns)
+    return ExactMatrix.from_columns(m.ncols, columns)
 
 
 def _char_poly(m: ExactMatrix):
@@ -434,8 +395,8 @@ def integer_eigenspaces(m: ExactMatrix, bound: int):
         if re or im:
             continue
         k = kernel_basis(m - eye * theta)
-        if k.size:
-            total += k.size
+        if k.ncols:
+            total += k.ncols
             yield theta, k
     if total != n:
         raise ValueError(
@@ -485,15 +446,14 @@ def invert(m: ExactMatrix) -> ExactMatrix:
         raise ValueError("matrix is singular") from None
 
 
-def restrict(m: ExactMatrix, basis: VectorBasis) -> ExactMatrix:
-    """Matrix of m in basis coordinates: the unique X with m S = S X, for S
-    the basis matrix.  `_solve(S, m S)` succeeds exactly when
+def restrict(m: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
+    """Matrix of m in the coordinates of the basis columns of s: the unique
+    X with m S = S X.  `_solve(S, m S)` succeeds exactly when
     rank [S | m S] = rank S = k, i.e. S has full column rank and m maps
     span S into itself; otherwise it fails loudly, naming dependent columns
     first and else the first basis vector whose image leaves the span."""
-    if not m.nrows == m.ncols == basis.ambient_dim:
+    if not m.nrows == m.ncols == s.nrows:
         raise ValueError("matrix and basis ambient dimensions differ")
-    s = basis.matrix
     return _solve(s, m @ s)
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .acsa import ModuleActionTriple, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
-from .linalg import ExactMatrix, VectorBasis, exp_nilpotent, kernel_basis, restrict
+from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, restrict
 
 
 # Actions of X, Y, Z on one space, as three square matrices like a module
@@ -69,12 +69,12 @@ def build_irreducible_sl2(d: int) -> Sl2Action:
     return action
 
 
-def z_weight_basis(action: Sl2Action) -> VectorBasis:
-    """The {w_i} basis of a canonical module: Z.w_i = (d-2i)w_i with Y acting
-    tridiagonally."""
+def z_weight_basis(action: Sl2Action) -> ExactMatrix:
+    """The {w_i} basis of a canonical module, as columns: Z.w_i = (d-2i)w_i
+    with Y acting tridiagonally."""
     n, d = action.dimension, action.diameter
     top = kernel_basis(action.z_mat - ExactMatrix.identity(n) * d)
-    if top.size != 1:
+    if top.ncols != 1:
         raise AssertionError("top Z-weight space is not one-dimensional")
     cols = [top.column(0)]
     prev = ExactMatrix.zeros(n, 1)
@@ -83,10 +83,8 @@ def z_weight_basis(action: Sl2Action) -> VectorBasis:
         prev = cols[i]
         cols.append(nxt)
     # chain scaling is meaningful: only w_0 is normalized (by kernel_basis)
-    basis = VectorBasis.from_columns(
-        n,
-        [{r: v for (r, _c), v in col.entries.items()} for col in cols],
-        normalize=False,
+    basis = ExactMatrix(
+        n, n, {(r, j): v for j, col in enumerate(cols) for (r, _c), v in col.entries.items()}
     )
     z_restricted = restrict(action.z_mat, basis)
     if z_restricted != ExactMatrix.diagonal([d - 2 * i for i in range(n)]):
@@ -211,8 +209,8 @@ def split_odd(action: Sl2Action, structure_index: int):
     minus_cols = [
         {i: gr(_pm(i)), d - i: gr(-_pm(i))} for i in range(delta + 1)
     ]
-    plus = VectorBasis.from_columns(n, plus_cols)
-    minus = VectorBasis.from_columns(n, minus_cols)
+    plus = ExactMatrix.from_columns(n, plus_cols)
+    minus = ExactMatrix.from_columns(n, minus_cols)
     out = []
     expected = _SPLIT_TYPES[(structure_index, delta % 2)]
     for basis, want_n in zip((plus, minus), expected):

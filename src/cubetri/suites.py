@@ -434,7 +434,7 @@ def suite_sl2_factory(ds=None, **_kw):
             for structure_index in (1, 2):
                 parts = split_odd(action, structure_index)
                 _require(
-                    sum(b.size for b, _t in parts) == d + 1,
+                    sum(b.ncols for b, _t in parts) == d + 1,
                     f"d={d}: split does not fill the module",
                 )
                 for _b, t in parts:
@@ -483,20 +483,17 @@ def suite_transport(Ds=None, **_kw):
                 f"D={D}: psi does not intertwine the {label} matrices",
             )
         kern = kernel_basis(psi)
-        _require(kern.size == q.nclasses, f"D={D}: kernel of psi has wrong dimension")
+        _require(kern.ncols == q.nclasses, f"D={D}: kernel of psi has wrong dimension")
         ad = distance_matrix(ctx, D)
         eye = ExactMatrix.identity(ctx.nvertices)
-        for j in range(kern.size):
-            _require(
-                ((ad + eye) @ kern.column(j)).is_zero(),
-                f"D={D}: kernel of psi is not the antisymmetric half",
-            )
-        _minus_basis = v_plus_minus(ctx)[1]
-        for j in range(_minus_basis.size):
-            _require(
-                (psi @ _minus_basis.column(j)).is_zero(),
-                f"D={D}: psi does not kill the antisymmetric half",
-            )
+        _require(
+            ((ad + eye) @ kern).is_zero(),
+            f"D={D}: kernel of psi is not the antisymmetric half",
+        )
+        _require(
+            (psi @ v_plus_minus(ctx)[1]).is_zero(),
+            f"D={D}: psi does not kill the antisymmetric half",
+        )
         notes.append(f"D={D}: transport identities and kernel of psi verified")
     return notes, []
 

@@ -3,9 +3,12 @@ Terwilliger modules, and the induced module structures on each piece.
 
 The decomposition follows the raising/lowering structure: seed vectors are
 the kernel of the lowering map inside each weight slice, and each seed is
-raised until it dies.  Every basis vector lives in a single weight slice:
-the thinness witness, and the disjoint supports that let `_class_action`
-check each module against one restricted triple per class (D, r).
+raised until it dies.  A module's basis is the matrix whose columns are
+its chain vectors (`SubmoduleBasis.vectors`), and the V+/V- halves are
+matrices of W-coordinates.  Every basis vector lives in a single weight
+slice: the thinness witness, and the disjoint supports that let
+`_class_action` check each module against one restricted triple per class
+(D, r).
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from .hypercube import (
     second_dual_adjacency,
     _spectral_images,
 )
-from .linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
+from .linalg import ExactMatrix, kernel_basis, rank, restrict
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -34,23 +37,24 @@ from .sl2rep import Sl2Action, build_skew, check_brackets
 class SubmoduleBasis:
     """One irreducible T-module: a thin raising chain with metadata.
 
-    Basis vector j is supported on the weight-(endpoint+j) slice.
+    Basis vector j, column j of `vectors`, is supported on the
+    weight-(endpoint+j) slice.
     """
 
     module_id: str
     endpoint: int
-    vectors: VectorBasis
+    vectors: ExactMatrix
 
     @property
     def diameter(self) -> int:
-        return self.vectors.size - 1
+        return self.vectors.ncols - 1
 
     @property
     def dimension(self) -> int:
-        return self.vectors.size
+        return self.vectors.ncols
 
     def slice_labels(self):
-        return [self.endpoint + j for j in range(self.vectors.size)]
+        return [self.endpoint + j for j in range(self.vectors.ncols)]
 
 
 def _slice_vertices(ctx: CubeContext, w: int):
@@ -97,7 +101,7 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
             block = _lowering_block(ctx, r)
             kern = kernel_basis(block)
             seeds = []
-            for m in range(kern.size):
+            for m in range(kern.ncols):
                 col = kern.column(m)
                 seeds.append({slice_r[row]: v for (row, _c), v in col.entries.items()})
         expected_mult = comb(D, r) - (comb(D, r - 1) if r >= 1 else 0)
@@ -119,7 +123,7 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
                 chain.append(current)
             if _raise_vector(ctx, current, r + diameter):
                 raise AssertionError(f"chain r={r}#{m} of Q_{D} failed to terminate")
-            basis = VectorBasis.from_columns(ctx.nvertices, chain)
+            basis = ExactMatrix.from_columns(ctx.nvertices, chain)
             modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis))
             total_dim += diameter + 1
     if total_dim != ctx.nvertices:
@@ -185,7 +189,7 @@ def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     """Dimensions of the spectral projections E_i W for i = 0..D.
 
-    `_class_action` proves that S = w.vectors.matrix has full column rank and
+    `_class_action` proves that S = w.vectors has full column rank and
     A S = S A_W, or raises ValueError.  Then E_i S = p_i(A) S = S p_i(A_W) for
     the interpolation polynomial p_i of E_i, so dim E_i W = rank p_i(A_W)."""
     return list(_class_action(ctx, w, (adjacency,), _window_ranks))
@@ -250,14 +254,14 @@ def _class_action(space, w: SubmoduleBasis, builders, derive):
     rep, mats, value = _class_value(space, w.endpoint, builders, derive)
     if w.vectors == rep:
         return value
-    s = w.vectors.matrix
+    s = w.vectors
     owner: dict = {}
     for (row, c) in s.entries:
         if owner.setdefault(row, c) != c:
             raise ValueError(f"basis vectors {owner[row]} and {c} overlap at coordinate {row}")
     where = f"class (D={space.D}, r={w.endpoint}) action"
     nonzero = len(set(owner.values()))
-    if (s.nrows, s.ncols, nonzero) != (rep.ambient_dim, rep.size, rep.size):
+    if (s.nrows, s.ncols, nonzero) != (rep.nrows, rep.ncols, rep.ncols):
         raise ValueError(f"subspace not invariant under the {where}: a {s.nrows}x{s.ncols} "
                          f"basis with {nonzero} nonzero vectors")
     for build, m in zip(builders, mats):
@@ -276,7 +280,7 @@ def _anticommutator_triple(_space, x: ExactMatrix, y: ExactMatrix) -> ModuleActi
     return ModuleActionTriple(x, y, (x @ y + y @ x) * Fraction(1, 2))
 
 
-def _halves(_ctx, inside: ExactMatrix) -> tuple[VectorBasis, VectorBasis]:
+def _halves(_ctx, inside: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     eye = ExactMatrix.identity(inside.nrows)
     return kernel_basis(inside - eye), kernel_basis(inside + eye)
 
@@ -298,7 +302,7 @@ def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTr
 
 
 @lru_cache(maxsize=None)
-def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[VectorBasis, VectorBasis]:
+def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
     """Intersections of W with the symmetric/antisymmetric halves, in
     W-coordinates (ambient vectors S c): the kernels of (A_D)_W - I and
     (A_D)_W + I for the antipodal involution A_D, once per class.  Memoized
@@ -344,10 +348,10 @@ def quotient_modules(q: QuotientContext):
 def _quotient_image(q: QuotientContext, psi: ExactMatrix, w: SubmoduleBasis) -> SubmoduleBasis:
     """psi S c for the W-coordinates c of W+, columns by class weight."""
     plus, _minus = antipodal_split(q.parent, w)
-    img = psi @ w.vectors.matrix @ plus.matrix
+    img = psi @ w.vectors @ plus
     cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
     cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
-    return SubmoduleBasis(w.module_id, w.endpoint, VectorBasis.from_columns(q.nclasses, cols))
+    return SubmoduleBasis(w.module_id, w.endpoint, ExactMatrix.from_columns(q.nclasses, cols))
 
 
 def module_summary(ctx: CubeContext, w: SubmoduleBasis, typed) -> dict:

@@ -22,7 +22,7 @@ import time
 
 from cubetri.acsa import ModuleActionTriple, ab_type, classify
 from cubetri.hypercube import cube, negative_structure, positive_structure
-from cubetri.linalg import VectorBasis, restrict
+from cubetri.linalg import restrict
 from cubetri.quotient import quotient, quotient_acsa_structure
 from cubetri.suites import run_suite
 from cubetri.tmodules import (
@@ -185,7 +185,7 @@ def test_criterion_7_odd_types_reference_tables_known_defect():
             r = m.endpoint
             key = (r % 2, cal_d % 2)
             # the halves come in W-coordinates c; restrict on the ambient S c
-            halves = [VectorBasis(m.vectors.matrix @ c.matrix) for c in antipodal_split(ctx, m)]
+            halves = [m.vectors @ c for c in antipodal_split(ctx, m)]
             typed = split_and_type(ctx, m)
             for label, basis, (_b, untwisted) in zip(("V+", "V-"), halves, typed):
                 sub = ModuleActionTriple(

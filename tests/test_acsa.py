@@ -112,7 +112,7 @@ def _closure_dimension(seed, mats):
 def _irreducible_by_closure(m):
     """The former definition: every x-eigenvector generates the space under {x, y}."""
     spaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
-    if any(basis.size > 1 for _theta, basis in spaces):
+    if any(basis.ncols > 1 for _theta, basis in spaces):
         return False
     gens = (m.x_mat, m.y_mat)
     return all(
@@ -169,10 +169,17 @@ def test_one_way_coupling_is_reducible():
     x = ExactMatrix.diagonal([1, 2])
     zero = ExactMatrix.zeros(2, 2)
     forward = ExactMatrix(2, 2, {(0, 1): 1})
-    backward = forward.transpose()
+    backward = ExactMatrix(2, 2, {(1, 0): 1})
     assert not is_irreducible(ModuleActionTriple(x, forward, zero))
     assert not is_irreducible(ModuleActionTriple(x, backward, zero))
     assert is_irreducible(ModuleActionTriple(x, forward + backward, zero))
+
+
+def test_zero_module_is_not_irreducible():
+    zero = ExactMatrix.zeros(0, 0)
+    triple = ModuleActionTriple(zero, zero, zero)
+    assert check_relations(triple) == (True, None)
+    assert is_irreducible(triple) is False
 
 
 def test_canonical_round_trip_all_families():

@@ -232,6 +232,19 @@ def test_classify_certifies_only_irreducible_triples(tmp_path, capsys):
     assert out.splitlines() == ["dim 2", "relations: ok", "irreducible: False"]
 
 
+def test_classify_reports_the_zero_module_as_reducible(tmp_path, capsys):
+    from cubetri.linalg import ExactMatrix
+
+    empty = tmp_path / "empty.mtx"
+    write_matrix(ExactMatrix.zeros(0, 0), empty)
+    assert empty.read_text() == "dims 0 0\n"
+    code, out = run_cli(capsys, "classify", "--x", str(empty), "--y", str(empty), "--z", str(empty))
+    assert code == 0
+    assert json.loads(out) == {
+        "dim": 0, "relations": "ok", "irreducible": False, "certificate": None,
+    }
+
+
 def test_skew_command(capsys):
     code, out = run_cli(capsys, "skew", "--d", "7")
     assert code == 0

@@ -8,7 +8,7 @@ from cubetri.exactnum import GaussianRational, gr, integer_power_of_i
 
 def test_norm_product():
     z = gr(Fraction(1, 2), Fraction(1, 2))
-    assert z * z.conjugate() == gr(Fraction(1, 2))
+    assert z * gr(Fraction(1, 2), Fraction(-1, 2)) == gr(Fraction(1, 2))
 
 
 def test_inverse_of_i():

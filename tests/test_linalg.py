@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cubetri.exactnum import GaussianRational, gr
 from cubetri.linalg import (
     ExactMatrix,
-    VectorBasis,
     exp_nilpotent,
     format_matrix,
     integer_eigenspaces,
@@ -99,13 +98,13 @@ def test_matmul_matches_row_by_column_sums():
 
 
 def test_kernel_of_identity_empty():
-    assert kernel_basis(ExactMatrix.identity(5)).size == 0
+    assert kernel_basis(ExactMatrix.identity(5)).ncols == 0
 
 
 def test_kernel_of_shift():
     n = ExactMatrix.from_rows([[0, 1], [0, 0]])
     k = kernel_basis(n)
-    assert k.size == 1
+    assert k.ncols == 1
     assert k.column(0) == ExactMatrix.column_vector([1, 0])
 
 
@@ -114,11 +113,11 @@ def test_kernel_columns_annihilated():
     for _ in range(15):
         m = _random_matrix(rng, 5, 8, density=0.4)
         k = kernel_basis(m)
-        assert rank(m) + k.size == 8
-        for j in range(k.size):
+        assert rank(m) + k.ncols == 8
+        for j in range(k.ncols):
             assert (m @ k.column(j)).is_zero()
-        if k.size:
-            assert k.verify_independent()
+        if k.ncols:
+            assert rank(k) == k.ncols
 
 
 def test_exp_of_zero_and_shift():
@@ -145,8 +144,18 @@ def test_exp_inverse_property():
         assert exp_nilpotent(m, n) @ exp_nilpotent(-m, n) == ExactMatrix.identity(n)
 
 
+def test_from_columns_normalizes_and_column_reads_back():
+    s = ExactMatrix.from_columns(3, [{2: 4, 1: gr(0, 2)}, {0: -1}])
+    assert s == ExactMatrix.from_rows([[0, 1], [1, 0], [gr(0, -2), 0]])
+    assert s.column(0) == ExactMatrix.column_vector([0, 1, gr(0, -2)])
+    assert s.column(1) == ExactMatrix.column_vector([1, 0, 0])
+    assert ExactMatrix.from_columns(3, []) == ExactMatrix.zeros(3, 0)
+    with pytest.raises(ValueError, match="basis vector 1 is zero"):
+        ExactMatrix.from_columns(3, [{0: 1}, {2: 0}])
+
+
 def test_restrict_identity_and_regular_vector():
-    basis = VectorBasis.from_columns(4, [{0: 1, 1: 1, 2: 1, 3: 1}])
+    basis = ExactMatrix.from_columns(4, [{0: 1, 1: 1, 2: 1, 3: 1}])
     a = _q2_adjacency()
     assert restrict(ExactMatrix.identity(4), basis) == ExactMatrix.identity(1)
     assert restrict(a, basis) == ExactMatrix.from_rows([[2]])
@@ -154,7 +163,7 @@ def test_restrict_identity_and_regular_vector():
 
 def test_restrict_reports_violating_vector():
     a = _q2_adjacency()
-    bad = VectorBasis.from_columns(4, [{0: 1}])
+    bad = ExactMatrix.from_columns(4, [{0: 1}])
     with pytest.raises(ValueError, match="basis vector 0"):
         restrict(a, bad)
 
@@ -163,7 +172,7 @@ def test_restrict_is_multiplicative():
     # span{all-ones, weight vector} is invariant under the Q_2 Bose-Mesner algebra
     a = _q2_adjacency()
     a2 = ExactMatrix(4, 4, {(y, y ^ 3): 1 for y in range(4)})
-    basis = VectorBasis.from_columns(
+    basis = ExactMatrix.from_columns(
         4, [{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 3: 1}]
     )
     left = restrict(a @ a2, basis)
@@ -240,7 +249,7 @@ def test_integer_eigenspaces_stops_once_they_span(monkeypatch):
     monkeypatch.setattr(linalg, "kernel_basis", lambda m: tried.append(m) or kernel_basis(m))
     m = ExactMatrix.diagonal([3, -1, 3])
     scan = integer_eigenspaces(m, 50)
-    assert [(theta, k.size) for theta, k in scan] == [(-1, 1), (3, 2)]
+    assert [(theta, k.ncols) for theta, k in scan] == [(-1, 1), (3, 2)]
     # the characteristic polynomial rules out every other candidate
     eye = ExactMatrix.identity(3)
     assert tried == [m + eye, m - eye * 3]
@@ -321,8 +330,8 @@ def _exhaustive_scan(m, bound):
         if total == n:
             return
         k = kernel_basis(m - eye * theta)
-        if k.size:
-            total += k.size
+        if k.ncols:
+            total += k.ncols
             yield theta, k
     if total != n:
         raise ValueError(
@@ -394,9 +403,9 @@ def _reference_restrict(m, basis):
     """restrict as it was computed before the shared solve: pick k independent
     rows of S, invert that k x k block, and solve and check S c == m s_j one
     column at a time."""
-    if m.ncols != basis.ambient_dim:
+    if m.ncols != basis.nrows:
         raise ValueError("matrix and basis ambient dimensions differ")
-    s, k = basis.matrix, basis.size
+    s, k = basis, basis.ncols
     row_data: dict = {}
     for (r, c), v in s.entries.items():
         row_data.setdefault(r, [gr(0)] * k)[c] = v
@@ -471,7 +480,7 @@ def _invariant_subspaces(draw):
             if (r < k or c >= k) and draw(st.booleans()):
                 b_entries[(r, c)] = draw(_SCALARS)
     b = ExactMatrix(ambient, ambient, b_entries)
-    s = VectorBasis(ExactMatrix(ambient, k, {(r, c): v for (r, c), v in p_entries.items() if c < k}))
+    s = ExactMatrix(ambient, k, {(r, c): v for (r, c), v in p_entries.items() if c < k})
     return p @ b @ invert(p), s, b, p
 
 
@@ -479,14 +488,14 @@ def _invariant_subspaces(draw):
 @given(_invariant_subspaces(), st.data())
 def test_restrict_recovers_the_leading_block(case, data):
     m, s, b, p = case
-    k = s.size
+    k = s.ncols
     leading = ExactMatrix(k, k, {(r, c): v for (r, c), v in b.entries.items() if r < k and c < k})
     assert restrict(m, s) == leading == _reference_restrict(m, s)
     # entries below the block in column j and maybe later columns send the
     # image of s_j, and of no earlier basis vector, out of span S
     j = data.draw(st.integers(0, k - 1))
     spikes = st.sampled_from([1, -2, gr(0, 1), Fraction(1, 3)])
-    rows_below = st.integers(k, s.ambient_dim - 1)
+    rows_below = st.integers(k, s.nrows - 1)
     bent = {**b.entries, (data.draw(rows_below), j): data.draw(spikes)}
     for c in range(j + 1, k):
         if data.draw(st.booleans()):
@@ -496,8 +505,8 @@ def test_restrict_recovers_the_leading_block(case, data):
         with pytest.raises(ValueError, match=f"image of basis vector {j} leaves the span"):
             solve(leaky, s)
     # a repeated column is reported as dependence, invariant span or not
-    cols = [s.matrix.column(c) for c in range(k)]
-    repeated = VectorBasis.from_columns(s.ambient_dim, cols + [cols[j]], normalize=False)
+    again = {(r, k): v for (r, c), v in s.entries.items() if c == j}
+    repeated = ExactMatrix(s.nrows, k + 1, {**s.entries, **again})
     for mat in (m, leaky):
         for solve in (restrict, _reference_restrict):
             with pytest.raises(ValueError, match="basis columns are linearly dependent"):
@@ -524,10 +533,10 @@ def _low_rank_matrices(draw):
 @given(_low_rank_matrices())
 def test_kernel_basis_spans_the_null_space(m):
     k = kernel_basis(m)
-    assert k.ambient_dim == m.ncols
-    assert (m @ k.matrix).is_zero()
-    assert rank(m) + k.size == m.ncols
-    assert rank(k.matrix) == k.size
+    assert k.nrows == m.ncols
+    assert (m @ k).is_zero()
+    assert rank(m) + k.ncols == m.ncols
+    assert rank(k) == k.ncols
 
 
 def test_rank_and_kernel_match_sympy():
@@ -544,8 +553,8 @@ def test_rank_and_kernel_match_sympy():
         assert rank(m) == want.rank(), m
         null = want.nullspace()
         k = kernel_basis(m)
-        assert k.size == len(null), m
+        assert k.ncols == len(null), m
         if null:
             # the two bases span one space: stacking them adds no rank
-            both = sympy.Matrix.hstack(*null, _sympy_matrix(sympy, k.matrix))
+            both = sympy.Matrix.hstack(*null, _sympy_matrix(sympy, k))
             assert both.rank() == len(null), m

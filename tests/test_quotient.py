@@ -84,13 +84,13 @@ def test_kernel_of_psi_is_antisymmetric_half():
     q = quotient(5)
     psi = psi_matrix(q)
     k = kernel_basis(psi)
-    assert k.size == q.nclasses  # 2^(D-1)
+    assert k.ncols == q.nclasses  # 2^(D-1)
     ad_minus_id = None
     from cubetri.hypercube import distance_matrix
 
     ad = distance_matrix(q.parent, q.D)
     eye = ExactMatrix.identity(q.parent.nvertices)
-    for j in range(k.size):
+    for j in range(k.ncols):
         col = k.column(j)
         assert ((ad + eye) @ col).is_zero()
 
@@ -125,10 +125,10 @@ def test_quotient_eigenvalue_multiplicities():
         eye = ExactMatrix.identity(q.nclasses)
         total = 0
         for i in range(q.cal_d + 1):
-            mult_first = kernel_basis(adj - eye * (D - 4 * i)).size
+            mult_first = kernel_basis(adj - eye * (D - 4 * i)).ncols
             assert mult_first == comb(D, 2 * i)
             theta = (-1) ** i * (D - 2 * i)
-            mult_second = kernel_basis(adj - eye * theta).size
+            mult_second = kernel_basis(adj - eye * theta).ncols
             assert mult_second == comb(D, i)
             total += mult_second
         assert total == q.nclasses

@@ -44,7 +44,7 @@ def test_exp_of_nilpotent_halves_in_w_basis():
     # the lowering half its mirror below
     m = build_irreducible_sl2(2)
     n_minus, n_plus = raising_lowering_halves(m)
-    w = z_weight_basis(m).matrix
+    w = z_weight_basis(m)
     winv = invert(w)
     assert winv @ exp_nilpotent(n_plus, 3) @ w == ExactMatrix.from_rows(
         [[1, gr(0, 2), -1], [0, 1, gr(0, 1)], [0, 0, 1]]
@@ -177,7 +177,7 @@ def test_split_odd_type_table():
             parts = split_odd(m, structure)
             want = [ab_type(delta, n) for n in expected[(structure, delta % 2)]]
             assert [t for (_b, t) in parts] == want
-            assert sum(b.size for (b, _t) in parts) == d + 1
+            assert sum(b.ncols for (b, _t) in parts) == d + 1
 
 
 def test_split_odd_diameter_seven_pairs():

@@ -17,7 +17,7 @@ from cubetri.hypercube import (
     primitive_idempotent,
     s_diagonal,
 )
-from cubetri.linalg import ExactMatrix, VectorBasis, kernel_basis, rank, restrict
+from cubetri.linalg import ExactMatrix, kernel_basis, rank, restrict
 from cubetri import tmodules
 from cubetri.quotient import quotient, quotient_acsa_structure
 from cubetri.sl2rep import build_h, k_scalar
@@ -87,7 +87,7 @@ def test_direct_sum_per_slice():
                 for (r, _c), v in col.entries.items():
                     entries[(r, j)] = v
             stacked = ExactMatrix(ctx.nvertices, len(cols), entries)
-            assert VectorBasis(stacked).verify_independent()
+            assert rank(stacked) == stacked.ncols
 
 
 def test_endpoint_zero_restriction_matches_weight_pattern():
@@ -195,13 +195,13 @@ def test_dual_profile_matches_dense_idempotents():
     for D in range(1, 7):
         ctx = cube(D)
         for m in decompose(ctx):
-            want = [rank(primitive_idempotent(ctx, i) @ m.vectors.matrix) for i in range(D + 1)]
+            want = [rank(primitive_idempotent(ctx, i) @ m.vectors) for i in range(D + 1)]
             assert dual_profile(ctx, m) == want, (D, m.module_id)
 
 
 def _non_invariant_module(D):
     """A one-vector 'module' spanned by a weight-1 vertex, which A moves out."""
-    return SubmoduleBasis("r1#0", 1, VectorBasis.from_columns(1 << D, [{1: 1}]))
+    return SubmoduleBasis("r1#0", 1, ExactMatrix.from_columns(1 << D, [{1: 1}]))
 
 
 def test_dual_profile_rejects_non_invariant_basis():
@@ -238,7 +238,7 @@ def test_split_and_type_odd():
             delta = cal_d - m.endpoint
             assert typed[0][1] == ab_type(delta, plus_n)
             assert typed[1][1] == ab_type(delta, minus_n)
-            assert typed[0][0].size + typed[1][0].size == m.dimension
+            assert typed[0][0].ncols + typed[1][0].ncols == m.dimension
 
 
 def test_module_structure_is_the_restricted_positive_structure():
@@ -268,7 +268,7 @@ def test_quotient_structure_is_the_restricted_quotient_structure():
 def _rebased(m, columns):
     """m with its basis columns replaced, unnormalized."""
     entries = {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()}
-    basis = VectorBasis(ExactMatrix(m.vectors.ambient_dim, len(columns), entries))
+    basis = ExactMatrix(m.vectors.nrows, len(columns), entries)
     return SubmoduleBasis(m.module_id, m.endpoint, basis)
 
 
@@ -330,12 +330,12 @@ def test_antipodal_halves_in_module_coordinates():
             plus, minus = antipodal_split(ctx, m)
             inside, eye = restrict(ad, m.vectors), ExactMatrix.identity(m.dimension)
             assert (plus, minus) == (kernel_basis(inside - eye), kernel_basis(inside + eye))
-            assert plus.ambient_dim == minus.ambient_dim == m.dimension
-            assert plus.size + minus.size == m.dimension
+            assert plus.nrows == minus.nrows == m.dimension
+            assert plus.ncols + minus.ncols == m.dimension
             for half, sign in ((plus, 1), (minus, -1)):
-                ambient = m.vectors.matrix @ half.matrix
+                ambient = m.vectors @ half
                 assert ad @ ambient == ambient * sign, (D, m.module_id, sign)
-                assert rank(ambient) == half.size
+                assert rank(ambient) == half.ncols
 
 
 def test_quotient_modules_types_and_dimensions():
@@ -346,7 +346,7 @@ def test_quotient_modules_types_and_dimensions():
         assert sum(sb.dimension for sb, _t in mods) == q.nclasses
         for sb, t in mods:
             assert t == ab_type(cal_d - sb.endpoint, variant)
-            for j in range(sb.vectors.size):
+            for j in range(sb.vectors.ncols):
                 col = sb.vectors.column(j)
                 weights = {q.class_weight(u) for (u, _c) in col.entries}
                 assert weights == {sb.endpoint + j}

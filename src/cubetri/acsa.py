@@ -12,7 +12,7 @@ import re as _re
 from dataclasses import dataclass
 
 from .exactnum import GaussianRational
-from .linalg import ExactMatrix, conjugate_by_columns, integer_eigenspaces, restrict
+from .linalg import ExactMatrix, integer_eigenspaces, restrict
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -207,7 +207,12 @@ def is_irreducible(m: ModuleActionTriple) -> bool:
     eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
     if any(basis.ncols > 1 for _theta, basis in eigenspaces):
         return False
-    (coupling,) = conjugate_by_columns([basis for _theta, basis in eigenspaces], m.y_mat)
+    p = ExactMatrix(n, n, {
+        (r, j): v
+        for j, (_theta, basis) in enumerate(eigenspaces)
+        for (r, _c), v in basis.entries.items()
+    })
+    coupling = restrict(m.y_mat, p)
     forward = [(c, r) for (r, c) in coupling.entries]
     return n > 0 and _reaches_all(n, forward) and _reaches_all(n, coupling.entries)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
-from .linalg import ExactMatrix, conjugate_by_columns, integer_eigenspaces
+from .linalg import ExactMatrix, integer_eigenspaces, restrict
 
 GENERATOR_LABELS = ("A", "B", "C")
 
@@ -99,7 +99,10 @@ def standard_ordering(pairs, other1: ExactMatrix, other2: ExactMatrix):
     The support graph over eigenvalues must be a path; the traversal starts
     at the endpoint with the larger eigenvalue."""
     n = len(pairs)
-    c1, c2 = conjugate_by_columns([vec for _theta, vec in pairs], other1, other2)
+    p = ExactMatrix(other1.nrows, n, {
+        (r, j): v for j, (_theta, vec) in enumerate(pairs) for (r, _c), v in vec.entries.items()
+    })
+    c1, c2 = restrict(other1, p), restrict(other2, p)
     neighbors: dict = {j: set() for j in range(n)}
     for mat in (c1, c2):
         for (r, c) in mat.entries:

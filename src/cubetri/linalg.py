@@ -11,10 +11,11 @@ its first nonzero coordinate is 1, `kernel_basis` returns such a matrix,
 and `restrict` takes one.
 
 Every elimination runs through the one row reducer `_echelon`: `rank` and
-`kernel_basis` directly, and `invert`, `restrict` and `conjugate_by_columns`
-through `_solve`, which reads the unique X with S X = B off the reduced
-form of [S | B] and proves, from where its pivots fall, that S has full
-column rank and that every column of B lies in span S.
+`kernel_basis` directly, and `invert` and `restrict` through `_solve`,
+which reads the unique X with S X = B off the reduced form of [S | B] and
+proves, from where its pivots fall, that S has full column rank and that
+every column of B lies in span S.  A change of basis to the columns of P
+is `restrict(M, P)` = P^-1 M P, so P^-1 is never formed.
 """
 from __future__ import annotations
 
@@ -455,18 +456,6 @@ def restrict(m: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
     if not m.nrows == m.ncols == s.nrows:
         raise ValueError("matrix and basis ambient dimensions differ")
     return _solve(s, m @ s)
-
-
-def conjugate_by_columns(columns, *mats: ExactMatrix) -> tuple[ExactMatrix, ...]:
-    """P^-1 M P for each M, where P stacks the given column vectors: the
-    unique X with P X = M P (`_solve`), so P^-1 itself is never formed.
-    Dependent columns raise ValueError, as in `restrict`."""
-    p = ExactMatrix(
-        columns[0].nrows if columns else 0,
-        len(columns),
-        {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()},
-    )
-    return tuple(_solve(p, m @ p) for m in mats)
 
 
 # -- nilpotent exponentials ------------------------------------------------------

@@ -7,8 +7,8 @@ raised until it dies.  A module's basis is the matrix whose columns are
 its chain vectors (`SubmoduleBasis.vectors`), and the V+/V- halves are
 matrices of W-coordinates.  Every basis vector lives in a single weight
 slice: the thinness witness, and the disjoint supports that let
-`_class_action` check each module against one restricted triple per class
-(D, r).
+`_module_action` read each action off one row per basis vector and prove it
+by one exact product, with no elimination on V.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .hypercube import (
     second_dual_adjacency,
     _spectral_images,
 )
-from .linalg import ExactMatrix, kernel_basis, rank, restrict
+from .linalg import ExactMatrix, kernel_basis, rank
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -38,7 +38,7 @@ class SubmoduleBasis:
     """One irreducible T-module: a thin raising chain with metadata.
 
     Basis vector j, column j of `vectors`, is supported on the
-    weight-(endpoint+j) slice.
+    weight-(endpoint+j) slice, so the columns have disjoint supports.
     """
 
     module_id: str
@@ -163,13 +163,13 @@ def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
     """h_W for the classes r = 0..D//2, once Go's brackets, the skew relations
     of s = `s_diagonal(ctx)` and s = h k are proved on V.
 
-    `_class_action` restricts X = A, Y = A* and s to each T-module W (by
-    products for every module but its class representative), so W is
-    invariant under Z = (XY - YX)/(2i) and h too.  `_skew_class` proves the
-    identities on W, and `check_span` proves the modules span V."""
+    `_module_action` proves each T-module W invariant under X = A, Y = A*
+    and s, so W is invariant under Z = (XY - YX)/(2i) and h too.
+    `_skew_class` proves the identities on W, once per class, and
+    `check_span` proves the modules span V."""
     check_span(ctx)
     builders = (adjacency, dual_adjacency, s_diagonal)
-    by_class = {w.endpoint: _class_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
+    by_class = {w.endpoint: _module_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
     return tuple(by_class.values())
 
 
@@ -189,10 +189,10 @@ def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix
 def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     """Dimensions of the spectral projections E_i W for i = 0..D.
 
-    `_class_action` proves that S = w.vectors has full column rank and
+    `_module_action` proves that S = w.vectors has full column rank and
     A S = S A_W, or raises ValueError.  Then E_i S = p_i(A) S = S p_i(A_W) for
     the interpolation polynomial p_i of E_i, so dim E_i W = rank p_i(A_W)."""
-    return list(_class_action(ctx, w, (adjacency,), _window_ranks))
+    return list(_module_action(ctx, w, (adjacency,), _window_ranks))
 
 
 def _window_ranks(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
@@ -229,47 +229,44 @@ def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> M
 
 
 @lru_cache(maxsize=None)
-def _class_value(space, r: int, builders, derive):
-    """The basis of the class (D, r) representative, the first T-module of
-    endpoint r (for a quotient, the image of its W+), each build(space)
-    `restrict`ed to it, and derive(space, *those matrices)."""
-    is_quotient = isinstance(space, QuotientContext)
-    reps = [w for w in decompose(space.parent if is_quotient else space) if w.endpoint == r]
-    if not reps:
-        raise ValueError(f"Q_{space.D} has no T-module with endpoint {r}")
-    rep = (_quotient_image(space, psi_matrix(space), reps[0]) if is_quotient else reps[0]).vectors
-    mats = tuple(restrict(build(space), rep) for build in builders)
-    return rep, mats, derive(space, *mats)
+def _derived(space, derive, mats: tuple):
+    return derive(space, *mats)
 
 
-def _class_action(space, w: SubmoduleBasis, builders, derive):
+def _module_action(space, w: SubmoduleBasis, builders, derive):
     """derive(space, *M_W) for the matrices M = build(space) on span(w.vectors),
-    in its coordinates, w a module of class (D, r = w.endpoint).
+    in its coordinates.
 
-    Every module of a class carries the same action in its normalized chain
-    basis, so the M_class are `restrict`ed once, on the representative.  Any
-    other basis S is proved by products: its columns are nonzero with
-    pairwise disjoint supports (so S has full column rank) and M S == S M_class
-    holds exactly, so M_W = M_class.  Anything else raises ValueError."""
-    rep, mats, value = _class_value(space, w.endpoint, builders, derive)
-    if w.vectors == rep:
-        return value
+    The columns of S = w.vectors must be nonzero with pairwise disjoint
+    supports, which proves that S has full column rank.  With p_i the first
+    row of column i, (S X)[p_i, j] = S[p_i, i] X[i, j] for every X, so the
+    only candidate is M_W[i, j] = (M S)[p_i, j] / S[p_i, i], and M S == S M_W
+    is checked exactly.  Anything else raises ValueError.  derive is
+    memoized on the value of the M_W, so the modules of a class (D, r), which
+    share one action in their normalized chain bases, share one derivation."""
     s = w.vectors
     owner: dict = {}
-    for (row, c) in s.entries:
+    first: dict = {}
+    for (row, c) in sorted(s.entries):
         if owner.setdefault(row, c) != c:
             raise ValueError(f"basis vectors {owner[row]} and {c} overlap at coordinate {row}")
-    where = f"class (D={space.D}, r={w.endpoint}) action"
-    nonzero = len(set(owner.values()))
-    if (s.nrows, s.ncols, nonzero) != (rep.nrows, rep.ncols, rep.ncols):
-        raise ValueError(f"subspace not invariant under the {where}: a {s.nrows}x{s.ncols} "
-                         f"basis with {nonzero} nonzero vectors")
-    for build, m in zip(builders, mats):
-        image, want = build(space) @ s, s @ m
+        first.setdefault(c, row)
+    if len(first) != s.ncols:
+        raise ValueError(f"basis vector {min(set(range(s.ncols)) - set(first))} is zero")
+    pivots = {row: (c, s.entries[(row, c)].inverse()) for c, row in first.items()}
+    mats = []
+    for build in builders:
+        image = build(space) @ s
+        m_w = ExactMatrix(s.ncols, s.ncols, {
+            (pivots[row][0], j): v * pivots[row][1]
+            for (row, j), v in image.entries.items() if row in pivots
+        })
+        want = s @ m_w
         if image != want:
             j = min(c for _row, c in (image - want).entries)
-            raise ValueError(f"subspace not invariant: image of basis vector {j} is not the {where}")
-    return value
+            raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
+        mats.append(m_w)
+    return _derived(space, derive, tuple(mats))
 
 
 def _antipodal_map(ctx: CubeContext) -> ExactMatrix:
@@ -288,26 +285,28 @@ def _halves(_ctx, inside: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
 @lru_cache(maxsize=None)
 def module_structure(ctx: CubeContext, w: SubmoduleBasis) -> ModuleActionTriple:
     """The positive structure on W in the coordinates of w.vectors: x = A and
-    y = A*_{D-1} by `_class_action`, z_W = (x_W y_W + y_W x_W)/2 as z = (xy+yx)/2.
+    y = A*_{D-1} by `_module_action`, z_W = (x_W y_W + y_W x_W)/2 as z = (xy+yx)/2.
     One triple per class; memoized on (ctx, w), so each module is checked once."""
-    return _class_action(ctx, w, (adjacency, second_dual_adjacency), _anticommutator_triple)
+    return _module_action(ctx, w, (adjacency, second_dual_adjacency), _anticommutator_triple)
 
 
 @lru_cache(maxsize=None)
 def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTriple:
     """`module_structure` for a quotient image sb, with x, y the quotient
-    adjacency and dual adjacency; one triple per (q, endpoint)."""
+    adjacency and dual adjacency, proved on sb by `_module_action`; one
+    triple per (q, endpoint)."""
     builders = (quotient_adjacency, quotient_dual_adjacency)
-    return _class_action(q, sb, builders, _anticommutator_triple)
+    return _module_action(q, sb, builders, _anticommutator_triple)
 
 
 @lru_cache(maxsize=None)
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
     """Intersections of W with the symmetric/antisymmetric halves, in
     W-coordinates (ambient vectors S c): the kernels of (A_D)_W - I and
-    (A_D)_W + I for the antipodal involution A_D, once per class.  Memoized
+    (A_D)_W + I for the antipodal involution A_D, with (A_D)_W proved by
+    `_module_action` and the kernels taken once per class.  Memoized
     on (ctx, w): `split_and_type` and `quotient_modules` share one split."""
-    return _class_action(ctx, w, (_antipodal_map,), _halves)
+    return _module_action(ctx, w, (_antipodal_map,), _halves)
 
 
 def split_and_type(ctx: CubeContext, w: SubmoduleBasis):

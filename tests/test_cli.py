@@ -304,3 +304,19 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     payload = json.loads(target.read_text())
     assert payload["overall"] == "pass"
+
+
+def test_unreadable_input_and_unwritable_output_are_one_line_errors(tmp_path, capsys):
+    blocker = tmp_path / "plain"
+    blocker.write_text("")
+    missing = str(tmp_path / "missing.mtx")
+    for argv in (
+        ["classify", "--x", missing, "--y", missing, "--z", missing],
+        ["classify", "--x", str(tmp_path), "--y", str(tmp_path), "--z", str(tmp_path)],
+        ["verify", "--D", "3", "--suite", "weights", "--out", str(blocker / "x.json")],
+        ["build", "--D", "2", "--matrix", "A", "--out", str(blocker)],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from cubetri import leonard, suites
+from cubetri import leonard, linalg, suites
 from cubetri.acsa import ab_type, b_type, restrict_triple
 from cubetri.hypercube import (
     CubeContext,
@@ -142,8 +142,8 @@ def test_h_by_class_rejects_a_flipped_closed_form(monkeypatch):
         entries[(vertex, vertex)] = -entries[(vertex, vertex)]
         return lambda _ctx: ExactMatrix(s.nrows, s.ncols, entries)
 
-    # e_0 spans its own slice, so the representative stays invariant and
-    # only s_W = h_W k fails; a flip at weight 1 breaks invariance first
+    # e_0 spans its own slice, so the r=0 module stays invariant and only
+    # s_W = h_W k fails; a flip at weight 1 breaks invariance first
     monkeypatch.setattr(tmodules, "s_diagonal", flipped_at(0))
     with pytest.raises(AssertionError, match="skew operator on Q_3: closed form disagrees with h.k"):
         h_by_class.__wrapped__(ctx)
@@ -272,35 +272,81 @@ def _rebased(m, columns):
     return SubmoduleBasis(m.module_id, m.endpoint, basis)
 
 
-def test_class_action_rejects_scaled_and_overlapping_bases():
-    # r1#1 of Q_5 is not its class representative, so it takes the product path
+def test_module_action_solves_scaled_and_rejects_overlapping_bases():
+    # a rescaled column still spans an invariant subspace: its action is read
+    # off exactly and matches the elimination oracle `restrict`
     ctx = cube(5)
     m = decompose(ctx)[2]
     assert m.module_id == "r1#1"
     cols = [m.vectors.column(j) for j in range(m.dimension)]
     scaled = _rebased(m, [cols[0] * 2, *cols[1:]])
+    s = scaled.vectors
+    assert module_structure(ctx, scaled) == restrict_triple(positive_structure(ctx), s)
+    ad_w, eye = restrict(distance_matrix(ctx, 5), s), ExactMatrix.identity(m.dimension)
+    assert antipodal_split(ctx, scaled) == (kernel_basis(ad_w - eye), kernel_basis(ad_w + eye))
+    assert dual_profile(ctx, scaled) == [rank(primitive_idempotent(ctx, i) @ s) for i in range(6)]
     overlapping = _rebased(m, [cols[0], cols[1] + cols[0], *cols[2:]])
     short = _rebased(m, cols[:-1])
+    zero = _rebased(m, [cols[0] * 0, *cols[1:]])
+    outside = _rebased(m, [*cols[:-1], ExactMatrix.from_columns(32, [{15: 1}])])  # weight 4
     checks = (
         lambda w: module_structure(ctx, w),
         lambda w: antipodal_split(ctx, w),
         lambda w: dual_profile(ctx, w),
     )
     for check in checks:
-        with pytest.raises(ValueError, match="image of basis vector 0 is not the class .D=5, r=1. action"):
-            check(scaled)
         with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
             check(overlapping)
-        with pytest.raises(ValueError, match="not invariant under the class .D=5, r=1. action"):
+        with pytest.raises(ValueError, match="subspace not invariant: image of basis vector"):
             check(short)
-    # the same for a quotient image that is not its class representative
+        with pytest.raises(ValueError, match="basis vector 0 is zero"):
+            check(zero)
+        with pytest.raises(ValueError, match="subspace not invariant: image of basis vector"):
+            check(outside)
+    # the same for a quotient image
     q = quotient(5)
     sb = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][1]
     cols = [sb.vectors.column(j) for j in range(sb.dimension)]
-    with pytest.raises(ValueError, match="not the class .D=5, r=1. action"):
-        quotient_structure(q, _rebased(sb, [cols[0] * 2, *cols[1:]]))
+    scaled = _rebased(sb, [cols[0] * 2, *cols[1:]])
+    want = restrict_triple(quotient_acsa_structure(q), scaled.vectors)
+    assert quotient_structure(q, scaled) == want
     with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
         quotient_structure(q, _rebased(sb, [cols[0], cols[1] + cols[0]]))
+
+
+def test_module_actions_never_eliminate_on_v(monkeypatch):
+    # each action is read off the disjoint-support basis and proved by
+    # products; the only eliminations left are on (d+1)-dimensional matrices
+    D = 7
+    ctx, q = cube(D), quotient(D)
+    modules = decompose(ctx)
+    images = [sb for sb, _t in quotient_modules(q)]
+    sizes = []
+    echelon = linalg._echelon
+
+    def counted(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return echelon(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    tmodules._derived.cache_clear()
+    for m in modules:
+        module_structure.__wrapped__(ctx, m)
+        antipodal_split.__wrapped__(ctx, m)
+        dual_profile(ctx, m)
+    for sb in images:
+        quotient_structure.__wrapped__(q, sb)
+    assert sizes and max(sizes) <= D + 1
+
+
+def test_dual_profile_derives_once_per_class(monkeypatch):
+    ctx = cube(7)
+    calls = []
+    window_ranks = tmodules._window_ranks
+    monkeypatch.setattr(tmodules, "_window_ranks", lambda *a: calls.append(a) or window_ranks(*a))
+    for m in decompose(ctx):
+        dual_profile(ctx, m)
+    assert len(calls) == 4
 
 
 def test_certify_triple_certifies_each_class_once(monkeypatch):

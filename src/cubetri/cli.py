@@ -57,8 +57,16 @@ def main(argv=None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as one `error:` line and exit 2; its
+    subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--D", type=int, help="cube diameter")
     common.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
     common.add_argument("--out", type=Path, help="output file or directory")
@@ -67,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
     common.add_argument("--force", action="store_true", help="exceed the default D caps")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cubetri",
         description="exact hypercube Leonard-triple constructions and certificates",
     )
@@ -279,6 +287,12 @@ def _suite_kwargs(name: str, args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.D is not None and not args.suite:
+        _check_d(args)
+        raise ValueError(
+            "--D without --suite runs every suite, but leonard-even needs even D and "
+            "leonard-quotient needs odd D; pick suites with --suite"
+        )
     names = sorted(args.suite or SUITES)
     kwargs = {name: _suite_kwargs(name, args) for name in names}  # reject a bad --D before any work
     results = [run_suite(name, **kwargs[name]) for name in names]

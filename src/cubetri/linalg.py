@@ -16,6 +16,9 @@ which reads the unique X with S X = B off the reduced form of [S | B] and
 proves, from where its pivots fall, that S has full column rank and that
 every column of B lies in span S.  A change of basis to the columns of P
 is `restrict(M, P)` = P^-1 M P, so P^-1 is never formed.
+`has_full_column_rank` runs the same reducer over GF(2^61 - 1) on the
+integer-scaled matrix: full rank there certifies full rank over Q.  A short
+rank modulo the prime, or an imaginary entry, falls back to the exact `rank`.
 """
 from __future__ import annotations
 
@@ -306,6 +309,46 @@ def _echelon(rows, ncols, reduce_up=True):
 def rank(m: ExactMatrix) -> int:
     rows = m.to_rows()
     return len(_echelon(rows, m.ncols, reduce_up=False))
+
+
+# A Mersenne prime: the ring map Z -> GF(_PRIME) certifies full rank over Q.
+_PRIME = (1 << 61) - 1
+
+
+class _ModP:
+    """An element of GF(_PRIME), with the four operations `_echelon` uses."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        self.v = v % _PRIME
+
+    def __bool__(self):
+        return self.v != 0
+
+    def __mul__(self, other: "_ModP") -> "_ModP":
+        return _ModP(self.v * other.v)
+
+    def __sub__(self, other: "_ModP") -> "_ModP":
+        return _ModP(self.v - other.v)
+
+    def inverse(self) -> "_ModP":
+        return _ModP(pow(self.v, -1, _PRIME))
+
+
+def has_full_column_rank(m: ExactMatrix) -> bool:
+    """rank(m) == m.ncols, certified modulo a prime when it can be.
+
+    With m = re/den for an integer matrix re, a nonzero maximal minor of re
+    modulo _PRIME is a nonzero integer, so full rank over GF(_PRIME) proves
+    full rank over Q.  If the rank modulo _PRIME falls short (an unlucky
+    prime), or m has an imaginary part, the exact `rank` decides."""
+    _den, re_rows, im_rows = _scaled_int_parts(m)
+    if im_rows is None:
+        rows = [[_ModP(x) for x in row] for row in re_rows]
+        if len(_echelon(rows, m.ncols, reduce_up=False)) == m.ncols:
+            return True
+    return rank(m) == m.ncols
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:

@@ -1,9 +1,13 @@
 """Decomposition of the hypercube standard module into irreducible
 Terwilliger modules, and the induced module structures on each piece.
 
-The decomposition follows the raising/lowering structure: seed vectors are
-the kernel of the lowering map inside each weight slice, and each seed is
-raised until it dies.  A module's basis is the matrix whose columns are
+The decomposition follows the raising/lowering structure.  The kernel of
+lowering on the weight-r slice is the Specht module S^(D-r,r), and its
+standard polytabloids are a basis in closed form (G. D. James, The
+Representation Theory of the Symmetric Groups, LNM 682, 1978).  They are the
+seeds, and each seed is raised until it dies; the chains are the T-modules
+(J. T. Go, "The Terwilliger algebra of the hypercube", Europ. J. Combin. 23,
+2002).  A module's basis is the matrix whose columns are
 its chain vectors (`SubmoduleBasis.vectors`), and the V+/V- halves are
 matrices of W-coordinates.  Every basis vector lives in a single weight
 slice: the thinness witness, and the disjoint supports that let
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .acsa import ModuleActionTriple, ModuleType, ab_type, b_type, classify, restrict_triple
@@ -28,7 +33,7 @@ from .hypercube import (
     second_dual_adjacency,
     _spectral_images,
 )
-from .linalg import ExactMatrix, kernel_basis, rank
+from .linalg import ExactMatrix, has_full_column_rank, kernel_basis, rank
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -61,27 +66,29 @@ def _slice_vertices(ctx: CubeContext, w: int):
     return [y for y in ctx.vertices() if ctx.weight(y) == w]
 
 
-def _lowering_block(ctx: CubeContext, r: int) -> ExactMatrix:
-    """The lowering part of A from the weight-r slice to the slice below."""
-    rows = {y: idx for idx, y in enumerate(_slice_vertices(ctx, r - 1))}
-    cols = _slice_vertices(ctx, r)
-    one = gr(1)
-    entries = {}
-    for j, y in enumerate(cols):
-        for b in range(ctx.D):
-            z = y ^ (1 << b)
-            if ctx.weight(z) == r - 1:
-                entries[(rows[z], j)] = one
-    return ExactMatrix(len(rows), len(cols), entries)
+def _polytabloids(D: int, r: int):
+    """Yield e_t = prod_i (e_{b_i} - e_{a_i}) for the standard tableaux t of
+    shape (D-r, r), in lexicographic order of the second row b_1 < ... < b_r;
+    a_1 < ... < a_r are the r smallest other positions, and a_i < b_i.  The
+    product is the +-1 sum over c_i in {a_i, b_i} of the vertex with bits
+    {c_i}, negated once per c_i = a_i."""
+    for second in combinations(range(D), r):
+        first = [p for p in range(D) if p not in second][:r]
+        if all(a < b for a, b in zip(first, second)):
+            vec = {0: gr(1)}
+            for a, b in zip(first, second):
+                vec = {y | 1 << c: v if c == b else -v for y, v in vec.items() for c in (a, b)}
+            yield vec
 
 
-def _raise_vector(ctx: CubeContext, vec: dict, w: int) -> dict:
-    """Apply the raising map (weight w -> w+1) to a slice-supported vector."""
+def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
+    """The part of A v that lies in the weight-`to` slice, for v supported on
+    the slice next to it: raising if `to` is above, lowering if below."""
     out: dict = {}
     for y, v in vec.items():
         for b in range(ctx.D):
             z = y ^ (1 << b)
-            if ctx.weight(z) == w + 1:
+            if ctx.weight(z) == to:
                 cur = out.get(z)
                 out[z] = v if cur is None else cur + v
     return {z: v for z, v in out.items() if v}
@@ -89,21 +96,22 @@ def _raise_vector(ctx: CubeContext, vec: dict, w: int) -> dict:
 
 @lru_cache(maxsize=None)
 def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
-    """All irreducible T-modules, as raising chains seeded in ker(lowering)."""
+    """All irreducible T-modules, as raising chains on polytabloid seeds.
+
+    Lowering must kill each seed, exactly, and the seeds of one endpoint must
+    have distinct largest support vertices, which makes them triangular and
+    so independent; the seed counts, the chain lengths and the total
+    dimension are checked against the binomial census."""
     D = ctx.D
     modules: list[SubmoduleBasis] = []
     total_dim = 0
     for r in range(D // 2 + 1):
-        slice_r = _slice_vertices(ctx, r)
-        if r == 0:
-            seeds = [{0: gr(1)}]
-        else:
-            block = _lowering_block(ctx, r)
-            kern = kernel_basis(block)
-            seeds = []
-            for m in range(kern.ncols):
-                col = kern.column(m)
-                seeds.append({slice_r[row]: v for (row, _c), v in col.entries.items()})
+        seeds = list(_polytabloids(D, r))
+        for m, seed in enumerate(seeds):
+            if _move_vector(ctx, seed, r - 1):
+                raise AssertionError(f"seed r={r}#{m} of Q_{D} is not killed by lowering")
+        if len({max(seed) for seed in seeds}) != len(seeds):
+            raise AssertionError(f"endpoint {r} of Q_{D}: seeds share a largest vertex")
         expected_mult = comb(D, r) - (comb(D, r - 1) if r >= 1 else 0)
         if len(seeds) != expected_mult:
             raise AssertionError(
@@ -115,13 +123,13 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
             chain = [seed]
             current = seed
             for j in range(diameter):
-                current = _raise_vector(ctx, current, r + j)
+                current = _move_vector(ctx, current, r + j + 1)
                 if not current:
                     raise AssertionError(
                         f"chain r={r}#{m} of Q_{D} died early at step {j + 1}"
                     )
                 chain.append(current)
-            if _raise_vector(ctx, current, r + diameter):
+            if _move_vector(ctx, current, r + diameter + 1):
                 raise AssertionError(f"chain r={r}#{m} of Q_{D} failed to terminate")
             basis = ExactMatrix.from_columns(ctx.nvertices, chain)
             modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis))
@@ -154,7 +162,7 @@ def _check_slices(ctx: CubeContext, modules) -> None:
     for w in range(ctx.D + 1):
         cols = slices.get(w, [])
         rows = [[col.get(y, 0) for col in cols] for y in _slice_vertices(ctx, w)]
-        if len(cols) != comb(ctx.D, w) or rank(ExactMatrix.from_rows(rows)) != len(cols):
+        if len(cols) != comb(ctx.D, w) or not has_full_column_rank(ExactMatrix.from_rows(rows)):
             raise ValueError(f"D={ctx.D}: weight-{w} slice vectors are not a basis")
 
 

@@ -40,7 +40,7 @@ BUDGETS = {
     "skew-cube": 4.7,
     "idempotents-small": 3.0,
     "idempotents-full": 15.0,
-    "decomposition": 30.0,
+    "decomposition": 1.56,
     "families": 2.0,
     "leonard-even": 1.8,
     "leonard-quotient": 8.0,

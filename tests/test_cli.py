@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from cubetri.acsa import ab_type, build_canonical
 from cubetri import cli
 from cubetri.cli import main
@@ -139,10 +141,34 @@ def test_verify_all_suites_rejects_parity_before_running_any(capsys, monkeypatch
         raise AssertionError(f"suite {name} ran before the parity check")
 
     monkeypatch.setattr(cli, "run_suite", no_run)
-    for D, message in (("9", "leonard-even needs even D"), ("8", "leonard-quotient needs odd D")):
+    message = (
+        "--D without --suite runs every suite, but leonard-even needs even D and "
+        "leonard-quotient needs odd D; pick suites with --suite"
+    )
+    for D in ("9", "8"):
         assert main(["verify", "--D", D]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    for D, message in (("9", "leonard-even needs even D"), ("8", "leonard-quotient needs odd D")):
+        assert main(["verify", "--D", D, "--suite", "weights", "--suite", "leonard-even",
+                     "--suite", "leonard-quotient"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_usage_errors_are_one_line(capsys):
+    for argv, what in (
+        (["verify", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["verify", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        (["decompose", "--D", "seven"], "argument --D: invalid int value: 'seven'"),
+        (["nocommand"], "argument command: invalid choice: 'nocommand'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert captured.out == "" and captured.err.startswith(f"error: {what}"), argv
+        assert captured.err.count("\n") == 1, argv
 
 
 def test_verify_rejects_a_nonpositive_d_before_running_any_suite(capsys, monkeypatch):

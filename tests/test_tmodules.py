@@ -160,6 +160,76 @@ def test_h_by_class_rejects_a_class_action_that_is_not_sl2(monkeypatch):
         h_by_class.__wrapped__(ctx)
 
 
+def _lowering_oracle(ctx, r):
+    """The weight-r slice and the block of A from it to the weight-(r-1)
+    slice, read off the stored entries of `adjacency`."""
+    upper = [y for y in range(ctx.nvertices) if ctx.weight(y) == r]
+    lower = {y: i for i, y in enumerate(y for y in range(ctx.nvertices) if ctx.weight(y) == r - 1)}
+    cols = {y: j for j, y in enumerate(upper)}
+    entries = {
+        (lower[i], cols[j]): v for (i, j), v in adjacency(ctx).entries.items()
+        if i in lower and j in cols
+    }
+    return upper, ExactMatrix(len(lower), len(upper), entries)
+
+
+def test_seeds_span_the_kernel_of_lowering():
+    for D in range(4, 9):
+        ctx = cube(D)
+        mods = decompose(ctx)
+        for r in range(1, D // 2 + 1):
+            upper, block = _lowering_oracle(ctx, r)
+            kern = kernel_basis(block)
+            seeds = ExactMatrix(len(upper), comb(D, r) - comb(D, r - 1), {
+                (upper.index(y), k): v
+                for k, mod in enumerate(mod for mod in mods if mod.endpoint == r)
+                for (y, c), v in mod.vectors.entries.items() if c == 0
+            })
+            stacked = ExactMatrix(len(upper), kern.ncols + seeds.ncols, {
+                **kern.entries, **{(i, kern.ncols + k): v for (i, k), v in seeds.entries.items()}
+            })
+            assert rank(seeds) == rank(stacked) == kern.ncols, (D, r)
+
+
+def test_decompose_rejects_a_seed_with_one_flipped_sign(monkeypatch):
+    polytabloids = tmodules._polytabloids
+
+    def one_flipped(D, r):
+        for k, vec in enumerate(polytabloids(D, r)):
+            if (r, k) == (2, 1):
+                y = max(vec)
+                vec = {**vec, y: -vec[y]}
+            yield vec
+
+    monkeypatch.setattr(tmodules, "_polytabloids", one_flipped)
+    with pytest.raises(AssertionError, match="seed r=2#1 of Q_5 is not killed by lowering"):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_rejects_a_repeated_seed(monkeypatch):
+    polytabloids = tmodules._polytabloids
+
+    def repeated(D, r):
+        seeds = list(polytabloids(D, r))
+        return seeds[:1] + seeds[:-1] if r == 2 else seeds
+
+    monkeypatch.setattr(tmodules, "_polytabloids", repeated)
+    with pytest.raises(AssertionError, match="endpoint 2 of Q_5: seeds share a largest vertex"):
+        decompose.__wrapped__(cube(5))
+
+
+def test_span_check_falls_back_to_the_exact_rank_for_an_unlucky_prime(monkeypatch):
+    # the integer weight-slice determinants of Q_4 are 1, -4, 48, 4, 1, so
+    # the rank modulo 3 falls short on the weight-2 slice alone
+    ctx = cube(4)
+    exact_ranks = []
+    exact = linalg.rank
+    monkeypatch.setattr(linalg, "_PRIME", 3)
+    monkeypatch.setattr(linalg, "rank", lambda m: exact_ranks.append(m.ncols) or exact(m))
+    tmodules._check_slices(ctx, decompose(ctx))
+    assert exact_ranks == [6]
+
+
 def test_span_check_rejects_a_repeated_module():
     ctx = cube(4)
     mods = decompose(ctx)

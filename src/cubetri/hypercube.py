@@ -90,7 +90,6 @@ def eigenvalue(ctx: CubeContext, i: int) -> int:
     return ctx.D - 2 * i
 
 
-@lru_cache(maxsize=None)
 def primitive_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
     """E_i, with (y, z)-entry the base column of E_i at y XOR z."""
     _check_index(ctx, i)

@@ -63,18 +63,6 @@ class LeonardTripleCertificate:
             "type": str(self.classification) if self.classification else None,
         }
 
-    def comparison_key(self):
-        """Everything but the module id; equal keys mean isomorphic triples."""
-        return (
-            self.dimension,
-            tuple((k, tuple(v)) for k, v in sorted(self.orderings.items())),
-            self.shapes,
-            self.bannai_ito,
-            self.nu,
-            self.traces,
-            self.verdict,
-        )
-
 
 def eigenstructure(m: ExactMatrix, bound: int):
     """All (integer eigenvalue, eigenvector) pairs, multiplicity-free.
@@ -246,14 +234,6 @@ def _certify(a: ExactMatrix, a_star: ExactMatrix, a_eps: ExactMatrix) -> Leonard
         verdict=verdict,
         classification=classification,
     )
-
-
-def classify_certificate(cert: LeonardTripleCertificate) -> str:
-    """Recompute the normalization verdict from a certificate's recorded facts."""
-    verdict, _classification = _verdict(
-        cert.diameter, cert.shapes, cert.bannai_ito, cert.nu, cert.traces
-    )
-    return verdict
 
 
 def _verdict(d: int, shapes, bannai: bool, nu, traces):

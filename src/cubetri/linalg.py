@@ -16,9 +16,6 @@ which reads the unique X with S X = B off the reduced form of [S | B] and
 proves, from where its pivots fall, that S has full column rank and that
 every column of B lies in span S.  A change of basis to the columns of P
 is `restrict(M, P)` = P^-1 M P, so P^-1 is never formed.
-`has_full_column_rank` runs the same reducer over GF(2^61 - 1) on the
-integer-scaled matrix: full rank there certifies full rank over Q.  A short
-rank modulo the prime, or an imaginary entry, falls back to the exact `rank`.
 """
 from __future__ import annotations
 
@@ -247,20 +244,15 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def _scaled_int_parts(m: ExactMatrix):
-    """(den, re_rows, im_rows) with m = (re + i*im)/den, integer dense rows."""
+    """(den, rows) with m = rows/den, where rows is dense and each entry an
+    integer (re, im) pair."""
     den = 1
     for v in m.entries.values():
         den = lcm(den, v.re.denominator, v.im.denominator)
-    re_rows = [[0] * m.ncols for _ in range(m.nrows)]
-    im_rows = None
+    rows = [[(0, 0)] * m.ncols for _ in range(m.nrows)]
     for (r, c), v in m.entries.items():
-        if v.re:
-            re_rows[r][c] = v.re.numerator * (den // v.re.denominator)
-        if v.im:
-            if im_rows is None:
-                im_rows = [[0] * m.ncols for _ in range(m.nrows)]
-            im_rows[r][c] = v.im.numerator * (den // v.im.denominator)
-    return den, re_rows, im_rows
+        rows[r][c] = (int(v.re * den), int(v.im * den))
+    return den, rows
 
 
 # -- elimination: echelon form, rank, kernels ----------------------------------
@@ -311,46 +303,6 @@ def rank(m: ExactMatrix) -> int:
     return len(_echelon(rows, m.ncols, reduce_up=False))
 
 
-# A Mersenne prime: the ring map Z -> GF(_PRIME) certifies full rank over Q.
-_PRIME = (1 << 61) - 1
-
-
-class _ModP:
-    """An element of GF(_PRIME), with the four operations `_echelon` uses."""
-
-    __slots__ = ("v",)
-
-    def __init__(self, v: int):
-        self.v = v % _PRIME
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __mul__(self, other: "_ModP") -> "_ModP":
-        return _ModP(self.v * other.v)
-
-    def __sub__(self, other: "_ModP") -> "_ModP":
-        return _ModP(self.v - other.v)
-
-    def inverse(self) -> "_ModP":
-        return _ModP(pow(self.v, -1, _PRIME))
-
-
-def has_full_column_rank(m: ExactMatrix) -> bool:
-    """rank(m) == m.ncols, certified modulo a prime when it can be.
-
-    With m = re/den for an integer matrix re, a nonzero maximal minor of re
-    modulo _PRIME is a nonzero integer, so full rank over GF(_PRIME) proves
-    full rank over Q.  If the rank modulo _PRIME falls short (an unlucky
-    prime), or m has an imaginary part, the exact `rank` decides."""
-    _den, re_rows, im_rows = _scaled_int_parts(m)
-    if im_rows is None:
-        rows = [[_ModP(x) for x in row] for row in re_rows]
-        if len(_echelon(rows, m.ncols, reduce_up=False)) == m.ncols:
-            return True
-    return rank(m) == m.ncols
-
-
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Basis of the right null space as columns, reduced and normalized;
     m.ncols x 0 if m is injective."""
@@ -380,12 +332,8 @@ def _char_poly(m: ExactMatrix):
     det(t*I - A) = sum_i p_i t^(k-i), the next leading block has
     det = (t - a) det(t*I - A) - sum_{j<k} t^(k-1-j) sum_{i<=j} p_i r A^(j-i) c.
     """
-    d, re_rows, im_rows = _scaled_int_parts(m)
+    d, a = _scaled_int_parts(m)
     n, zero = m.nrows, (0, 0)
-    a = [
-        [(x, im_rows[r][c] if im_rows else 0) for c, x in enumerate(row)]
-        for r, row in enumerate(re_rows)
-    ]
     poly = [(1, 0)]
     for k in range(n):
         vec, moments = [a[r][k] for r in range(k)], []

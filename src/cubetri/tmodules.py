@@ -7,9 +7,10 @@ standard polytabloids are a basis in closed form (G. D. James, The
 Representation Theory of the Symmetric Groups, LNM 682, 1978).  They are the
 seeds, and each seed is raised until it dies; the chains are the T-modules
 (J. T. Go, "The Terwilliger algebra of the hypercube", Europ. J. Combin. 23,
-2002).  A module's basis is the matrix whose columns are
-its chain vectors (`SubmoduleBasis.vectors`), and the V+/V- halves are
-matrices of W-coordinates.  Every basis vector lives in a single weight
+2002).  `decompose` proves that the chains are a basis of V from one sl2
+identity of raising and lowering, with no rank taken.  A module's basis is
+the matrix whose columns are its chain vectors (`SubmoduleBasis.vectors`),
+and the V+/V- halves are matrices of W-coordinates.  Every basis vector lives in a single weight
 slice: the thinness witness, and the disjoint supports that let
 `_module_action` read each action off one row per basis vector and prove it
 by one exact product, with no elimination on V.
@@ -33,7 +34,7 @@ from .hypercube import (
     second_dual_adjacency,
     _spectral_images,
 )
-from .linalg import ExactMatrix, has_full_column_rank, kernel_basis, rank
+from .linalg import ExactMatrix, kernel_basis, rank
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -60,10 +61,6 @@ class SubmoduleBasis:
 
     def slice_labels(self):
         return [self.endpoint + j for j in range(self.vectors.ncols)]
-
-
-def _slice_vertices(ctx: CubeContext, w: int):
-    return [y for y in ctx.vertices() if ctx.weight(y) == w]
 
 
 def _polytabloids(D: int, r: int):
@@ -94,15 +91,49 @@ def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
     return {z: v for z, v in out.items() if v}
 
 
+def _check_commutator(ctx: CubeContext) -> None:
+    """LR - RL = (D - 2w) I on the weight-w slice, for R and L the raising
+    and lowering parts of A that `_move_vector` computes, checked exactly on
+    each vertex e_y."""
+    D = ctx.D
+    for y in ctx.vertices():
+        w = ctx.weight(y)
+        diff = _move_vector(ctx, _move_vector(ctx, {y: 1}, w + 1), w)
+        diff[y] = diff.get(y, 0) - (D - 2 * w)
+        for z, v in _move_vector(ctx, _move_vector(ctx, {y: 1}, w - 1), w).items():
+            diff[z] = diff.get(z, 0) - v
+        if any(diff.values()):
+            raise AssertionError(f"Q_{D}: LR - RL != (D - 2w) I at vertex {y} of weight {w}")
+
+
 @lru_cache(maxsize=None)
 def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
-    """All irreducible T-modules, as raising chains on polytabloid seeds.
+    """All irreducible T-modules, as raising chains on polytabloid seeds,
+    proved to be a basis of V.
 
-    Lowering must kill each seed, exactly, and the seeds of one endpoint must
-    have distinct largest support vertices, which makes them triangular and
-    so independent; the seed counts, the chain lengths and the total
-    dimension are checked against the binomial census."""
+    Let R and L be the raising and lowering parts of A (`_move_vector`);
+    each seed and each chain vector lies in one weight slice by
+    construction.  `_check_commutator` checks LR - RL = (D - 2w) I on every
+    weight-w vertex.  Then, for each endpoint r, lowering must kill each
+    seed, the seeds must have distinct largest vertices, which makes them
+    triangular and so independent, and there must be C(D, r) - C(D, r - 1)
+    of them.  Together these prove that the chains are a basis of V:
+
+    - Chains are sl2 strings.  Let u be a seed.  By induction on k,
+      L R^k u = k(D - 2r - k + 1) R^(k-1) u.  So L^k R^k is a nonzero
+      scalar on the seeds for k <= D - 2r, and R^(w-r) is injective on
+      them.
+    - Different endpoints are independent.  RL acts on R^(w-r) u as
+      (w - r)(D - r - w + 1).  For a fixed w this value strictly decreases
+      in r, so the pieces of the weight-w slice with different r are
+      eigenspaces of RL for distinct eigenvalues, hence independent.
+    - The counts fill each slice.  Over r <= min(w, D - w) the counts
+      telescope to C(D, w), the size of the weight-w slice, and the slices
+      partition the vertices.
+
+    The chain lengths and the total dimension are checked as well."""
     D = ctx.D
+    _check_commutator(ctx)
     modules: list[SubmoduleBasis] = []
     total_dim = 0
     for r in range(D // 2 + 1):
@@ -142,31 +173,6 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
 
 
 @lru_cache(maxsize=None)
-def check_span(ctx: CubeContext) -> None:
-    """Prove that the modules of `decompose(ctx)` together span V."""
-    _check_slices(ctx, decompose(ctx))
-
-
-def _check_slices(ctx: CubeContext, modules) -> None:
-    """Each vector of a module lies in the weight slice its label names, and
-    for each w = 0..D the C(D, w) vectors labelled w have full rank on that
-    slice's rows.  The slices partition the vertices, so the vectors are
-    independent and span V; anything else raises ValueError."""
-    slices: dict = {}
-    for m in modules:
-        for j, label in enumerate(m.slice_labels()):
-            col = m.vectors.column(j)
-            if {ctx.weight(r) for (r, _c) in col.entries} != {label}:
-                raise ValueError(f"D={ctx.D} {m.module_id}: vector {j} leaves its weight slice")
-            slices.setdefault(label, []).append(col)
-    for w in range(ctx.D + 1):
-        cols = slices.get(w, [])
-        rows = [[col.get(y, 0) for col in cols] for y in _slice_vertices(ctx, w)]
-        if len(cols) != comb(ctx.D, w) or not has_full_column_rank(ExactMatrix.from_rows(rows)):
-            raise ValueError(f"D={ctx.D}: weight-{w} slice vectors are not a basis")
-
-
-@lru_cache(maxsize=None)
 def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
     """h_W for the classes r = 0..D//2, once Go's brackets, the skew relations
     of s = `s_diagonal(ctx)` and s = h k are proved on V.
@@ -174,8 +180,7 @@ def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
     `_module_action` proves each T-module W invariant under X = A, Y = A*
     and s, so W is invariant under Z = (XY - YX)/(2i) and h too.
     `_skew_class` proves the identities on W, once per class, and
-    `check_span` proves the modules span V."""
-    check_span(ctx)
+    `decompose` proves that the modules are a basis of V."""
     builders = (adjacency, dual_adjacency, s_diagonal)
     by_class = {w.endpoint: _module_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
     return tuple(by_class.values())

@@ -37,10 +37,10 @@ from cubetri.tmodules import (
 BUDGETS = {
     "relations": 60.0,
     "skew": 2.5,
-    "skew-cube": 4.7,
+    "skew-cube": 2.34,
     "idempotents-small": 3.0,
     "idempotents-full": 15.0,
-    "decomposition": 1.56,
+    "decomposition": 1.51,
     "families": 2.0,
     "leonard-even": 1.8,
     "leonard-quotient": 8.0,

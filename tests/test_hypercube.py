@@ -79,9 +79,8 @@ def test_idempotent_sign_relation():
     # entries of E_{D-i} are (-1)^distance times those of E_i
     D = 4
     ctx = cube(D)
-    for i in range(D + 1):
-        ei = primitive_idempotent(ctx, i)
-        edi = primitive_idempotent(ctx, D - i)
+    es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
+    for ei, edi in zip(es, reversed(es)):
         twisted = ExactMatrix(
             ctx.nvertices,
             ctx.nvertices,

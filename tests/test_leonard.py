@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,6 @@ from cubetri.hypercube import cube
 from cubetri.leonard import (
     bannai_ito_check,
     certify_triple,
-    classify_certificate,
     eigenstructure,
     nu_scalars,
     standard_ordering,
@@ -167,7 +167,7 @@ def test_certificates_stable_under_diagonal_conjugation():
         cert = certify_triple(
             d @ t.x_mat @ dinv, d @ t.y_mat @ dinv, d @ t.z_mat @ dinv
         )
-        assert cert.comparison_key() == base.comparison_key()
+        assert replace(cert, module_id="") == replace(base, module_id="")
 
 
 def test_same_diameter_modules_give_equal_certificates():
@@ -177,22 +177,15 @@ def test_same_diameter_modules_give_equal_certificates():
     from cubetri.linalg import restrict
 
     triple = positive_structure(ctx)
-    keys = {}
+    certs = {}
     for m in decompose(ctx):
         if m.diameter < 3:
             continue
         mats = [restrict(g, m.vectors) for g in triple.matrices()]
         cert = certify_triple(*mats, module_id=m.module_id)
-        keys.setdefault(m.diameter, set()).add(cert.comparison_key())
-    for d, key_set in keys.items():
-        assert len(key_set) == 1, f"diameter {d} certificates differ"
-
-
-def test_classify_certificate_matches_stored_verdict():
-    for t in (b_type(4), ab_type(3, "y"), ab_type(2, "x")):
-        triple = build_canonical(t)
-        cert = certify_triple(triple.x_mat, triple.y_mat, triple.z_mat)
-        assert classify_certificate(cert) == cert.verdict
+        certs.setdefault(m.diameter, []).append(replace(cert, module_id=""))
+    for d, same in certs.items():
+        assert all(c == same[0] for c in same), f"diameter {d} certificates differ"
 
 
 def test_certificate_json_schema():

@@ -11,7 +11,6 @@ from cubetri.linalg import (
     ExactMatrix,
     exp_nilpotent,
     format_matrix,
-    has_full_column_rank,
     integer_eigenspaces,
     invert,
     kernel_basis,
@@ -560,44 +559,3 @@ def test_rank_and_kernel_match_sympy():
             # the two bases span one space: stacking them adds no rank
             both = sympy.Matrix.hstack(*null, _sympy_matrix(sympy, k))
             assert both.rank() == len(null), m
-
-
-# -- has_full_column_rank: a certificate modulo a prime, with an exact fallback --
-
-
-@st.composite
-def _tall_rational_matrices(draw):
-    """Real m x n matrices with m >= n and small entries: mostly of full
-    column rank over Q, and often not modulo 2 or 3."""
-    n = draw(st.integers(0, 4))
-    m = draw(st.integers(n, 6))
-    entries = st.fractions(min_value=-4, max_value=4, max_denominator=3)
-    return ExactMatrix.from_rows([[draw(entries) for _c in range(n)] for _r in range(m)])
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.one_of(_low_rank_matrices(), _tall_rational_matrices()),
-    st.sampled_from([2, 3, 5, (1 << 61) - 1]),
-)
-def test_full_column_rank_is_exact_for_every_prime(m, prime):
-    # an unlucky prime falls back to the exact rank, so the verdict never changes
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "_PRIME", prime)
-        assert has_full_column_rank(m) == (rank(m) == m.ncols)
-
-
-def test_full_column_rank_of_a_gaussian_matrix_is_taken_exactly(monkeypatch):
-    def no_prime_field(_value):
-        raise AssertionError("an imaginary part reached the prime field")
-
-    exact = linalg.rank
-    ranks = []
-    monkeypatch.setattr(linalg, "_ModP", no_prime_field)
-    monkeypatch.setattr(linalg, "rank", lambda m: ranks.append(m) or exact(m))
-    # [[1, i], [i, -1]] has rank 1 over Q(i), while its real part is regular
-    singular = ExactMatrix.from_rows([[1, gr(0, 1)], [gr(0, 1), -1]])
-    regular = ExactMatrix.from_rows([[1, gr(0, 1)], [0, 1]])
-    assert not has_full_column_rank(singular)
-    assert has_full_column_rank(regular)
-    assert ranks == [singular, regular]

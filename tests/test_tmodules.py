@@ -73,8 +73,9 @@ def test_thinness_by_construction():
 
 
 def test_direct_sum_per_slice():
-    # vectors meeting one weight slice, collected across modules, stay independent
-    for D in (4, 5, 6):
+    # vectors meeting one weight slice, collected across modules, stay
+    # independent: the exact-rank oracle for the proof in `decompose`
+    for D in range(1, 8):
         ctx = cube(D)
         slices: dict[int, list] = {}
         for m in decompose(ctx):
@@ -218,27 +219,21 @@ def test_decompose_rejects_a_repeated_seed(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_span_check_falls_back_to_the_exact_rank_for_an_unlucky_prime(monkeypatch):
-    # the integer weight-slice determinants of Q_4 are 1, -4, 48, 4, 1, so
-    # the rank modulo 3 falls short on the weight-2 slice alone
-    ctx = cube(4)
-    exact_ranks = []
-    exact = linalg.rank
-    monkeypatch.setattr(linalg, "_PRIME", 3)
-    monkeypatch.setattr(linalg, "rank", lambda m: exact_ranks.append(m.ncols) or exact(m))
-    tmodules._check_slices(ctx, decompose(ctx))
-    assert exact_ranks == [6]
+def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch):
+    # with the edge {0, 1} gone, LR e_0 = (D - 1) e_0 while D e_0 is required
+    move = tmodules._move_vector
 
+    def without_edge(ctx, vec, to):
+        out = move(ctx, vec, to)
+        for y, z in ((0, 1), (1, 0)):
+            if y in vec and ctx.weight(z) == to:
+                out[z] = out.get(z, 0) - vec[y]
+        return {z: v for z, v in out.items() if v}
 
-def test_span_check_rejects_a_repeated_module():
-    ctx = cube(4)
-    mods = decompose(ctx)
-    tmodules._check_slices(ctx, mods)
-    assert [m.module_id for m in mods[-2:]] == ["r2#0", "r2#1"]
-    with pytest.raises(ValueError, match="D=4: weight-2 slice vectors are not a basis"):
-        tmodules._check_slices(ctx, mods[:-1] + mods[-2:-1])
-    with pytest.raises(ValueError, match="weight-0 slice vectors are not a basis"):
-        tmodules._check_slices(ctx, mods[1:2] + mods[1:])
+    monkeypatch.setattr(tmodules, "_move_vector", without_edge)
+    want = r"Q_4: LR - RL != \(D - 2w\) I at vertex 0 of weight 0"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(4))
 
 
 def test_dual_profile_windows():
@@ -264,8 +259,9 @@ def test_dual_profile_matches_dense_idempotents():
     # rank(E_i S) with the dense E_i is the definition of dim E_i W
     for D in range(1, 7):
         ctx = cube(D)
+        es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
         for m in decompose(ctx):
-            want = [rank(primitive_idempotent(ctx, i) @ m.vectors) for i in range(D + 1)]
+            want = [rank(e @ m.vectors) for e in es]
             assert dual_profile(ctx, m) == want, (D, m.module_id)
 
 
@@ -385,8 +381,9 @@ def test_module_action_solves_scaled_and_rejects_overlapping_bases():
 
 
 def test_module_actions_never_eliminate_on_v(monkeypatch):
-    # each action is read off the disjoint-support basis and proved by
-    # products; the only eliminations left are on (d+1)-dimensional matrices
+    # the decomposition eliminates nothing, and each action is read off the
+    # disjoint-support basis and proved by products; the only eliminations
+    # left are on (d+1)-dimensional matrices
     D = 7
     ctx, q = cube(D), quotient(D)
     modules = decompose(ctx)
@@ -399,6 +396,7 @@ def test_module_actions_never_eliminate_on_v(monkeypatch):
         return echelon(rows, *args, **kwargs)
 
     monkeypatch.setattr(linalg, "_echelon", counted)
+    assert decompose.__wrapped__(ctx) == modules and not sizes
     tmodules._derived.cache_clear()
     for m in modules:
         module_structure.__wrapped__(ctx, m)

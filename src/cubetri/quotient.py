@@ -134,35 +134,3 @@ def quotient_acsa_structure(q: QuotientContext) -> ModuleActionTriple:
 def quotient_weighted_adjacency(q: QuotientContext) -> ExactMatrix:
     return quotient_acsa_structure(q).z_mat
 
-
-def intersection_numbers(q: QuotientContext):
-    """Brute-force (c_i, a_i, b_i) for i = 0..calD, plus the k_i sphere sizes."""
-    cal_d = q.cal_d
-    spheres = {}
-    for u in q.classes():
-        spheres.setdefault(q.class_weight(u), []).append(u)
-    adj = quotient_adjacency(q)
-    numbers = []
-    k_sizes = [len(spheres.get(i, [])) for i in range(cal_d + 1)]
-    for i in range(cal_d + 1):
-        ci = ai = bi = None
-        for u in spheres.get(i, []):
-            c = a = b = 0
-            for v in q.classes():
-                if adj.get(u, v):
-                    w = q.class_weight(v)
-                    if w == i - 1:
-                        c += 1
-                    elif w == i:
-                        a += 1
-                    elif w == i + 1:
-                        b += 1
-                    else:
-                        raise AssertionError("neighbor at non-adjacent distance")
-            trio = (c, a, b)
-            if ci is None:
-                ci, ai, bi = trio
-            elif (ci, ai, bi) != trio:
-                raise AssertionError(f"quotient of Q_{q.D} is not distance-regular at i={i}")
-        numbers.append((ci, ai, bi))
-    return numbers, k_sizes

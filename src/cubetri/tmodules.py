@@ -14,6 +14,10 @@ and the V+/V- halves are matrices of W-coordinates.  Every basis vector lives in
 slice: the thinness witness, and the disjoint supports that let
 `_module_action` read each action off one row per basis vector and prove it
 by one exact product, with no elimination on V.
+
+That product runs once per class (D, r), on r{r}#0 (on Q~_D, psi(W+)); every
+other module is its relabelling by a permutation of bit positions, with which
+every acting matrix is checked to commute (`_module_action`).
 """
 from __future__ import annotations
 
@@ -45,11 +49,14 @@ class SubmoduleBasis:
 
     Basis vector j, column j of `vectors`, is supported on the
     weight-(endpoint+j) slice, so the columns have disjoint supports.
+    `tableau` is the second row of the standard tableau of its seed, or None
+    for a basis built otherwise.
     """
 
     module_id: str
     endpoint: int
     vectors: ExactMatrix
+    tableau: tuple[int, ...] | None = None
 
     @property
     def diameter(self) -> int:
@@ -163,7 +170,8 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
             if _move_vector(ctx, current, r + diameter + 1):
                 raise AssertionError(f"chain r={r}#{m} of Q_{D} failed to terminate")
             basis = ExactMatrix.from_columns(ctx.nvertices, chain)
-            modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis))
+            tableau = tuple(p for p in range(D) if max(seed) >> p & 1)  # bits {b_i}
+            modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis, tableau))
             total_dim += diameter + 1
     if total_dim != ctx.nvertices:
         raise AssertionError(
@@ -234,29 +242,58 @@ REFERENCE_PLUS_TABLE = {(0, 0): "0", (0, 1): "z", (1, 0): "x", (1, 1): "y"}
 REFERENCE_MINUS_TABLE = {(0, 0): "y", (0, 1): "x", (1, 0): "z", (1, 1): "0"}
 
 
-def _classify_against(sub: ModuleActionTriple, want: ModuleType, what: str) -> ModuleType:
-    found = classify(sub)
+@lru_cache(maxsize=None)
+def _typed(sub: ModuleActionTriple, basis: ExactMatrix | None = None) -> ModuleType:
+    """classify(sub restricted to basis), memoized on value: once per class."""
+    return classify(sub if basis is None else restrict_triple(sub, basis))
+
+
+def _classify_against(sub, want: ModuleType, what: str, basis=None) -> ModuleType:
+    found = _typed(sub, basis)
     if found != want:
         raise AssertionError(f"{what}: classified {found}, table predicts {want}")
     return found
 
 
-@lru_cache(maxsize=None)
-def _derived(space, derive, mats: tuple):
-    return derive(space, *mats)
-
-
 def _module_action(space, w: SubmoduleBasis, builders, derive):
     """derive(space, *M_W) for the matrices M = build(space) on span(w.vectors),
-    in its coordinates.
+    in its coordinates.  A basis with no tableau is proved by `_product_proof`.
+    Otherwise w gets the value of its class representative (`_derived`), for
+    sigma the bit permutation that takes rep's tableau, read row by row, to
+    w's: S_t = w.vectors must be P_sigma S_rep entry for entry (ValueError
+    otherwise), and M P_sigma = P_sigma M (`_check_symmetric`), so
+    M S_t = P_sigma M S_rep = P_sigma S_rep M_rep = S_t M_rep."""
+    if w.tableau is None:
+        return derive(space, *_product_proof(space, w, builders))
+    rep, value = _derived(space, w.endpoint, builders, derive)
+    for build in builders:
+        _check_symmetric(space, build)
+    words = (sorted(range(space.D), key=m.tableau.__contains__) for m in (rep, w))
+    sigma, s = _relabelling(space, dict(zip(*words))), rep.vectors
+    image = {(sigma[y], c): v for (y, c), v in s.entries.items()}
+    if w.vectors != ExactMatrix._make(s.nrows, s.ncols, image):
+        raise ValueError(f"module {w.module_id} is not the relabelling of {rep.module_id}")
+    return value
+
+
+@lru_cache(maxsize=None)
+def _derived(space, endpoint: int, builders, derive):
+    """The representative r{endpoint}#0 (on Q~_D, psi(W+)) and derive of its `_product_proof`."""
+    quotient = isinstance(space, QuotientContext)
+    rep = next(w for w in decompose(space.parent if quotient else space) if w.endpoint == endpoint)
+    if quotient:
+        rep = _quotient_image(space, psi_matrix(space), rep)
+    return rep, derive(space, *_product_proof(space, rep, builders))
+
+
+def _product_proof(space, w: SubmoduleBasis, builders) -> tuple[ExactMatrix, ...]:
+    """The M_W for M = build(space), proved by products on V.
 
     The columns of S = w.vectors must be nonzero with pairwise disjoint
     supports, which proves that S has full column rank.  With p_i the first
     row of column i, (S X)[p_i, j] = S[p_i, i] X[i, j] for every X, so the
     only candidate is M_W[i, j] = (M S)[p_i, j] / S[p_i, i], and M S == S M_W
-    is checked exactly.  Anything else raises ValueError.  derive is
-    memoized on the value of the M_W, so the modules of a class (D, r), which
-    share one action in their normalized chain bases, share one derivation."""
+    is checked exactly.  Anything else raises ValueError."""
     s = w.vectors
     owner: dict = {}
     first: dict = {}
@@ -279,7 +316,31 @@ def _module_action(space, w: SubmoduleBasis, builders, derive):
             j = min(c for _row, c in (image - want).entries)
             raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
         mats.append(m_w)
-    return _derived(space, derive, tuple(mats))
+    return tuple(mats)
+
+
+def _relabelling(space, positions) -> list[int]:
+    """The coordinates of P_sigma for sigma(p) = positions[p] on bit positions:
+    y -> sigma(y) on Q_D, and class u -> class_of(sigma(u)) on Q~_D."""
+    quotient = isinstance(space, QuotientContext)
+    table = [0]
+    for p in range(space.D - quotient):  # class indices are the vertices below 2^(D-1)
+        table += [y | 1 << positions[p] for y in table]
+    return [space.class_of(y) for y in table] if quotient else table
+
+
+@lru_cache(maxsize=None)
+def _check_symmetric(space, build) -> None:
+    """M P_tau == P_tau M, i.e. M[tau(y), tau(z)] = M[y, z], for M = build(space)
+    and each adjacent transposition tau of bit positions."""
+    m = build(space)
+    for j in range(space.D - 1):
+        tau = _relabelling(space, [*range(j), j + 1, j, *range(j + 2, space.D)])
+        what = f"{build.__name__} at D={space.D}, transposition ({j} {j + 1})"
+        if len(set(tau)) != len(tau):
+            raise AssertionError(f"{what}: the relabelling is not a bijection")
+        if {(tau[y], tau[z]): v for (y, z), v in m.entries.items()} != m.entries:
+            raise AssertionError(f"{what}: the builder does not commute with it")
 
 
 def _antipodal_map(ctx: CubeContext) -> ExactMatrix:
@@ -340,7 +401,7 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
     ):
         want = ab_type(cal_d - w.endpoint, table[cal_d % 2])
         what = f"Q_{ctx.D} module {w.module_id} ({label} half)"
-        out.append((basis, _classify_against(restrict_triple(sub, basis), want, what)))
+        out.append((basis, _classify_against(sub, want, what, basis)))
     return out
 
 
@@ -363,7 +424,8 @@ def _quotient_image(q: QuotientContext, psi: ExactMatrix, w: SubmoduleBasis) -> 
     img = psi @ w.vectors @ plus
     cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
     cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
-    return SubmoduleBasis(w.module_id, w.endpoint, ExactMatrix.from_columns(q.nclasses, cols))
+    basis = ExactMatrix.from_columns(q.nclasses, cols)
+    return SubmoduleBasis(w.module_id, w.endpoint, basis, w.tableau)
 
 
 def module_summary(ctx: CubeContext, w: SubmoduleBasis, typed) -> dict:

@@ -6,7 +6,6 @@ from cubetri.exactnum import gr
 from cubetri.hypercube import adjacency, second_dual_adjacency, weighted_adjacency
 from cubetri.linalg import ExactMatrix, kernel_basis, rank
 from cubetri.quotient import (
-    intersection_numbers,
     psi_matrix,
     quotient,
     quotient_acsa_structure,
@@ -15,6 +14,40 @@ from cubetri.quotient import (
     quotient_weighted_adjacency,
     section_matrix,
 )
+
+
+def intersection_numbers(q):
+    """Brute-force (c_i, a_i, b_i) for i = 0..calD, plus the k_i sphere
+    sizes: the tests' oracle for the distance-regularity of Q~_D."""
+    cal_d = q.cal_d
+    spheres = {}
+    for u in q.classes():
+        spheres.setdefault(q.class_weight(u), []).append(u)
+    adj = quotient_adjacency(q)
+    numbers = []
+    k_sizes = [len(spheres.get(i, [])) for i in range(cal_d + 1)]
+    for i in range(cal_d + 1):
+        ci = ai = bi = None
+        for u in spheres.get(i, []):
+            c = a = b = 0
+            for v in q.classes():
+                if adj.get(u, v):
+                    w = q.class_weight(v)
+                    if w == i - 1:
+                        c += 1
+                    elif w == i:
+                        a += 1
+                    elif w == i + 1:
+                        b += 1
+                    else:
+                        raise AssertionError("neighbor at non-adjacent distance")
+            trio = (c, a, b)
+            if ci is None:
+                ci, ai, bi = trio
+            elif (ci, ai, bi) != trio:
+                raise AssertionError(f"quotient of Q_{q.D} is not distance-regular at i={i}")
+        numbers.append((ci, ai, bi))
+    return numbers, k_sizes
 
 
 def test_requires_odd_diameter():

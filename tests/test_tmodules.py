@@ -407,6 +407,82 @@ def test_module_actions_never_eliminate_on_v(monkeypatch):
     assert sizes and max(sizes) <= D + 1
 
 
+def _with_entry(m, key, value):
+    """m with one stored basis entry replaced, its tableau kept."""
+    vectors = ExactMatrix(m.vectors.nrows, m.vectors.ncols, {**m.vectors.entries, key: value})
+    return replace(m, vectors=vectors)
+
+
+def test_relabelled_modules_reject_a_changed_basis_entry():
+    # a basis that keeps its tableau must be the relabelled representative,
+    # or it would be answered with the representative's action; a rescaled
+    # column is still invariant, so only the relabelling check rejects it
+    ctx = cube(5)
+    rep, other = [m for m in decompose(ctx) if m.endpoint == 1][:3:2]
+    assert (rep.module_id, other.module_id) == ("r1#0", "r1#2")
+    for m in (rep, other):
+        key = max(m.vectors.entries)
+        want = f"module {m.module_id} is not the relabelling of r1#0"
+        cols = [m.vectors.column(j) for j in range(m.dimension)]
+        rescaled = replace(_rebased(m, [cols[0], cols[1] * 3, *cols[2:]]), tableau=m.tableau)
+        for changed in (_with_entry(m, key, m.vectors.entries[key] * 2), rescaled):
+            for check in (module_structure.__wrapped__, antipodal_split.__wrapped__, dual_profile):
+                with pytest.raises(ValueError, match=want):
+                    check(ctx, changed)
+    q = quotient(5)
+    sb = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][2]
+    key = max(sb.vectors.entries)
+    with pytest.raises(ValueError, match="module r1#2 is not the relabelling of r1#0"):
+        quotient_structure.__wrapped__(q, _with_entry(sb, key, -sb.vectors.entries[key]))
+
+
+def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch):
+    # the endpoint-2 modules of Q_5 live on weights 2 and 3, so the
+    # representative's products never meet the edge {0, 1}; only the
+    # transposition check sees that A lost its symmetry
+    def without_edge(ctx):
+        a = adjacency(ctx)
+        return ExactMatrix(a.nrows, a.ncols, {
+            key: v for key, v in a.entries.items() if key not in ((0, 1), (1, 0))
+        })
+
+    monkeypatch.setattr(tmodules, "adjacency", without_edge)
+    ctx = cube(5)
+    rep, other = [m for m in decompose(ctx) if m.endpoint == 2][:2]
+    proof = tmodules._product_proof
+    assert proof(ctx, rep, (without_edge,)) == proof(ctx, rep, (adjacency,))
+    want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
+    with pytest.raises(AssertionError, match=want):
+        dual_profile(ctx, other)
+
+
+@pytest.mark.parametrize("D", [7, 8])
+def test_product_proof_runs_once_per_class(monkeypatch, D):
+    ctx = cube(D)
+    modules = decompose(ctx)
+    q = quotient(D) if D % 2 else None
+    images = [sb for sb, _t in quotient_modules(q)] if q else []
+    proved = []
+    product_proof = tmodules._product_proof
+
+    def counted(space, w, builders):
+        proved.append((space, w.endpoint, builders))
+        return product_proof(space, w, builders)
+
+    monkeypatch.setattr(tmodules, "_product_proof", counted)
+    tmodules._derived.cache_clear()
+    for m in modules:
+        module_structure.__wrapped__(ctx, m)
+        antipodal_split.__wrapped__(ctx, m)
+        dual_profile(ctx, m)
+    h_by_class.__wrapped__(ctx)
+    for sb in images:
+        quotient_structure.__wrapped__(q, sb)
+    classes = D // 2 + 1
+    assert len(proved) == len(set(proved)) == classes * (5 if q else 4)
+    assert {w.endpoint for w in modules} == set(range(classes))
+
+
 def test_dual_profile_derives_once_per_class(monkeypatch):
     ctx = cube(7)
     calls = []

@@ -1,26 +1,51 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-Every matrix entry in this package is a GaussianRational.  Values are
-immutable, canonical (lowest terms, positive denominators, courtesy of
-fractions.Fraction) and compare by exact structural equality.
+Every matrix entry in this package is a GaussianRational.  A value is one
+integer triple (a, b, d), meaning (a + b*i)/d, kept canonical: d > 0,
+gcd(a, b, d) = 1, and zero is (0, 0, 1).  Values are immutable and compare
+by exact structural equality of their triples.  Each field operation costs
+a few integer operations and at most one gcd; the exact rational parts are
+Fractions formed on demand, for the text form and square roots.
 """
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 
 class GaussianRational:
-    """An element re + im*i of Q(i), with exact rational parts."""
+    """An element (a + b*i)/d of Q(i), stored as its canonical `triple`
+    (a, b, d); `re` = a/d and `im` = b/d are its exact rational parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("triple",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
+        if type(re) is int and type(im) is int:
+            triple = (re, im, 1)
+        else:
+            # both parts in lowest terms over the lcm d of their
+            # denominators; a prime power p^k exactly dividing d divides
+            # the denominator q of one part, so p divides neither d/q nor
+            # that part's numerator, and gcd(a, b, d) = 1 already
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            triple = (a, im.numerator * (d // im.denominator), d)
+        object.__setattr__(self, "triple", triple)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self) -> Fraction:
+        a, _b, d = self.triple
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _a, b, d = self.triple
+        return Fraction(b, d)
 
     # -- coercion -------------------------------------------------------
 
@@ -35,35 +60,52 @@ class GaussianRational:
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d = self.triple
+        c, e, f = other.triple
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = GaussianRational.coerce(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d = self.triple
+        c, e, f = other.triple
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return GaussianRational.coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self.triple
+        v = _new(GaussianRational)
+        _set(v, "triple", (-a, -b, d))
+        return v
 
     def __mul__(self, other):
-        other = GaussianRational.coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if b == 0 and d == 0:
-            return GaussianRational(a * c)
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        if type(other) is not GaussianRational:
+            other = GaussianRational.coerce(other)
+        a, b, d = self.triple
+        c, e, f = other.triple
+        if b == 0 and e == 0:
+            return _reduced(a * c, 0, d * f)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        n = self.re * self.re + self.im * self.im
+        # d / (a + b*i) = d*(a - b*i) / (a^2 + b^2)
+        a, b, d = self.triple
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero in Q(i)")
-        return GaussianRational(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
         return self * GaussianRational.coerce(other).inverse()
@@ -74,21 +116,26 @@ class GaussianRational:
     # -- predicates ------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return self.triple != _ZERO_TRIPLE
 
     def is_zero(self) -> bool:
         return not self
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self.triple == other.triple
+        if isinstance(other, int):
+            return self.triple == (other, 0, 1)
+        if isinstance(other, Fraction):
+            return self.triple == (other.numerator, 0, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        # a real value hashes as the equal int or Fraction, as == requires;
+        # any other as its pair (re, im), which keeps set orders as they were
+        a, b, d = self.triple
+        if b == 0:
+            return hash(a) if d == 1 else hash(Fraction(a, d))
         return hash((self.re, self.im))
 
     # -- text form --------------------------------------------------------
@@ -186,10 +233,25 @@ def _fraction_sqrt(q: Fraction) -> Fraction | None:
 
 
 def _int_sqrt_exact(n: int) -> int | None:
-    import math
-
-    r = math.isqrt(n)
+    r = isqrt(n)
     return r if r * r == n else None
+
+
+_new = object.__new__
+_set = object.__setattr__
+_ZERO_TRIPLE = (0, 0, 1)
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, divided by gcd(a, b, d) into its canonical
+    triple; every operation that can leave a common factor ends here."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    v = _new(GaussianRational)
+    _set(v, "triple", (a, b, d))
+    return v
 
 
 ZERO = GaussianRational(0)

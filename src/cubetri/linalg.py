@@ -1,7 +1,11 @@
 """Exact sparse linear algebra over Q(i).
 
 Matrices are immutable maps (row, col) -> nonzero GaussianRational, and
-every product is one dict walk over the stored entries.  No code path forms
+every product is one dict walk over the stored entries.  Each scalar is one
+reduced integer triple (a, b, d) = (a + b*i)/d, so a step of the walk or of
+`_echelon` is a few integer operations and at most one gcd, and
+`_char_poly` reads the triples as integers over one common denominator.
+A matrix hashes its entries once and keeps the hash.  No code path forms
 a dense 2^D-dimensional product: the cube operators are sparse, and the
 skew operator is built per T-module class (`tmodules.h_by_class`).
 
@@ -32,7 +36,7 @@ def _as_scalar(value) -> GaussianRational:
 class ExactMatrix:
     """Sparse exact matrix over Q(i); no stored zeros, immutable."""
 
-    __slots__ = ("nrows", "ncols", "entries")
+    __slots__ = ("nrows", "ncols", "entries", "_hash")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
@@ -157,7 +161,14 @@ class ExactMatrix:
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, frozenset(self.entries.items())))
+        # computed once per matrix: every lookup of a builder cached on a
+        # module basis hashes that basis
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.nrows, self.ncols, frozenset(self.entries.items())))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"<ExactMatrix {self.nrows}x{self.ncols}, {self.nnz()} nonzero>"
@@ -245,13 +256,12 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def _scaled_int_parts(m: ExactMatrix):
     """(den, rows) with m = rows/den, where rows is dense and each entry an
-    integer (re, im) pair."""
-    den = 1
-    for v in m.entries.values():
-        den = lcm(den, v.re.denominator, v.im.denominator)
+    integer (re, im) pair; den is the lcm of the entries' denominators."""
+    den = lcm(1, *(v.triple[2] for v in m.entries.values()))
     rows = [[(0, 0)] * m.ncols for _ in range(m.nrows)]
     for (r, c), v in m.entries.items():
-        rows[r][c] = (int(v.re * den), int(v.im * den))
+        a, b, d = v.triple
+        rows[r][c] = (a * (den // d), b * (den // d))
     return den, rows
 
 

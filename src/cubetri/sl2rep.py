@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .acsa import ModuleActionTriple, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
-from .linalg import ExactMatrix, exp_nilpotent, kernel_basis, restrict
+from .linalg import ExactMatrix, exp_nilpotent
 
 
 # Actions of X, Y, Z on one space, as three square matrices like a module
@@ -67,29 +67,6 @@ def build_irreducible_sl2(d: int) -> Sl2Action:
     if not check_brackets(action):
         raise AssertionError(f"bracket relations fail on the diameter-{d} module")
     return action
-
-
-def z_weight_basis(action: Sl2Action) -> ExactMatrix:
-    """The {w_i} basis of a canonical module, as columns: Z.w_i = (d-2i)w_i
-    with Y acting tridiagonally."""
-    n, d = action.dimension, action.diameter
-    top = kernel_basis(action.z_mat - ExactMatrix.identity(n) * d)
-    if top.ncols != 1:
-        raise AssertionError("top Z-weight space is not one-dimensional")
-    cols = [top.column(0)]
-    prev = ExactMatrix.zeros(n, 1)
-    for i in range(d):
-        nxt = (action.y_mat @ cols[i] - prev * (d - i + 1)) * Fraction(1, i + 1)
-        prev = cols[i]
-        cols.append(nxt)
-    # chain scaling is meaningful: only w_0 is normalized (by kernel_basis)
-    basis = ExactMatrix(
-        n, n, {(r, j): v for j, col in enumerate(cols) for (r, _c), v in col.entries.items()}
-    )
-    z_restricted = restrict(action.z_mat, basis)
-    if z_restricted != ExactMatrix.diagonal([d - 2 * i for i in range(n)]):
-        raise AssertionError("constructed w-basis does not diagonalize Z")
-    return basis
 
 
 def raising_lowering_halves(action: Sl2Action):

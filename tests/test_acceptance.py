@@ -35,15 +35,15 @@ from cubetri.tmodules import (
 )
 
 BUDGETS = {
-    "relations": 60.0,
-    "skew": 2.5,
+    "relations": 0.95,
+    "skew": 0.28,
     "skew-cube": 2.34,
-    "idempotents-small": 3.0,
-    "idempotents-full": 15.0,
+    "idempotents-small": 0.21,
+    "idempotents-full": 2.79,
     "decomposition": 1.51,
-    "families": 2.0,
+    "families": 0.49,
     "leonard-even": 1.8,
-    "leonard-quotient": 8.0,
+    "leonard-quotient": 1.59,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and

@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubetri.exactnum import GaussianRational, gr, integer_power_of_i
 
@@ -110,3 +113,109 @@ def test_sqrt_in_qi():
         sq = v * v
         root = sq.sqrt()
         assert root is not None and root * root == sq
+
+
+# -- the integer triple against an independent Fraction-pair reference --------
+
+_NUMERATORS = st.one_of(st.integers(-3, 3), st.integers(-(10**40), 10**40))
+_DENOMINATORS = st.one_of(st.sampled_from([1, 2, 4, 6]), st.integers(1, 10**40))
+
+
+@st.composite
+def _parts(draw):
+    """(re, im) as Fractions: zero, pure real, pure imaginary or both, the
+    imaginary part over the real part's denominator or its own."""
+    kind = draw(st.sampled_from(["zero", "real", "imaginary", "both"]))
+    d = draw(_DENOMINATORS)
+    re = Fraction(draw(_NUMERATORS), d) if kind in ("real", "both") else Fraction(0)
+    im_den = draw(st.one_of(st.just(d), _DENOMINATORS))
+    im = Fraction(draw(_NUMERATORS), im_den) if kind in ("imaginary", "both") else Fraction(0)
+    return re, im
+
+
+def _ref_add(p, q):
+    return p[0] + q[0], p[1] + q[1]
+
+
+def _ref_sub(p, q):
+    return p[0] - q[0], p[1] - q[1]
+
+
+def _ref_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _ref_inverse(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return p[0] / n, -p[1] / n
+
+
+def _check(value, ref):
+    """value is the canonical triple of the Fraction pair ref."""
+    a, b, d = value.triple
+    assert all(type(x) is int for x in (a, b, d))
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (Fraction(a, d), Fraction(b, d)) == ref
+    assert (value.re, value.im) == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parts(), _parts())
+def test_field_operations_match_fraction_pairs(p, q):
+    x, y = gr(*p), gr(*q)
+    _check(x, p)
+    _check(x + y, _ref_add(p, q))
+    _check(x - y, _ref_sub(p, q))
+    _check(x * y, _ref_mul(p, q))
+    _check(-x, (-p[0], -p[1]))
+    if any(q):
+        _check(y.inverse(), _ref_inverse(q))
+        _check(x / y, _ref_mul(p, _ref_inverse(q)))
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / y
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_NUMERATORS, st.builds(Fraction, _NUMERATORS, _DENOMINATORS)))
+def test_real_values_equal_and_hash_as_int_or_fraction(q):
+    v = gr(q)
+    assert v == q and q == v
+    assert hash(v) == hash(q)
+    assert gr(0, 1) * v * gr(0, -1) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parts(), _parts())
+def test_equal_values_by_different_routes_hash_equal(p, q):
+    x, y = gr(*p), gr(*q)
+    routes = [(x + y) - y, x * (y + 1) - x * y, GaussianRational.parse(str(x))]
+    if any(q):
+        routes.append((x * y) / y)
+    for v in routes:
+        assert v == x and hash(v) == hash(x)
+    # the hash of a complex value is that of its pair of rational parts
+    assert hash(x) == (hash(x.re) if x.im == 0 else hash((x.re, x.im)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parts())
+def test_text_form_round_trip_property(p):
+    v = gr(*p)
+    assert GaussianRational.parse(str(v)) == v
+
+
+def test_constructor_stores_the_canonical_triple():
+    assert gr(3, -4).triple == (3, -4, 1)
+    assert gr(Fraction(1, 2), Fraction(1, 3)).triple == (3, 2, 6)
+    assert gr(Fraction(2, 4), Fraction(-3, 6)).triple == (1, -1, 2)
+    assert gr(Fraction(0, 5), 0).triple == (0, 0, 1)
+    assert (gr(Fraction(1, 2), Fraction(1, 2)) * gr(1, -1)).triple == (1, 0, 1)
+
+
+def test_values_are_immutable():
+    v = gr(Fraction(1, 2), 3)
+    for name in ("triple", "re", "im", "other"):
+        with pytest.raises(AttributeError):
+            setattr(v, name, 1)
+    assert v.triple == (1, 6, 2)

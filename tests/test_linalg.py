@@ -199,6 +199,30 @@ def test_exchange_format_round_trip():
         assert format_matrix(again) == text
 
 
+def test_equal_matrices_by_different_routes_hash_equal(monkeypatch):
+    m = _random_matrix(random.Random(11), 5, 4)
+    routes = [
+        ExactMatrix(5, 4, dict(reversed(list(m.entries.items())))),
+        ExactMatrix.from_rows(m.to_rows()),
+        (m + m) * Fraction(1, 2),
+        ExactMatrix.identity(5) @ m,
+        parse_matrix(format_matrix(m)),
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m)
+    # the hash is computed once per matrix, not once per lookup
+    scalar_hashes = []
+    scalar_hash = GaussianRational.__hash__
+    monkeypatch.setattr(
+        GaussianRational, "__hash__", lambda v: scalar_hashes.append(v) or scalar_hash(v)
+    )
+    fresh = ExactMatrix.from_rows(m.to_rows())
+    assert {fresh: 1}[m] == 1 and hash(fresh) == hash(m)
+    assert len(scalar_hashes) == m.nnz()
+    with pytest.raises(AttributeError):
+        fresh.entries = {}
+
+
 def test_exchange_format_layout():
     m = ExactMatrix(2, 2, {(0, 1): gr(Fraction(1, 2), 1), (1, 0): gr(-2)})
     assert format_matrix(m) == "dims 2 2\n0 1 1/2+i\n1 0 -2\n"

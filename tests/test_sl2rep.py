@@ -4,7 +4,7 @@ from fractions import Fraction
 from cubetri import linalg, sl2rep
 from cubetri.acsa import ab_type, b_type, classify
 from cubetri.exactnum import gr
-from cubetri.linalg import ExactMatrix, exp_nilpotent, invert
+from cubetri.linalg import ExactMatrix, exp_nilpotent, invert, kernel_basis, restrict
 from cubetri.sl2rep import (
     Sl2Action,
     build_h,
@@ -17,8 +17,30 @@ from cubetri.sl2rep import (
     k_scalar,
     raising_lowering_halves,
     split_odd,
-    z_weight_basis,
 )
+
+
+def z_weight_basis(action: Sl2Action) -> ExactMatrix:
+    """The {w_i} basis of a canonical module, as columns: Z.w_i = (d-2i)w_i
+    with Y acting tridiagonally.  The tests' oracle for the w-basis forms."""
+    n, d = action.dimension, action.diameter
+    top = kernel_basis(action.z_mat - ExactMatrix.identity(n) * d)
+    if top.ncols != 1:
+        raise AssertionError("top Z-weight space is not one-dimensional")
+    cols = [top.column(0)]
+    prev = ExactMatrix.zeros(n, 1)
+    for i in range(d):
+        nxt = (action.y_mat @ cols[i] - prev * (d - i + 1)) * Fraction(1, i + 1)
+        prev = cols[i]
+        cols.append(nxt)
+    # chain scaling is meaningful: only w_0 is normalized (by kernel_basis)
+    basis = ExactMatrix(
+        n, n, {(r, j): v for j, col in enumerate(cols) for (r, _c), v in col.entries.items()}
+    )
+    z_restricted = restrict(action.z_mat, basis)
+    if z_restricted != ExactMatrix.diagonal([d - 2 * i for i in range(n)]):
+        raise AssertionError("constructed w-basis does not diagonalize Z")
+    return basis
 
 
 def test_diameter_one_matrices():
@@ -223,8 +245,10 @@ def test_canonical_module_needs_no_elimination(monkeypatch):
     def refuse(*_args, **_kw):
         raise AssertionError("build_irreducible_sl2 called an elimination routine")
 
+    # raising=False: sl2rep imports neither routine, and one it imports
+    # later is refused all the same
     for module in (sl2rep, linalg):
-        monkeypatch.setattr(module, "kernel_basis", refuse)
-        monkeypatch.setattr(module, "restrict", refuse)
+        monkeypatch.setattr(module, "kernel_basis", refuse, raising=False)
+        monkeypatch.setattr(module, "restrict", refuse, raising=False)
     action = build_irreducible_sl2.__wrapped__(5)
     assert action == build_irreducible_sl2(5)

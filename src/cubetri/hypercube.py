@@ -3,9 +3,10 @@ Go's sl2 structure, and the induced anticommutator-algebra structures.
 
 Vertices are integers 0..2^D-1, bit j is coordinate j, distance is XOR
 popcount, and the base vertex is the all-zeros string.  Each primitive
-idempotent E_i is read off its base column E_i e_0, a combination of the
-Krylov vectors A^k e_0 (k <= D) computed once per D; since XOR-translations
-are automorphisms of Q_D commuting with A, E_i[y, z] = E_i[y ^ z, 0].
+idempotent E_i is read off its base column E_i e_0, which is a Krawtchouk
+polynomial in the Hamming weight, proved an eigenvector of A once per D;
+since XOR-translations are automorphisms of Q_D commuting with A,
+E_i[y, z] = E_i[y ^ z, 0].
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .acsa import ModuleActionTriple
 from .exactnum import gr
@@ -106,49 +108,41 @@ def dual_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
     return ExactMatrix(ctx.nvertices, ctx.nvertices, entries)
 
 
-@lru_cache(maxsize=None)
-def _interpolation_coefficients(D: int, i: int) -> tuple[Fraction, ...]:
-    """Coefficients of prod_{j != i} (t - theta_j)/(theta_i - theta_j),
-    constant term first."""
-    coeffs = [Fraction(1)]
-    denom = 1
-    theta_i = D - 2 * i
-    for j in range(D + 1):
-        if j == i:
-            continue
-        theta_j = D - 2 * j
-        denom *= theta_i - theta_j
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for k, c in enumerate(coeffs):
-            nxt[k] -= c * theta_j
-            nxt[k + 1] += c
-        coeffs = nxt
-    return tuple(c / denom for c in coeffs)
-
-
-def _spectral_images(m: ExactMatrix, v: ExactMatrix, D: int) -> list[ExactMatrix]:
-    """p_i(m) v for i = 0..D, with p_i the interpolation polynomial of E_i
-    (1 at theta_i = D - 2i, 0 at the other eigenvalues of Q_D).  The Krylov
-    powers v, m v, ..., m^D v are formed once, and each p_i(m) v is their
-    combination with the coefficients of p_i."""
-    powers = [v]
-    for _k in range(D):
-        powers.append(m @ powers[-1])
-    zero = ExactMatrix.zeros(v.nrows, v.ncols)
+def _krawtchouk(D: int, i: int) -> list[int]:
+    """K_i(w) for w = 0..D: the coefficient of t^i in (1 - t)^w (1 + t)^(D-w)."""
     return [
-        sum((power * c for c, power in zip(_interpolation_coefficients(D, i), powers) if c), zero)
-        for i in range(D + 1)
+        sum((-1) ** j * comb(w, j) * comb(D - w, i - j) for j in range(i + 1)) for w in range(D + 1)
     ]
 
 
 @lru_cache(maxsize=None)
 def _idempotent_base_columns(D: int) -> tuple[ExactMatrix, ...]:
-    e0 = ExactMatrix.column_vector([1] + [0] * ((1 << D) - 1))
-    return tuple(_spectral_images(adjacency(CubeContext(D)), e0, D))
+    """E_i e_0 = K_i(wt x)/2^D for i = 0..D (Delsarte 1973), proved at all
+    2^D coordinates in integers: each f_i[x] = K_i(wt x) satisfies
+    sum_b f_i[x ^ 2^b] = (D - 2i) f_i[x], so A f_i = theta_i f_i, and the f_i
+    sum to 2^D e_0.  Eigenvectors of distinct eigenvalues are independent, so
+    e_0 splits into eigenvectors of A in one way only, and f_i/2^D is its
+    theta_i-component E_i e_0; no knowledge of A's spectrum is assumed."""
+    n = 1 << D
+    weights = [x.bit_count() for x in range(n)]
+    tables = [_krawtchouk(D, i) for i in range(D + 1)]
+    for i, k in enumerate(tables):
+        f = [k[w] for w in weights]
+        if any(sum(f[x ^ (1 << b)] for b in range(D)) != (D - 2 * i) * f[x] for x in range(n)):
+            raise AssertionError(
+                f"E_{i} e_0 of Q_{D}: column {i} is not a theta_{i}-eigenvector of A"
+            )
+    if [sum(k[w] for k in tables) for w in weights] != [n] + [0] * (n - 1):
+        raise AssertionError(f"E_i e_0 of Q_{D}: the columns do not sum to e_0")
+    cols = []
+    for k in tables:
+        by_weight = [gr(Fraction(v, n)) for v in k]
+        cols.append(ExactMatrix.column_vector(by_weight[w] for w in weights))
+    return tuple(cols)
 
 
 def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
-    """E_i e_0 = p_i(A) e_0; all D+1 columns share one set of Krylov vectors."""
+    """E_i e_0; all D+1 columns are built and proved together."""
     return _idempotent_base_columns(D)[i]
 
 

@@ -29,9 +29,6 @@ from math import lcm
 
 from .exactnum import ZERO, GaussianRational
 
-def _as_scalar(value) -> GaussianRational:
-    return GaussianRational.coerce(value)
-
 
 class ExactMatrix:
     """Sparse exact matrix over Q(i); no stored zeros, immutable."""
@@ -43,10 +40,11 @@ class ExactMatrix:
             raise ValueError("negative matrix dimension")
         clean = {}
         if entries:
+            coerce = GaussianRational.coerce
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ValueError(f"entry index ({r},{c}) out of bounds for {nrows}x{ncols}")
-                v = _as_scalar(v)
+                v = coerce(v)
                 if v:
                     clean[(r, c)] = v
         object.__setattr__(self, "nrows", nrows)
@@ -80,26 +78,14 @@ class ExactMatrix:
     def from_rows(cls, rows) -> "ExactMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = _as_scalar(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls._make(nrows, ncols, entries)
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        return cls(nrows, ncols, {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)})
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
-        entries = {}
         values = list(values)
-        for i, v in enumerate(values):
-            v = _as_scalar(v)
-            if v:
-                entries[(i, i)] = v
-        n = len(values)
-        return cls._make(n, n, entries)
+        return cls(len(values), len(values), {(i, i): v for i, v in enumerate(values)})
 
     @classmethod
     def from_columns(cls, nrows: int, columns) -> "ExactMatrix":
@@ -107,7 +93,7 @@ class ExactMatrix:
         dict row -> value, scaled so its first nonzero coordinate is 1."""
         entries = {}
         for j, col in enumerate(columns):
-            items = [(r, _as_scalar(v)) for r, v in sorted(col.items())]
+            items = [(r, GaussianRational.coerce(v)) for r, v in sorted(col.items())]
             items = [(r, v) for r, v in items if v]
             if not items:
                 raise ValueError(f"basis vector {j} is zero")
@@ -119,12 +105,7 @@ class ExactMatrix:
     @classmethod
     def column_vector(cls, values) -> "ExactMatrix":
         values = list(values)
-        entries = {}
-        for i, v in enumerate(values):
-            v = _as_scalar(v)
-            if v:
-                entries[(i, 0)] = v
-        return cls._make(len(values), 1, entries)
+        return cls(len(values), 1, {(i, 0): v for i, v in enumerate(values)})
 
     # -- access ------------------------------------------------------------
 
@@ -205,7 +186,7 @@ class ExactMatrix:
         )
 
     def __mul__(self, scalar) -> "ExactMatrix":
-        s = _as_scalar(scalar)
+        s = GaussianRational.coerce(scalar)
         if not s:
             return ExactMatrix.zeros(self.nrows, self.ncols)
         return ExactMatrix._make(

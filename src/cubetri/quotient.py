@@ -2,9 +2,9 @@
 
 Classes are antipode pairs, represented by the numerically smaller vertex;
 since the antipode flips the top bit, the representatives are exactly the
-integers below 2^(D-1) and double as class indices.  The dual adjacency is
-built by conjugating the parent matrix through the projection and checked
-against its diagonal closed form.
+integers below 2^(D-1) and double as class indices.  The dual adjacency
+and the weighted adjacency are built in closed form, and each is proved to
+be the image of its parent matrix under the projection psi.
 """
 from __future__ import annotations
 
@@ -66,71 +66,51 @@ def psi_matrix(q: QuotientContext) -> ExactMatrix:
     return ExactMatrix(q.nclasses, q.parent.nvertices, entries)
 
 
-def section_matrix(q: QuotientContext) -> ExactMatrix:
-    """Right inverse of psi with image the symmetric half: class -> (y + y')/2."""
-    half = gr(Fraction(1, 2))
-    entries = {}
-    for u in q.classes():
-        entries[(u, u)] = half
-        entries[(q.parent.antipode(u), u)] = half
-    return ExactMatrix(q.parent.nvertices, q.nclasses, entries)
-
-
-def push_through(q: QuotientContext, m: ExactMatrix) -> ExactMatrix:
-    """phi . m . phi^(-1) for a parent matrix preserving the symmetric half."""
-    return psi_matrix(q) @ m @ section_matrix(q)
-
-
 @lru_cache(maxsize=None)
 def quotient_adjacency(q: QuotientContext) -> ExactMatrix:
-    """Brute-force adjacency: classes joined when some lifts are neighbors."""
+    """Class u joined to the classes of the neighbors u ^ 2^b of its lift u;
+    the other lift's neighbors are their antipodes, in the same classes."""
     one = gr(1)
-    entries = {}
-    for u in q.classes():
-        for v in q.classes():
-            if u != v and q.distance(u, v) == 1:
-                entries[(u, v)] = one
+    entries = {(u, q.class_of(u ^ (1 << b))): one for u in q.classes() for b in range(q.D)}
     return ExactMatrix(q.nclasses, q.nclasses, entries)
 
 
 @lru_cache(maxsize=None)
 def quotient_dual_adjacency(q: QuotientContext) -> ExactMatrix:
-    """Conjugate of the parent's second dual adjacency, cross-checked against
-    the closed form (-1)^i (D-2i) at quotient distance i."""
-    conjugated = push_through(q, second_dual_adjacency(q.parent))
-    closed = ExactMatrix.diagonal(
-        [
-            (-1) ** q.class_weight(u) * (q.D - 2 * q.class_weight(u))
-            for u in q.classes()
-        ]
+    """The closed form (-1)^i (D-2i) at quotient distance i, proved to be
+    the image of the parent's second dual adjacency: psi A*_{D-1} == B~ psi.
+    psi is onto, so that identity fixes B~."""
+    b = ExactMatrix.diagonal(
+        [(-1) ** q.class_weight(u) * (q.D - 2 * q.class_weight(u)) for u in q.classes()]
     )
-    if conjugated != closed:
-        raise AssertionError(
-            f"quotient dual adjacency of Q_{q.D}: conjugation and closed form disagree"
-        )
-    return conjugated
+    _check_image(q, second_dual_adjacency(q.parent), b, "dual adjacency")
+    return b
+
+
+@lru_cache(maxsize=None)
+def quotient_weighted_adjacency(q: QuotientContext) -> ExactMatrix:
+    """C~ = (A~B~ + B~A~)/2, proved to be the image of the parent's weighted
+    adjacency: psi C == C~ psi."""
+    x, y = quotient_adjacency(q), quotient_dual_adjacency(q)
+    z = (x @ y + y @ x) * Fraction(1, 2)
+    _check_image(q, weighted_adjacency(q.parent), z, "weighted adjacency")
+    return z
+
+
+def _check_image(q: QuotientContext, parent_m: ExactMatrix, m: ExactMatrix, what: str) -> None:
+    psi = psi_matrix(q)
+    if psi @ parent_m != m @ psi:
+        raise AssertionError(f"quotient {what} of Q~_{q.D} is not the image of the parent's")
 
 
 @lru_cache(maxsize=None)
 def quotient_acsa_structure(q: QuotientContext) -> ModuleActionTriple:
     """x, y act as the quotient adjacency and dual adjacency; z = (xy+yx)/2.
-
-    The relations are verified, and z is checked to be the image of the
-    parent weighted adjacency matrix under the quotient map."""
-    x = quotient_adjacency(q)
-    y = quotient_dual_adjacency(q)
-    z = (x @ y + y @ x) * Fraction(1, 2)
-    triple = ModuleActionTriple(x, y, z)
+    The relations are verified."""
+    triple = ModuleActionTriple(
+        quotient_adjacency(q), quotient_dual_adjacency(q), quotient_weighted_adjacency(q)
+    )
     ok, detail = check_relations(triple)
     if not ok:
         raise AssertionError(f"quotient structure on Q~_{q.D} fails relations: {detail}")
-    if z != push_through(q, weighted_adjacency(q.parent)):
-        raise AssertionError(
-            f"quotient weighted adjacency of Q~_{q.D} is not the image of the parent's"
-        )
     return triple
-
-
-def quotient_weighted_adjacency(q: QuotientContext) -> ExactMatrix:
-    return quotient_acsa_structure(q).z_mat
-

@@ -39,6 +39,7 @@ from .linalg import ExactMatrix, exp_nilpotent, kernel_basis
 from .quotient import (
     psi_matrix,
     quotient,
+    quotient_acsa_structure,
     quotient_adjacency,
     quotient_dual_adjacency,
     quotient_weighted_adjacency,
@@ -466,6 +467,7 @@ def suite_transport(Ds=None, **_kw):
     for D in Ds:
         q = quotient(D)
         ctx = q.parent
+        quotient_acsa_structure(q)  # verifies the quotient relations
         psi = psi_matrix(q)
         pairs = (
             ("adjacency", adjacency(ctx), quotient_adjacency(q)),

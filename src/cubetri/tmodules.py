@@ -36,9 +36,8 @@ from .hypercube import (
     dual_adjacency,
     s_diagonal,
     second_dual_adjacency,
-    _spectral_images,
 )
-from .linalg import ExactMatrix, kernel_basis, rank
+from .linalg import ExactMatrix, integer_eigenspaces, kernel_basis
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -211,13 +210,16 @@ def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
     """Dimensions of the spectral projections E_i W for i = 0..D.
 
     `_module_action` proves that S = w.vectors has full column rank and
-    A S = S A_W, or raises ValueError.  Then E_i S = p_i(A) S = S p_i(A_W) for
-    the interpolation polynomial p_i of E_i, so dim E_i W = rank p_i(A_W)."""
-    return list(_module_action(ctx, w, (adjacency,), _window_ranks))
+    A S = S A_W, or raises ValueError.  Then E_i W = S V_i for V_i the
+    theta_i-eigenspace of A_W, so dim E_i W is the dimension the one integer
+    eigenvalue scan finds at theta_i = D - 2i, and 0 where it finds none.
+    The scan proves that A_W is diagonalizable or raises ValueError."""
+    return list(_module_action(ctx, w, (adjacency,), _eigenspace_dims))
 
 
-def _window_ranks(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
-    return tuple(rank(p) for p in _spectral_images(a_w, ExactMatrix.identity(a_w.nrows), ctx.D))
+def _eigenspace_dims(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
+    dims = {theta: k.ncols for theta, k in integer_eigenspaces(a_w, ctx.D)}
+    return tuple(dims.get(ctx.D - 2 * i, 0) for i in range(ctx.D + 1))
 
 
 # Variant tables for the odd-diameter splits of T-modules under the positive

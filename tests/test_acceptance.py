@@ -36,13 +36,14 @@ from cubetri.tmodules import (
 
 BUDGETS = {
     "relations": 0.95,
+    "weights": 0.55,
     "skew": 0.28,
-    "skew-cube": 2.34,
+    "skew-cube": 0.44,
     "idempotents-small": 0.21,
     "idempotents-full": 2.79,
-    "decomposition": 1.51,
+    "decomposition": 0.30,
     "families": 0.49,
-    "leonard-even": 1.8,
+    "leonard-even": 0.33,
     "leonard-quotient": 1.59,
 }
 
@@ -77,8 +78,10 @@ def test_criterion_1_cube_relations():
 
 def test_criterion_2_weighted_adjacency_entries():
     r = run_suite("weights", Ds=tuple(range(1, 9)), quotient_Ds=(3, 5, 7, 9))
-    _report("2", "weighted adjacency entries", r.passed, r.seconds, r.detail)
+    ok = r.passed and r.seconds < BUDGETS["weights"]
+    _report("2", "weighted adjacency entries", ok, r.seconds, r.detail)
     assert r.passed, r.detail
+    assert r.seconds < BUDGETS["weights"]
 
 
 def test_criterion_3_skew_operator_suite():

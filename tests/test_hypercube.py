@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from cubetri import suites
+from cubetri import hypercube, suites
 from cubetri.acsa import check_relations
 from cubetri.exactnum import gr
 from cubetri.hypercube import (
@@ -138,8 +138,9 @@ def _krawtchouk(D: int, i: int, x: int) -> int:
 
 
 def test_dual_distance_matches_full_idempotent():
-    # both views against the Krawtchouk closed form, which is computed
-    # independently of the base-column construction they share
+    # both views against the Krawtchouk closed form; the construction they
+    # share uses that form too, so the oracle independent of it is the dense
+    # check of the defining identities in test_idempotent_algebra_small
     for D in (2, 3, 4):
         ctx = cube(D)
         for i in range(D + 1):
@@ -159,6 +160,35 @@ def test_dual_distance_matrix_krawtchouk_oracle():
             diag = dual_distance_matrix(ctx, i)
             for y in ctx.vertices():
                 assert diag.get(y, y) == _krawtchouk(D, i, ctx.weight(y))
+
+
+def test_base_columns_reject_a_wrong_krawtchouk_value(monkeypatch):
+    krawtchouk = hypercube._krawtchouk
+
+    def wrong(D, i):
+        k = krawtchouk(D, i)
+        return k if i != 3 else k[:2] + [k[2] + 1] + k[3:]
+
+    def doubled(D, i):  # still an eigenvector: only the sum catches it
+        return [v * 2 if i == 3 else v for v in krawtchouk(D, i)]
+
+    for table, message in (
+        (wrong, "E_3 e_0 of Q_6: column 3 is not a theta_3-eigenvector"),
+        (doubled, "the columns do not sum to e_0"),
+    ):
+        monkeypatch.setattr(hypercube, "_krawtchouk", table)
+        with pytest.raises(AssertionError, match=message):
+            hypercube._idempotent_base_columns.__wrapped__(6)
+
+
+def test_second_dual_adjacency_closed_form_beyond_the_suite_range():
+    # the idempotents suite checks the base columns only up to D = 8 by default
+    for D in (9, 10):
+        ctx = cube(D)
+        sec = second_dual_adjacency(ctx)
+        assert sec == ExactMatrix.diagonal(
+            [(-1) ** ctx.weight(y) * (D - 2 * ctx.weight(y)) for y in ctx.vertices()]
+        )
 
 
 def _idempotents_failure(D):

@@ -1,7 +1,10 @@
+import importlib
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from cubetri import suites
 from cubetri.exactnum import gr
 from cubetri.hypercube import adjacency, second_dual_adjacency, weighted_adjacency
 from cubetri.linalg import ExactMatrix, kernel_basis, rank
@@ -12,8 +15,30 @@ from cubetri.quotient import (
     quotient_adjacency,
     quotient_dual_adjacency,
     quotient_weighted_adjacency,
-    section_matrix,
 )
+
+# `from cubetri import quotient` gives the function the package exports
+quotient_module = importlib.import_module("cubetri.quotient")
+
+
+def section_matrix(q):
+    """Right inverse of psi with image the symmetric half: class -> (y + y')/2."""
+    half = gr(Fraction(1, 2))
+    entries = {}
+    for u in q.classes():
+        entries[(u, u)] = half
+        entries[(q.parent.antipode(u), u)] = half
+    return ExactMatrix(q.parent.nvertices, q.nclasses, entries)
+
+
+def all_pairs_adjacency(q):
+    """Brute-force adjacency: classes joined when some lifts are neighbors."""
+    entries = {}
+    for u in q.classes():
+        for v in q.classes():
+            if u != v and q.distance(u, v) == 1:
+                entries[(u, v)] = 1
+    return ExactMatrix(q.nclasses, q.nclasses, entries)
 
 
 def intersection_numbers(q):
@@ -134,9 +159,64 @@ def test_quotient_adjacency_row_sums_and_conjugation():
         adj = quotient_adjacency(q)
         for u in q.classes():
             assert sum(1 for (r, _c) in adj.entries if r == u) == D
-        from cubetri.quotient import push_through
+        assert psi_matrix(q) @ adjacency(q.parent) @ section_matrix(q) == adj
 
-        assert push_through(q, adjacency(q.parent)) == adj
+
+def test_quotient_adjacency_matches_all_pairs_oracle():
+    for D in (3, 5, 7, 9):
+        q = quotient(D)
+        assert quotient_adjacency(q) == all_pairs_adjacency(q)
+
+
+def test_quotient_dual_adjacency_is_the_conjugated_parent():
+    for D in (3, 5, 7):
+        q = quotient(D)
+        conjugated = psi_matrix(q) @ second_dual_adjacency(q.parent) @ section_matrix(q)
+        assert quotient_dual_adjacency(q) == conjugated
+        conjugated = psi_matrix(q) @ weighted_adjacency(q.parent) @ section_matrix(q)
+        assert quotient_weighted_adjacency(q) == conjugated
+
+
+def _damaged(m, key, value):
+    entries = dict(m.entries)
+    entries[key] = value
+    return ExactMatrix(m.nrows, m.ncols, entries)
+
+
+def test_quotient_dual_adjacency_rejects_damaged_parent(monkeypatch):
+    q = quotient(5)
+    parent = second_dual_adjacency(q.parent)
+    damaged = _damaged(parent, (6, 6), 7)
+    monkeypatch.setattr(quotient_module, "second_dual_adjacency", lambda ctx: damaged)
+    with pytest.raises(AssertionError, match="dual adjacency of Q~_5 is not the image"):
+        quotient_dual_adjacency.__wrapped__(q)
+
+
+def test_quotient_weighted_adjacency_rejects_damaged_parent(monkeypatch):
+    q = quotient(5)
+    parent = weighted_adjacency(q.parent)
+    (y, z), v = next(iter(parent.entries.items()))
+    damaged = _damaged(parent, (y, z), -v)
+    monkeypatch.setattr(quotient_module, "weighted_adjacency", lambda ctx: damaged)
+    with pytest.raises(AssertionError, match="weighted adjacency of Q~_5 is not the image"):
+        quotient_weighted_adjacency.__wrapped__(q)
+
+
+def test_transport_checks_the_quotient_relations_and_weights_does_not(monkeypatch):
+    checked = []
+    for module in (quotient_module, suites):
+        check = module.check_relations
+        monkeypatch.setattr(
+            module, "check_relations", lambda t, check=check: checked.append(t.dimension) or check(t)
+        )
+    for suite, kwargs, want in (
+        ("transport", {"Ds": (9,)}, [256]),
+        ("weights", {"Ds": (), "quotient_Ds": (9,)}, []),
+    ):
+        checked.clear()
+        quotient_acsa_structure.cache_clear()  # a cached triple would skip the check
+        assert suites.run_suite(suite, **kwargs).passed
+        assert checked == want, suite
 
 
 def test_quotient_dual_adjacency_entries():

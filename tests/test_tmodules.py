@@ -486,8 +486,10 @@ def test_product_proof_runs_once_per_class(monkeypatch, D):
 def test_dual_profile_derives_once_per_class(monkeypatch):
     ctx = cube(7)
     calls = []
-    window_ranks = tmodules._window_ranks
-    monkeypatch.setattr(tmodules, "_window_ranks", lambda *a: calls.append(a) or window_ranks(*a))
+    eigenspace_dims = tmodules._eigenspace_dims
+    monkeypatch.setattr(
+        tmodules, "_eigenspace_dims", lambda *a: calls.append(a) or eigenspace_dims(*a)
+    )
     for m in decompose(ctx):
         dual_profile(ctx, m)
     assert len(calls) == 4

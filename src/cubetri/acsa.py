@@ -266,45 +266,3 @@ def classify(m: ModuleActionTriple) -> ModuleType:
     raise ValueError(
         f"trace triple ({tx},{ty},{tz}) at diameter {d} matches no row of the classification table"
     )
-
-
-def scale_to_normalized(
-    m: ModuleActionTriple | None,
-    nu: GaussianRational,
-    nu_star: GaussianRational,
-    nu_eps: GaussianRational,
-):
-    """All four scalar triples (xi, xi*, xi^eps) that normalize a triple with
-    the given anticommutator scalars; each is verified on m when provided."""
-    nu = GaussianRational.coerce(nu)
-    nu_star = GaussianRational.coerce(nu_star)
-    nu_eps = GaussianRational.coerce(nu_eps)
-    if not (nu and nu_star and nu_eps):
-        raise ValueError("normalization requires nonzero nu scalars")
-    four = GaussianRational(4)
-    xi = (four / (nu_star * nu_eps)).sqrt()
-    xi_star = (four / (nu_eps * nu)).sqrt()
-    xi_eps = (four / (nu * nu_star)).sqrt()
-    if xi is None or xi_star is None or xi_eps is None:
-        raise ValueError("normalizing scalars do not lie in Q(i)")
-    target = GaussianRational(8) / (nu * nu_star * nu_eps)
-    base = (xi, xi_star, xi_eps)
-    if xi * xi_star * xi_eps == target:
-        signs = ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1))
-    else:
-        signs = ((-1, 1, 1), (1, -1, 1), (1, 1, -1), (-1, -1, -1))
-    solutions = [tuple(v * s for v, s in zip(base, sig)) for sig in signs]
-    if m is not None:
-        for sol in solutions:
-            _verify_normalizing(m, sol)
-    return solutions
-
-
-def _verify_normalizing(m: ModuleActionTriple, scalars) -> None:
-    xi, xi_star, xi_eps = scalars
-    scaled = ModuleActionTriple(m.x_mat * xi, m.y_mat * xi_star, m.z_mat * xi_eps)
-    if not check_relations(scaled)[0]:
-        raise ValueError(
-            f"scaling ({xi},{xi_star},{xi_eps}) does not normalize the triple; "
-            "were the supplied nu scalars computed from it?"
-        )

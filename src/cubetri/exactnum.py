@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 
 class GaussianRational:
@@ -190,27 +190,6 @@ class GaussianRational:
                 re_ = _literal_fraction(part, text)
         return cls(re_, im_)
 
-    # -- square roots in Q(i) ---------------------------------------------
-
-    def sqrt(self) -> "GaussianRational | None":
-        """An exact square root in Q(i), or None when none exists there."""
-        c, d = self.re, self.im
-        if d == 0:
-            if c >= 0:
-                r = _fraction_sqrt(c)
-                return None if r is None else GaussianRational(r)
-            r = _fraction_sqrt(-c)
-            return None if r is None else GaussianRational(0, r)
-        # (a+bi)^2 = c+di needs a^2 = (m+c)/2 with m = |c+di| rational.
-        m = _fraction_sqrt(c * c + d * d)
-        if m is None:
-            return None
-        a2 = (m + c) / 2
-        a = _fraction_sqrt(a2)
-        if a is None or a == 0:
-            return None
-        return GaussianRational(a, d / (2 * a))
-
 
 def _literal_fraction(piece: str, text: str) -> Fraction:
     # Fraction() alone would also take decimals and exponents such as "1.5e0"
@@ -220,21 +199,6 @@ def _literal_fraction(piece: str, text: str) -> Fraction:
         return Fraction(piece)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
-
-
-def _fraction_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    num = _int_sqrt_exact(q.numerator)
-    den = _int_sqrt_exact(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
-
-
-def _int_sqrt_exact(n: int) -> int | None:
-    r = isqrt(n)
-    return r if r * r == n else None
 
 
 _new = object.__new__

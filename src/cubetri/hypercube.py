@@ -93,11 +93,13 @@ def eigenvalue(ctx: CubeContext, i: int) -> int:
 
 
 def primitive_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
-    """E_i, with (y, z)-entry the base column of E_i at y XOR z."""
+    """E_i, with (y, z)-entry the base column of E_i at y XOR z.  The column's
+    entries are nonzero Q(i) scalars and y XOR x < 2^D, so they go in as they
+    are."""
     _check_index(ctx, i)
     col = [(x, v) for (x, _c), v in _idempotent_base_column(ctx.D, i).entries.items()]
     n = ctx.nvertices
-    return ExactMatrix(n, n, {(y, y ^ x): v for y in range(n) for x, v in col})
+    return ExactMatrix._make(n, n, {(y, y ^ x): v for y in range(n) for x, v in col})
 
 
 def dual_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:

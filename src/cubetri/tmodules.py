@@ -1,19 +1,23 @@
 """Decomposition of the hypercube standard module into irreducible
 Terwilliger modules, and the induced module structures on each piece.
 
-The decomposition follows the raising/lowering structure.  The kernel of
-lowering on the weight-r slice is the Specht module S^(D-r,r), and its
-standard polytabloids are a basis in closed form (G. D. James, The
-Representation Theory of the Symmetric Groups, LNM 682, 1978).  They are the
-seeds, and each seed is raised until it dies; the chains are the T-modules
-(J. T. Go, "The Terwilliger algebra of the hypercube", Europ. J. Combin. 23,
-2002).  `decompose` proves that the chains are a basis of V from one sl2
-identity of raising and lowering, with no rank taken.  A module's basis is
-the matrix whose columns are its chain vectors (`SubmoduleBasis.vectors`),
-and the V+/V- halves are matrices of W-coordinates.  Every basis vector lives in a single weight
-slice: the thinness witness, and the disjoint supports that let
-`_module_action` read each action off one row per basis vector and prove it
-by one exact product, with no elimination on V.
+The decomposition follows the raising/lowering structure of the one
+adjacency matrix A.  The kernel of lowering on the weight-r slice is the
+Specht module S^(D-r,r), and its standard polytabloids are a basis in
+closed form (G. D. James, The Representation Theory of the Symmetric
+Groups, LNM 682, 1978); the raising chains on them are the T-modules
+(J. T. Go, "The Terwilliger algebra of the hypercube", Europ. J. Combin.
+23, 2002).  The bit permutations P_sigma commute with A and with every
+E*_i, and P_sigma e_t = e_{sigma t}, so `decompose` raises one chain per
+class (D, r), on the polytabloid of the first standard tableau, and builds
+every other module as its relabelling.  It proves that the chains are a
+basis of V from one sl2 identity of raising and lowering, with no rank
+taken.  A module's basis is the matrix whose columns are its chain vectors
+(`SubmoduleBasis.vectors`), and the V+/V- halves are matrices of
+W-coordinates.  Every basis vector lives in a single weight slice: the
+thinness witness, and the disjoint supports that let `_module_action` read
+each action off one row per basis vector and prove it by one exact
+product, with no elimination on V.
 
 That product runs once per class (D, r), on r{r}#0 (on Q~_D, psi(W+)); every
 other module is its relabelling by a permutation of bit positions, with which
@@ -65,45 +69,62 @@ class SubmoduleBasis:
     def dimension(self) -> int:
         return self.vectors.ncols
 
-    def slice_labels(self):
-        return [self.endpoint + j for j in range(self.vectors.ncols)]
 
-
-def _polytabloids(D: int, r: int):
-    """Yield e_t = prod_i (e_{b_i} - e_{a_i}) for the standard tableaux t of
-    shape (D-r, r), in lexicographic order of the second row b_1 < ... < b_r;
-    a_1 < ... < a_r are the r smallest other positions, and a_i < b_i.  The
-    product is the +-1 sum over c_i in {a_i, b_i} of the vertex with bits
-    {c_i}, negated once per c_i = a_i."""
+def _standard_tableaux(D: int, r: int) -> list[tuple[int, ...]]:
+    """The second rows b_1 < ... < b_r of the standard tableaux of shape
+    (D-r, r), in lexicographic order: a_i < b_i for a_1 < ... < a_r the r
+    smallest other positions."""
+    out = []
     for second in combinations(range(D), r):
-        first = [p for p in range(D) if p not in second][:r]
+        first = [p for p in range(D) if p not in second]
         if all(a < b for a, b in zip(first, second)):
-            vec = {0: gr(1)}
-            for a, b in zip(first, second):
-                vec = {y | 1 << c: v if c == b else -v for y, v in vec.items() for c in (a, b)}
-            yield vec
+            out.append(second)
+    return out
+
+
+def _polytabloid(D: int, second: tuple[int, ...]) -> dict:
+    """e_t = prod_i (e_{b_i} - e_{a_i}) for the tableau t with second row b:
+    the +-1 sum over c_i in {a_i, b_i} of the vertex with bits {c_i},
+    negated once per c_i = a_i."""
+    vec = {0: gr(1)}
+    for a, b in zip((p for p in range(D) if p not in second), second):
+        vec = {y | 1 << c: v if c == b else -v for y, v in vec.items() for c in (a, b)}
+    return vec
+
+
+@lru_cache(maxsize=None)
+def _columns(m: ExactMatrix) -> list[list]:
+    """Column y of m as a list of (row, value) pairs, for each y."""
+    cols: list[list] = [[] for _ in range(m.ncols)]
+    for (z, y), v in m.entries.items():
+        cols[y].append((z, v))
+    return cols
 
 
 def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
-    """The part of A v that lies in the weight-`to` slice, for v supported on
-    the slice next to it: raising if `to` is above, lowering if below."""
+    """The part of A v that lies in the weight-`to` slice, for A =
+    `adjacency(ctx)` and v supported on the slice next to it: raising R if
+    `to` is above, lowering L if below, so R + L = A."""
+    cols = _columns(adjacency(ctx))
     out: dict = {}
     for y, v in vec.items():
-        for b in range(ctx.D):
-            z = y ^ (1 << b)
+        for z, a in cols[y]:
             if ctx.weight(z) == to:
                 cur = out.get(z)
-                out[z] = v if cur is None else cur + v
+                out[z] = a * v if cur is None else cur + a * v
     return {z: v for z, v in out.items() if v}
 
 
 def _check_commutator(ctx: CubeContext) -> None:
     """LR - RL = (D - 2w) I on the weight-w slice, for R and L the raising
-    and lowering parts of A that `_move_vector` computes, checked exactly on
-    each vertex e_y."""
+    and lowering parts of A (`_move_vector`), checked exactly at the one
+    vertex y = 2^w - 1 of each weight w.  Once A commutes with every bit
+    permutation P_sigma (`_check_symmetric`), so do R, L and LR - RL,
+    because P_sigma keeps weights; S_D is transitive on each weight slice,
+    so the identity at e_y gives it at every P_sigma e_y."""
     D = ctx.D
-    for y in ctx.vertices():
-        w = ctx.weight(y)
+    for w in range(D + 1):
+        y = (1 << w) - 1
         diff = _move_vector(ctx, _move_vector(ctx, {y: 1}, w + 1), w)
         diff[y] = diff.get(y, 0) - (D - 2 * w)
         for z, v in _move_vector(ctx, _move_vector(ctx, {y: 1}, w - 1), w).items():
@@ -117,13 +138,24 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
     """All irreducible T-modules, as raising chains on polytabloid seeds,
     proved to be a basis of V.
 
-    Let R and L be the raising and lowering parts of A (`_move_vector`);
-    each seed and each chain vector lies in one weight slice by
-    construction.  `_check_commutator` checks LR - RL = (D - 2w) I on every
-    weight-w vertex.  Then, for each endpoint r, lowering must kill each
-    seed, the seeds must have distinct largest vertices, which makes them
-    triangular and so independent, and there must be C(D, r) - C(D, r - 1)
-    of them.  Together these prove that the chains are a basis of V:
+    Let R and L be the raising and lowering parts of A = `adjacency(ctx)`
+    (`_move_vector`); each seed and each chain vector lies in one weight
+    slice by construction.  `_check_symmetric` proves A P_sigma = P_sigma A
+    for every bit permutation sigma, and P_sigma keeps weights, so
+    R P_sigma = P_sigma R and L P_sigma = P_sigma L.  `_check_commutator`
+    then checks LR - RL = (D - 2w) I on every weight slice.
+
+    For each endpoint r there must be C(D, r) - C(D, r - 1) standard
+    tableaux of shape (D - r, r).  Only the seed u = e_rep of the first one
+    is built and raised: lowering must kill it, its chain must not die
+    before step D - 2r, and it must then terminate.  Module t gets the basis
+    P_sigma S_rep, for sigma the bit permutation that takes the first
+    tableau to t, read row by row (`_relabelled`).  P_sigma e_rep = e_t, and
+    R^k P_sigma = P_sigma R^k, so column k is R^k e_t scaled as column k of
+    S_rep, and L e_t = P_sigma L e_rep = 0.  The seed of each module must
+    have its largest vertex at the bits of its tableau, and the tableaux
+    are distinct, which makes the seeds triangular and so independent.
+    Together these prove that the chains are a basis of V:
 
     - Chains are sl2 strings.  Let u be a seed.  By induction on k,
       L R^k u = k(D - 2r - k + 1) R^(k-1) u.  So L^k R^k is a nonzero
@@ -137,39 +169,39 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
       telescope to C(D, w), the size of the weight-w slice, and the slices
       partition the vertices.
 
-    The chain lengths and the total dimension are checked as well."""
+    The total dimension is checked as well."""
     D = ctx.D
+    _check_symmetric(ctx, adjacency)
     _check_commutator(ctx)
     modules: list[SubmoduleBasis] = []
     total_dim = 0
     for r in range(D // 2 + 1):
-        seeds = list(_polytabloids(D, r))
-        for m, seed in enumerate(seeds):
-            if _move_vector(ctx, seed, r - 1):
-                raise AssertionError(f"seed r={r}#{m} of Q_{D} is not killed by lowering")
-        if len({max(seed) for seed in seeds}) != len(seeds):
-            raise AssertionError(f"endpoint {r} of Q_{D}: seeds share a largest vertex")
+        tableaux = _standard_tableaux(D, r)
         expected_mult = comb(D, r) - (comb(D, r - 1) if r >= 1 else 0)
-        if len(seeds) != expected_mult:
+        if len(tableaux) != expected_mult:
             raise AssertionError(
-                f"endpoint {r} of Q_{D}: found {len(seeds)} seeds, "
+                f"endpoint {r} of Q_{D}: found {len(tableaux)} seeds, "
                 f"binomial cross-check expects {expected_mult}"
             )
+        if len(set(tableaux)) != len(tableaux):
+            raise AssertionError(f"endpoint {r} of Q_{D}: seeds share a largest vertex")
+        chain = [_polytabloid(D, tableaux[0])]
+        if _move_vector(ctx, chain[0], r - 1):
+            raise AssertionError(f"seed r={r}#0 of Q_{D} is not killed by lowering")
         diameter = D - 2 * r
-        for m, seed in enumerate(seeds):
-            chain = [seed]
-            current = seed
-            for j in range(diameter):
-                current = _move_vector(ctx, current, r + j + 1)
-                if not current:
-                    raise AssertionError(
-                        f"chain r={r}#{m} of Q_{D} died early at step {j + 1}"
-                    )
-                chain.append(current)
-            if _move_vector(ctx, current, r + diameter + 1):
-                raise AssertionError(f"chain r={r}#{m} of Q_{D} failed to terminate")
-            basis = ExactMatrix.from_columns(ctx.nvertices, chain)
-            tableau = tuple(p for p in range(D) if max(seed) >> p & 1)  # bits {b_i}
+        for j in range(diameter):
+            chain.append(_move_vector(ctx, chain[-1], r + j + 1))
+            if not chain[-1]:
+                raise AssertionError(f"chain r={r}#0 of Q_{D} died early at step {j + 1}")
+        if _move_vector(ctx, chain[-1], r + diameter + 1):
+            raise AssertionError(f"chain r={r}#0 of Q_{D} failed to terminate")
+        rep = ExactMatrix.from_columns(ctx.nvertices, chain)
+        for m, tableau in enumerate(tableaux):
+            basis = _relabelled(ctx, rep, tableaux[0], tableau)
+            if max(y for y, c in basis.entries if c == 0) != sum(1 << p for p in tableau):
+                raise AssertionError(
+                    f"seed r={r}#{m} of Q_{D}: largest vertex is not at tableau {tableau}"
+                )
             modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis, tableau))
             total_dim += diameter + 1
     if total_dim != ctx.nvertices:
@@ -270,10 +302,7 @@ def _module_action(space, w: SubmoduleBasis, builders, derive):
     rep, value = _derived(space, w.endpoint, builders, derive)
     for build in builders:
         _check_symmetric(space, build)
-    words = (sorted(range(space.D), key=m.tableau.__contains__) for m in (rep, w))
-    sigma, s = _relabelling(space, dict(zip(*words))), rep.vectors
-    image = {(sigma[y], c): v for (y, c), v in s.entries.items()}
-    if w.vectors != ExactMatrix._make(s.nrows, s.ncols, image):
+    if w.vectors != _relabelled(space, rep.vectors, rep.tableau, w.tableau):
         raise ValueError(f"module {w.module_id} is not the relabelling of {rep.module_id}")
     return value
 
@@ -281,10 +310,10 @@ def _module_action(space, w: SubmoduleBasis, builders, derive):
 @lru_cache(maxsize=None)
 def _derived(space, endpoint: int, builders, derive):
     """The representative r{endpoint}#0 (on Q~_D, psi(W+)) and derive of its `_product_proof`."""
-    quotient = isinstance(space, QuotientContext)
-    rep = next(w for w in decompose(space.parent if quotient else space) if w.endpoint == endpoint)
-    if quotient:
-        rep = _quotient_image(space, psi_matrix(space), rep)
+    if isinstance(space, QuotientContext):
+        rep = _quotient_image(space, endpoint)
+    else:
+        rep = next(w for w in decompose(space) if w.endpoint == endpoint)
     return rep, derive(space, *_product_proof(space, rep, builders))
 
 
@@ -329,6 +358,15 @@ def _relabelling(space, positions) -> list[int]:
     for p in range(space.D - quotient):  # class indices are the vertices below 2^(D-1)
         table += [y | 1 << positions[p] for y in table]
     return [space.class_of(y) for y in table] if quotient else table
+
+
+def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
+    """P_sigma s, for sigma the bit permutation that takes rep_tableau to
+    tableau, each read row by row."""
+    words = (sorted(range(space.D), key=t.__contains__) for t in (rep_tableau, tableau))
+    sigma = _relabelling(space, dict(zip(*words)))
+    image = {(sigma[y], c): v for (y, c), v in s.entries.items()}
+    return ExactMatrix._make(s.nrows, s.ncols, image)
 
 
 @lru_cache(maxsize=None)
@@ -408,26 +446,37 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
 
 
 def quotient_modules(q: QuotientContext):
-    """Images psi(W+) of the parent T-modules in the quotient, with their types."""
-    psi = psi_matrix(q)
+    """Images psi(W+) of the parent T-modules in the quotient, with their types.
+
+    psi(W+) is formed once per endpoint, for the representative
+    (`_quotient_image`).  Every other image is P~_sigma times it: the module
+    of tableau t has basis S_t = P_sigma S_rep (`decompose`), c+ is the class
+    value of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
+    psi S_t c+ = P~_sigma psi S_rep c+.  P~_sigma keeps class weights, so the
+    columns stay ordered by class weight."""
     cal_d = q.cal_d
     out = []
     for w in decompose(q.parent):
-        sb = _quotient_image(q, psi, w)
+        rep = _quotient_image(q, w.endpoint)
+        basis = _relabelled(q, rep.vectors, rep.tableau, w.tableau)
+        sb = SubmoduleBasis(w.module_id, w.endpoint, basis, w.tableau)
         want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
         what = f"Q~_{q.D} image of {w.module_id}"
         out.append((sb, _classify_against(quotient_structure(q, sb), want, what)))
     return out
 
 
-def _quotient_image(q: QuotientContext, psi: ExactMatrix, w: SubmoduleBasis) -> SubmoduleBasis:
-    """psi S c for the W-coordinates c of W+, columns by class weight."""
-    plus, _minus = antipodal_split(q.parent, w)
-    img = psi @ w.vectors @ plus
+@lru_cache(maxsize=None)
+def _quotient_image(q: QuotientContext, endpoint: int) -> SubmoduleBasis:
+    """psi S c for S the basis of r{endpoint}#0 and c the W-coordinates of
+    its W+, columns by class weight."""
+    rep = next(w for w in decompose(q.parent) if w.endpoint == endpoint)
+    plus, _minus = antipodal_split(q.parent, rep)
+    img = psi_matrix(q) @ rep.vectors @ plus
     cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
     cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
     basis = ExactMatrix.from_columns(q.nclasses, cols)
-    return SubmoduleBasis(w.module_id, w.endpoint, basis, w.tableau)
+    return SubmoduleBasis(rep.module_id, endpoint, basis, rep.tableau)
 
 
 def module_summary(ctx: CubeContext, w: SubmoduleBasis, typed) -> dict:

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -12,7 +11,6 @@ from cubetri.acsa import (
     check_relations,
     classify,
     is_irreducible,
-    scale_to_normalized,
 )
 from cubetri.exactnum import gr
 from cubetri.linalg import ExactMatrix, integer_eigenspaces, invert, rank
@@ -222,57 +220,3 @@ def test_classify_rejects_unknown_trace_pattern():
     zero = ExactMatrix.zeros(3, 3)
     with pytest.raises(ValueError):
         classify(ModuleActionTriple(eye, zero, zero))
-
-
-def test_scale_to_normalized_all_plus_two():
-    sols = scale_to_normalized(build_canonical(b_type(4)), gr(2), gr(2), gr(2))
-    assert set(sols) == {
-        (gr(1), gr(1), gr(1)),
-        (gr(1), gr(-1), gr(-1)),
-        (gr(-1), gr(1), gr(-1)),
-        (gr(-1), gr(-1), gr(1)),
-    }
-
-
-def test_scale_to_normalized_all_minus_two():
-    # oracle: substitute back into the anticommutator relations; for
-    # nu = nu* = nu^eps = -2 that forces real sign triples with product -1
-    sols = scale_to_normalized(None, gr(-2), gr(-2), gr(-2))
-    assert set(sols) == {
-        (gr(-1), gr(1), gr(1)),
-        (gr(1), gr(-1), gr(1)),
-        (gr(1), gr(1), gr(-1)),
-        (gr(-1), gr(-1), gr(-1)),
-    }
-    for xi, xi_star, xi_eps in sols:
-        assert xi * xi * (gr(-2) * gr(-2)) == gr(4)
-        assert xi * xi_star * xi_eps == gr(8) / gr(-8)
-
-
-def test_scale_to_normalized_mixed_signs():
-    sols = scale_to_normalized(None, gr(2), gr(-2), gr(-2))
-    assert (gr(-1), gr(0, 1), gr(0, 1)) in sols
-    for xi, xi_star, xi_eps in sols:
-        # substituting back: each scaled anticommutator scalar must be 2
-        assert gr(2) * xi_star * xi_eps / xi == gr(2)
-        assert gr(-2) * xi_eps * xi / xi_star == gr(2)
-        assert gr(-2) * xi * xi_star / xi_eps == gr(2)
-
-
-def test_scale_to_normalized_rejects_zero():
-    with pytest.raises(ValueError):
-        scale_to_normalized(None, gr(0), gr(2), gr(2))
-
-
-def test_scale_to_normalized_rejects_scalars_not_computed_from_the_triple():
-    # B(4) has nu = (2, 2, 2); claiming nu^eps = 8 gives a scaling that breaks xy+yx=2z
-    with pytest.raises(ValueError, match=r"scaling \(1/2,1/2,1\) does not normalize the triple"):
-        scale_to_normalized(build_canonical(b_type(4)), 2, 2, 8)
-
-
-def test_scaled_canonical_triple_recovers_normalization():
-    # scaling a canonical triple by (2, 2, 2) multiplies each nu by 2
-    triple = build_canonical(b_type(4))
-    scaled = ModuleActionTriple(*(m * 2 for m in triple.matrices()))
-    sols = scale_to_normalized(scaled, gr(4), gr(4), gr(4))
-    assert (gr(Fraction(1, 2)), gr(Fraction(1, 2)), gr(Fraction(1, 2))) in sols

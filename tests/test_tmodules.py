@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 from functools import lru_cache
 from math import comb
@@ -17,9 +18,9 @@ from cubetri.hypercube import (
     primitive_idempotent,
     s_diagonal,
 )
-from cubetri.linalg import ExactMatrix, kernel_basis, rank, restrict
+from cubetri.linalg import ExactMatrix, format_matrix, kernel_basis, rank, restrict
 from cubetri import tmodules
-from cubetri.quotient import quotient, quotient_acsa_structure
+from cubetri.quotient import psi_matrix, quotient, quotient_acsa_structure
 from cubetri.sl2rep import build_h, k_scalar
 from cubetri.tmodules import (
     SubmoduleBasis,
@@ -65,10 +66,10 @@ def test_multiplicity_formula():
 def test_thinness_by_construction():
     ctx = cube(5)
     for m in decompose(ctx):
-        for j, label in enumerate(m.slice_labels()):
+        for j in range(m.dimension):
             col = m.vectors.column(j)
             weights = {ctx.weight(r) for (r, _c) in col.entries}
-            assert weights == {label}
+            assert weights == {m.endpoint + j}
         assert m.diameter == ctx.D - 2 * m.endpoint
 
 
@@ -79,8 +80,8 @@ def test_direct_sum_per_slice():
         ctx = cube(D)
         slices: dict[int, list] = {}
         for m in decompose(ctx):
-            for j, label in enumerate(m.slice_labels()):
-                slices.setdefault(label, []).append(m.vectors.column(j))
+            for j in range(m.dimension):
+                slices.setdefault(m.endpoint + j, []).append(m.vectors.column(j))
         for w, cols in slices.items():
             assert len(cols) == comb(D, w)
             entries = {}
@@ -193,47 +194,162 @@ def test_seeds_span_the_kernel_of_lowering():
 
 
 def test_decompose_rejects_a_seed_with_one_flipped_sign(monkeypatch):
-    polytabloids = tmodules._polytabloids
+    polytabloid = tmodules._polytabloid
 
-    def one_flipped(D, r):
-        for k, vec in enumerate(polytabloids(D, r)):
-            if (r, k) == (2, 1):
-                y = max(vec)
-                vec = {**vec, y: -vec[y]}
-            yield vec
+    def one_flipped(D, second):
+        vec = polytabloid(D, second)
+        if len(second) == 2:
+            y = max(vec)
+            vec = {**vec, y: -vec[y]}
+        return vec
 
-    monkeypatch.setattr(tmodules, "_polytabloids", one_flipped)
-    with pytest.raises(AssertionError, match="seed r=2#1 of Q_5 is not killed by lowering"):
+    monkeypatch.setattr(tmodules, "_polytabloid", one_flipped)
+    with pytest.raises(AssertionError, match="seed r=2#0 of Q_5 is not killed by lowering"):
         decompose.__wrapped__(cube(5))
 
 
 def test_decompose_rejects_a_repeated_seed(monkeypatch):
-    polytabloids = tmodules._polytabloids
+    tableaux = tmodules._standard_tableaux
 
     def repeated(D, r):
-        seeds = list(polytabloids(D, r))
+        seeds = tableaux(D, r)
         return seeds[:1] + seeds[:-1] if r == 2 else seeds
 
-    monkeypatch.setattr(tmodules, "_polytabloids", repeated)
+    monkeypatch.setattr(tmodules, "_standard_tableaux", repeated)
     with pytest.raises(AssertionError, match="endpoint 2 of Q_5: seeds share a largest vertex"):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch):
-    # with the edge {0, 1} gone, LR e_0 = (D - 1) e_0 while D e_0 is required
-    move = tmodules._move_vector
+def test_decompose_rejects_a_tableau_that_is_not_standard(monkeypatch):
+    # (0, 1) in place of (2, 3) keeps the count and the tableaux distinct, but
+    # relabels the seed (e_1 - e_0)(e_3 - e_2) to (e_0 - e_2)(e_1 - e_3), whose
+    # largest vertex has bits {2, 3}: the same module as (2, 3) up to sign
+    tableaux = tmodules._standard_tableaux
+    monkeypatch.setattr(
+        tmodules, "_standard_tableaux", lambda D, r: [(1, 3), (0, 1)] if r == 2 else tableaux(D, r)
+    )
+    want = r"seed r=2#1 of Q_4: largest vertex is not at tableau \(0, 1\)"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(4))
 
-    def without_edge(ctx, vec, to):
+
+def _without_edge(move, edge):
+    """`_move_vector` with the edge {y, z} taken out of A."""
+    def moved(ctx, vec, to):
         out = move(ctx, vec, to)
-        for y, z in ((0, 1), (1, 0)):
+        for y, z in (edge, edge[::-1]):
             if y in vec and ctx.weight(z) == to:
                 out[z] = out.get(z, 0) - vec[y]
         return {z: v for z, v in out.items() if v}
+    return moved
 
-    monkeypatch.setattr(tmodules, "_move_vector", without_edge)
+
+def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch):
+    # with the edge {0, 1} gone, LR e_0 = (D - 1) e_0 while D e_0 is required
+    monkeypatch.setattr(tmodules, "_move_vector", _without_edge(tmodules._move_vector, (0, 1)))
     want = r"Q_4: LR - RL != \(D - 2w\) I at vertex 0 of weight 0"
     with pytest.raises(AssertionError, match=want):
         decompose.__wrapped__(cube(4))
+
+
+def test_decompose_rejects_a_commutator_broken_at_a_checked_vertex_above_weight_0(monkeypatch):
+    # with {3, 7} gone, LR e_3 loses e_3 at the checked vertex of weight 2;
+    # the vertices of weights 0 and 1 never meet that edge
+    monkeypatch.setattr(tmodules, "_move_vector", _without_edge(tmodules._move_vector, (3, 7)))
+    want = r"Q_4: LR - RL != \(D - 2w\) I at vertex 3 of weight 2"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(4))
+
+
+def test_commutator_is_checked_at_one_vertex_per_weight(monkeypatch):
+    seen = []
+    move = tmodules._move_vector
+    monkeypatch.setattr(
+        tmodules, "_move_vector", lambda ctx, vec, to: seen.append(vec) or move(ctx, vec, to)
+    )
+    tmodules._check_commutator(cube(7))
+    assert {y for vec in seen if len(vec) == 1 for y in vec} == {(1 << w) - 1 for w in range(8)}
+
+
+def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch):
+    # the chains are raised with this matrix, and the relabelled modules need
+    # it to commute with every bit permutation
+    def without_edge(ctx):
+        a = adjacency(ctx)
+        return ExactMatrix(a.nrows, a.ncols, {
+            key: v for key, v in a.entries.items() if key not in ((0, 1), (1, 0))
+        })
+
+    monkeypatch.setattr(tmodules, "adjacency", without_edge)
+    want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_raises_and_lowers_with_the_checked_adjacency(monkeypatch):
+    # 2A commutes with every bit permutation, so only chains read off the
+    # same matrix see that LR - RL = 4(D - 2w) I
+    monkeypatch.setattr(tmodules, "adjacency", lambda ctx: adjacency(ctx) * 2)
+    want = r"Q_5: LR - RL != \(D - 2w\) I at vertex 0 of weight 0"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_rejects_a_representative_chain_that_dies_early(monkeypatch):
+    # the commutator checks move vectors of at most D entries; R^2 e_0 has 10
+    move = tmodules._move_vector
+
+    def short_only(ctx, vec, to):
+        return move(ctx, vec, to) if len(vec) <= ctx.D else {}
+
+    monkeypatch.setattr(tmodules, "_move_vector", short_only)
+    with pytest.raises(AssertionError, match="chain r=0#0 of Q_5 died early at step 3"):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_rejects_a_representative_chain_that_does_not_terminate(monkeypatch):
+    # raising out of the top slice returns e_0, which L never maps back
+    move = tmodules._move_vector
+    monkeypatch.setattr(
+        tmodules, "_move_vector", lambda ctx, vec, to: {0: 1} if to > ctx.D else move(ctx, vec, to)
+    )
+    with pytest.raises(AssertionError, match="chain r=0#0 of Q_5 failed to terminate"):
+        decompose.__wrapped__(cube(5))
+
+
+def _raised_by_bit_flips(ctx, second):
+    """Oracle: the chain on the polytabloid prod_i (e_{b_i} - e_{a_i}) of the
+    tableau with second row b, raised by flipping each zero bit, scaled by
+    `from_columns`."""
+    r = len(second)
+    chain = [{0: 1}]
+    for a, b in zip([p for p in range(ctx.D) if p not in second][:r], second):
+        chain[0] = {y | 1 << c: v if c == b else -v for y, v in chain[0].items() for c in (a, b)}
+    for _ in range(ctx.D - 2 * r):
+        out = {}
+        for y, v in chain[-1].items():
+            for b in range(ctx.D):
+                if not y >> b & 1:
+                    out[y | 1 << b] = out.get(y | 1 << b, 0) + v
+        chain.append(out)
+    return ExactMatrix.from_columns(ctx.nvertices, chain)
+
+
+def test_relabelled_modules_are_their_own_raised_polytabloids():
+    for D in range(1, 10):
+        ctx = cube(D)
+        for m in decompose(ctx):
+            assert m.vectors == _raised_by_bit_flips(ctx, m.tableau), (D, m.module_id)
+
+
+def test_module_bases_are_pinned():
+    # sha256 over ids, tableaux and bases at D = 1..9, as before each class
+    # was raised once and relabelled
+    h = hashlib.sha256()
+    for D in range(1, 10):
+        for m in decompose(cube(D)):
+            h.update(f"{D} {m.module_id} {m.tableau}\n{format_matrix(m.vectors)}\n".encode())
+    assert h.hexdigest() == "b82f9eb5a655954ac30dbaa40c3288af48f4c4c04b4436d7a4a788a2dcf73fa2"
 
 
 def test_dual_profile_windows():
@@ -542,6 +658,50 @@ def test_quotient_modules_types_and_dimensions():
                 col = sb.vectors.column(j)
                 weights = {q.class_weight(u) for (u, _c) in col.entries}
                 assert weights == {sb.endpoint + j}
+
+
+def test_quotient_images_are_psi_of_their_own_plus_halves():
+    # oracle: psi S_t c+ for each module, with no relabelling, columns by
+    # class weight
+    for D in (3, 5, 7, 9):
+        q = quotient(D)
+        psi = psi_matrix(q)
+        images = quotient_modules(q)
+        for m, (sb, _t) in zip(decompose(q.parent), images, strict=True):
+            img = psi @ m.vectors @ antipodal_split(q.parent, m)[0]
+            cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
+            cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
+            want = ExactMatrix.from_columns(q.nclasses, cols)
+            assert (sb.module_id, sb.tableau, sb.vectors) == (m.module_id, m.tableau, want), (D,)
+
+
+def test_quotient_modules_form_psi_products_once_per_endpoint(monkeypatch):
+    q = quotient(7)
+    calls = []
+    monkeypatch.setattr(tmodules, "psi_matrix", lambda q: calls.append(q) or psi_matrix(q))
+    tmodules._quotient_image.cache_clear()
+    tmodules._derived.cache_clear()
+    quotient_modules(q)
+    assert len(calls) == 4 == q.cal_d + 1
+
+
+def test_quotient_modules_reject_a_damaged_representative_image(monkeypatch):
+    image = tmodules._quotient_image
+
+    def damaged(q, endpoint):
+        rep = image(q, endpoint)
+        key = max(rep.vectors.entries)
+        entries = {**rep.vectors.entries, key: rep.vectors.entries[key] * 2}
+        return replace(rep, vectors=ExactMatrix(rep.vectors.nrows, rep.vectors.ncols, entries))
+
+    monkeypatch.setattr(tmodules, "_quotient_image", damaged)
+    tmodules._derived.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="subspace not invariant"):
+            quotient_modules(quotient(5))
+    finally:
+        monkeypatch.undo()
+        tmodules._derived.cache_clear()
 
 
 def test_module_summary_shape():

@@ -180,8 +180,9 @@ def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
     for label, a, b, c in _RELATIONS:
         lhs = mats[a] @ mats[b] + mats[b] @ mats[a]
         rhs = mats[c] * 2
-        diff = lhs - rhs
-        if not diff.is_zero():
+        # canonical entries and no stored zeros: equal matrices, equal dicts
+        if lhs != rhs:
+            diff = lhs - rhs
             (r, col) = min(diff.entries)
             return False, f"{label} fails at entry ({r},{col}): residue {diff.entries[(r, col)]}"
     return True, None

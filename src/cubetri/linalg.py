@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over Q(i).
 
-Matrices are immutable maps (row, col) -> nonzero GaussianRational, and
-every product is one dict walk over the stored entries.  Each scalar is one
-reduced integer triple (a, b, d) = (a + b*i)/d, so a step of the walk or of
-`_echelon` is a few integer operations and at most one gcd, and
-`_char_poly` reads the triples as integers over one common denominator.
+Matrices are immutable maps (row, col) -> nonzero GaussianRational, each
+scalar one reduced integer triple (a, b, d) = (a + b*i)/d.  The inner loops
+run on integers: `_int_rows` reads a matrix as Gaussian integers over the
+lcm of its denominators, so a step of `matmul`'s dict walk is an integer
+multiply-add and each entry of a product is reduced once, `_echelon`
+eliminates fraction-free in Z[i], and `_char_poly` works in Z[i] as well.
 A matrix hashes its entries once and keeps the hash.  No code path forms
 a dense 2^D-dimensional product: the cube operators are sparse, and the
 skew operator is built per T-module class (`tmodules.h_by_class`).
@@ -15,19 +16,20 @@ its first nonzero coordinate is 1, `kernel_basis` returns such a matrix,
 and `restrict` takes one.
 
 Every elimination runs through the one row reducer `_echelon`: `rank` and
-`kernel_basis` directly, and `invert` and `restrict` through `_solve`,
-which reads the unique X with S X = B off the reduced form of [S | B] and
-proves, from where its pivots fall, that S has full column rank and that
-every column of B lies in span S.  A change of basis to the columns of P
-is `restrict(M, P)` = P^-1 M P, so P^-1 is never formed.
+`kernel_basis` directly, the latter by back substitution on its echelon
+form, and `invert` and `restrict` through `_solve`, which reads the unique
+X with S X = B off the reduced form of [S | B] and proves, from where its
+pivots fall, that S has full column rank and that every column of B lies
+in span S.  A change of basis to the columns of P is `restrict(M, P)` =
+P^-1 M P, so P^-1 is never formed.
 """
 from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .exactnum import ZERO, GaussianRational
+from .exactnum import ZERO, GaussianRational, _reduced
 
 
 class ExactMatrix:
@@ -126,12 +128,6 @@ class ExactMatrix:
         col = {(r, 0): v for (r, c), v in self.entries.items() if c == j}
         return ExactMatrix._make(self.nrows, 1, col)
 
-    def to_rows(self):
-        rows = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -215,103 +211,207 @@ class ExactMatrix:
 # -- products ----------------------------------------------------------------
 
 
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product by a dict walk: each stored a[i, k] meets the stored
-    entries of row k of b, so the cost is the number of those pairs."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    b_rows: dict = {}
-    for (k, j), v in b.entries.items():
-        b_rows.setdefault(k, []).append((j, v))
-    acc: dict = {}
-    for (i, k), av in a.entries.items():
-        hits = b_rows.get(k)
-        if hits is None:
-            continue
-        for j, bv in hits:
-            key = (i, j)
-            cur = acc.get(key)
-            acc[key] = av * bv if cur is None else cur + av * bv
-    return ExactMatrix._make(a.nrows, b.ncols, {k: v for k, v in acc.items() if v})
+def _den(m: ExactMatrix) -> int:
+    """The lcm of the denominators of m's entries."""
+    return lcm(*{v.triple[2] for v in m.entries.values()})
 
 
-def _scaled_int_parts(m: ExactMatrix):
-    """(den, rows) with m = rows/den, where rows is dense and each entry an
-    integer (re, im) pair; den is the lcm of the entries' denominators."""
-    den = lcm(1, *(v.triple[2] for v in m.entries.values()))
-    rows = [[(0, 0)] * m.ncols for _ in range(m.nrows)]
+def _int_rows(m: ExactMatrix):
+    """(den, rows) with m = rows/den: rows maps each row index holding a
+    stored entry to a list of (col, re, im) with integer parts, and den is
+    the lcm of the entries' denominators (`_den`).  This is the one integer
+    form of a matrix: `matmul`, the row reducer and `_char_poly` read it."""
+    den = _den(m)
+    rows: dict = {}
     for (r, c), v in m.entries.items():
         a, b, d = v.triple
-        rows[r][c] = (a * (den // d), b * (den // d))
+        if d != den:
+            a, b = a * (den // d), b * (den // d)
+        row = rows.get(r)
+        if row is None:
+            rows[r] = [(c, a, b)]
+        else:
+            row.append((c, a, b))
     return den, rows
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact product by a dict walk over integers: with a = A/d and
+    b = B/e (`_int_rows`), each stored A[i, k] meets the stored entries of
+    row k of B, so the cost is the number of those pairs, each an integer
+    multiply-add, and each nonzero entry of A B is reduced once over d*e.
+
+    a is read in place, one row at a time, so besides the result only the
+    integer rows of b and one row's sums are held: a copy of a, or the sums
+    of every row at once, would each raise the peak memory of a run."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
+    da = _den(a)
+    db, b_rows = _int_rows(b)
+    den = da * db
+    a_entries = a.entries
+    a_rows: dict = {}
+    for key in a_entries:
+        a_rows.setdefault(key[0], []).append(key)
+    entries = {}
+    for i, keys in a_rows.items():
+        sums: dict = {}
+        for key in keys:
+            b_row = b_rows.get(key[1])
+            if b_row is None:
+                continue
+            ar, ai, d = a_entries[key].triple
+            if d != da:
+                ar, ai = ar * (da // d), ai * (da // d)
+            for j, br, bi in b_row:
+                cur = sums.get(j)
+                if cur is None:
+                    sums[j] = [ar * br - ai * bi, ar * bi + ai * br]
+                else:
+                    cur[0] += ar * br - ai * bi
+                    cur[1] += ar * bi + ai * br
+        for j, (re, im) in sums.items():
+            if re or im:
+                entries[(i, j)] = _reduced(re, im, den)
+    return ExactMatrix._make(a.nrows, b.ncols, entries)
 
 
 # -- elimination: echelon form, rank, kernels ----------------------------------
 
 
-def _echelon(rows, ncols, reduce_up=True):
-    """In-place row echelon over Q(i); returns pivot (row, col) list.
+def _echelon(rows, reduce_up=True):
+    """Fraction-free row reduction over Z[i]; returns the pivot rows as
+    (col, row) in increasing col.
 
-    Pivot choice is the first row with a nonzero entry in column order,
-    which keeps every output deterministic.
-    """
+    Each of `rows` lists (col, re, im) for its nonzero entries, Gaussian
+    integers (`_int_rows`); the reduction holds each row as a dict
+    col -> (re, im).  The next pivot column is the least leading column of a
+    remaining row, and one row led there becomes the pivot row.  A
+    non-real pivot p is made real first, by multiplying its row by conj(p).
+    Every other row led there is replaced by p*row - f*pivot_row, for f
+    its entry in that column (`_eliminate`), and divided by the gcd of its
+    integer parts.  With real pivots that gcd can take out the previous
+    pivot, the exact divisor of Bareiss (1968): on dense Gaussian matrices
+    up to 60 x 60 the integers stayed within about twice the bit length of
+    his minors.  A Gaussian factor such as 1 + 2i escapes an integer gcd,
+    so with non-real pivots they would grow exponentially.
+
+    With reduce_up the earlier pivot rows are cleared in that column too,
+    and each pivot row is divided by its pivot once, at the end: the rows
+    are the reduced row echelon form over Q(i), dicts col -> GaussianRational,
+    which is unique, so it does not depend on which row becomes a pivot
+    row.  Without, the rows are an echelon form over Z[i] with real pivots,
+    zero below each pivot and left undivided (`kernel_basis`
+    back-substitutes in integers)."""
+    leading: dict = {}
+    for row in rows:
+        if row:
+            row = {c: (a, b) for c, a, b in row}
+            leading.setdefault(min(row), []).append(row)
     pivots = []
-    pivot_row = 0
-    nrows = len(rows)
-    for col in range(ncols):
-        sel = None
-        for r in range(pivot_row, nrows):
-            if rows[r][col]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        prow = rows[pivot_row]
-        inv = prow[col].inverse()
-        for j in range(col, ncols):
-            if prow[j]:
-                prow[j] = prow[j] * inv
-        sweep = range(nrows) if reduce_up else range(pivot_row + 1, nrows)
-        for r in sweep:
-            if r == pivot_row:
-                continue
-            factor = rows[r][col]
-            if factor:
-                row = rows[r]
-                for j in range(col, ncols):
-                    if prow[j]:
-                        row[j] = row[j] - factor * prow[j]
-        pivots.append((pivot_row, col))
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return pivots
+    while leading:
+        col = min(leading)
+        pivot_row, *led = leading.pop(col)
+        pr, pi = pivot_row[col]
+        if pi:
+            pivot_row = _primitive(
+                {j: (a * pr + b * pi, b * pr - a * pi) for j, (a, b) in pivot_row.items()}
+            )
+        for row in led:
+            row = _eliminate(row, pivot_row, col)
+            if row:
+                leading.setdefault(min(row), []).append(row)
+        if reduce_up:
+            for i, (c, above) in enumerate(pivots):
+                if col in above:
+                    pivots[i] = (c, _eliminate(above, pivot_row, col))
+        pivots.append((col, pivot_row))
+    if not reduce_up:
+        return pivots
+    return [(col, _divided(row, row[col][0])) for col, row in pivots]
+
+
+def _eliminate(row, pivot_row, col):
+    """p*row - f*pivot_row for the real pivot p = pivot_row[col] and
+    f = row[col], which is 0 at col, divided by its content (`_primitive`)."""
+    p = pivot_row[col][0]
+    fr, fi = row[col]
+    out = {j: (p * a, p * b) for j, (a, b) in row.items()} if p != 1 else dict(row)
+    del out[col]
+    for j, (a, b) in pivot_row.items():
+        if j != col:
+            re, im = fr * a - fi * b, fr * b + fi * a
+            cur = out.get(j)
+            if cur is None:
+                out[j] = (-re, -im)
+            elif cur[0] != re or cur[1] != im:
+                out[j] = (cur[0] - re, cur[1] - im)
+            else:
+                del out[j]
+    return _primitive(out)
+
+
+def _primitive(row):
+    """row divided by the gcd of its integer parts."""
+    g = 0
+    for a, b in row.values():
+        g = gcd(g, a, b)
+        if g == 1:
+            return row
+    return {j: (a // g, b // g) for j, (a, b) in row.items()}
+
+
+def _divided(row, p):
+    """row / p for a nonzero integer p, as a dict col -> GaussianRational."""
+    s = -1 if p < 0 else 1
+    return {j: _reduced(s * a, s * b, s * p) for j, (a, b) in row.items()}
 
 
 def rank(m: ExactMatrix) -> int:
-    rows = m.to_rows()
-    return len(_echelon(rows, m.ncols, reduce_up=False))
+    return len(_echelon(list(_int_rows(m)[1].values()), reduce_up=False))
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
-    """Basis of the right null space as columns, reduced and normalized;
-    m.ncols x 0 if m is injective."""
-    rows = m.to_rows()
-    pivots = _echelon(rows, m.ncols)
-    pivot_cols = [c for (_r, c) in pivots]
-    pivot_of_col = {c: r for (r, c) in pivots}
-    free_cols = [c for c in range(m.ncols) if c not in pivot_of_col]
-    columns = []
-    one = GaussianRational(1)
-    for f in free_cols:
-        vec = {f: one}
-        for c in pivot_cols:
-            coeff = rows[pivot_of_col[c]][f]
-            if coeff:
-                vec[c] = -coeff
-        columns.append(vec)
-    return ExactMatrix.from_columns(m.ncols, columns)
+    """Basis of the right null space as columns, each scaled so its first
+    nonzero coordinate is 1; m.ncols x 0 if m is injective.
+
+    The column of free column f is the null vector x with x_f = 1 and 0 at
+    every other free column, the one the reduced form reads off.  It comes
+    from the echelon form over Z[i] (`_echelon` without the upward sweep)
+    by back substitution, last pivot row first: for the pivot row R_c with
+    pivot p, x_c = -(sum_{j > c} R_c[j] x_j) / p, and x_c = 0 for c > f.
+    The sums run over a Gaussian-integer multiple y of x, scaled by p only
+    when p does not divide the sum, and x is y over its first nonzero
+    coordinate, one division per coordinate.  Each pivot row is read once
+    per vector, so a pivot row with three entries, as in the tridiagonal
+    shifts of `integer_eigenspaces`, costs O(1)."""
+    pivots = _echelon(list(_int_rows(m)[1].values()), reduce_up=False)
+    pivot_cols = {c for c, _row in pivots}
+    entries: dict = {}
+    free = [f for f in range(m.ncols) if f not in pivot_cols]
+    for k, f in enumerate(free):
+        y = {f: (1, 0)}
+        for c, row in reversed(pivots):
+            if c > f:
+                continue
+            sr = si = 0
+            for j, (a, b) in row.items():
+                yj = y.get(j)
+                if yj is not None:
+                    sr += a * yj[0] - b * yj[1]
+                    si += a * yj[1] + b * yj[0]
+            if sr or si:
+                p = row[c][0]
+                if sr % p or si % p:
+                    y = {j: (a * p, b * p) for j, (a, b) in y.items()}
+                    y[c] = (-sr, -si)
+                else:
+                    y[c] = (-sr // p, -si // p)
+        pr, pi = y[min(y)]
+        n = pr * pr + pi * pi
+        for j, (a, b) in y.items():
+            entries[(j, k)] = _reduced(a * pr + b * pi, b * pr - a * pi, n)
+    return ExactMatrix._make(m.ncols, len(free), entries)
 
 
 def _char_poly(m: ExactMatrix):
@@ -323,8 +423,12 @@ def _char_poly(m: ExactMatrix):
     det(t*I - A) = sum_i p_i t^(k-i), the next leading block has
     det = (t - a) det(t*I - A) - sum_{j<k} t^(k-1-j) sum_{i<=j} p_i r A^(j-i) c.
     """
-    d, a = _scaled_int_parts(m)
+    d, rows = _int_rows(m)
     n, zero = m.nrows, (0, 0)
+    a = [[zero] * n for _ in range(n)]
+    for r, row in rows.items():
+        for c, re, im in row:
+            a[r][c] = (re, im)
     poly = [(1, 0)]
     for k in range(n):
         vec, moments = [a[r][k] for r in range(k)], []
@@ -393,27 +497,32 @@ def integer_eigenspaces(m: ExactMatrix, bound: int):
 
 def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The unique X with s @ X == b, from one `_echelon` of [s | b] over
-    the rows nonzero in s or in b, in sorted order (a zero row holds no
-    pivot).  With k = s.ncols, rank [s | b] = rank s = k holds exactly when
-    s has full column rank and every column of b lies in span s; the first
-    k rows are then [I | X].  Pivot columns increase, so if the first k are
-    not 0..k-1 the columns of s are dependent; otherwise the first further
+    the rows nonzero in s or in b (a zero row holds no pivot), scaled to
+    Gaussian integers (`_int_rows`).  With k = s.ncols,
+    rank [s | b] = rank s = k holds exactly when s has full column rank and
+    every column of b lies in span s; the k pivot rows of the reduced form
+    are then [I | X].  Pivot columns increase, so if the first k are not
+    0..k-1 the columns of s are dependent; otherwise the first further
     pivot, in column k+j, marks the first b_j outside
     span(s, b_0..b_{j-1}) = span s.  Either failure raises ValueError."""
-    k, width = s.ncols, s.ncols + b.ncols
-    rows: dict = {}
-    for offset, m in ((0, s), (k, b)):
-        for (r, c), v in m.entries.items():
-            rows.setdefault(r, [ZERO] * width)[offset + c] = v
-    aug = [rows[r] for r in sorted(rows)]
-    pivot_cols = [c for (_r, c) in _echelon(aug, width)]
+    k = s.ncols
+    ds, rows = _int_rows(s)
+    db, b_rows = _int_rows(b)
+    if db != 1:
+        rows = {r: [(c, x * db, y * db) for c, x, y in row] for r, row in rows.items()}
+    for r, b_row in b_rows.items():
+        rows.setdefault(r, []).extend((k + c, x * ds, y * ds) for c, x, y in b_row)
+    pivots = _echelon(list(rows.values()))
+    pivot_cols = [c for c, _row in pivots]
     if pivot_cols[:k] != list(range(k)):
         raise ValueError("basis columns are linearly dependent")
     if len(pivot_cols) > k:
         raise ValueError(
             f"subspace not invariant: image of basis vector {pivot_cols[k] - k} leaves the span"
         )
-    entries = {(i, j): v for i in range(k) for j, v in enumerate(aug[i][k:]) if v}
+    entries = {
+        (i, c - k): v for i, (_c, row) in enumerate(pivots) for c, v in row.items() if c >= k
+    }
     return ExactMatrix._make(k, b.ncols, entries)
 
 

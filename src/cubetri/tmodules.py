@@ -350,36 +350,50 @@ def _product_proof(space, w: SubmoduleBasis, builders) -> tuple[ExactMatrix, ...
     return tuple(mats)
 
 
-def _relabelling(space, positions) -> list[int]:
-    """The coordinates of P_sigma for sigma(p) = positions[p] on bit positions:
-    y -> sigma(y) on Q_D, and class u -> class_of(sigma(u)) on Q~_D."""
+def _relabelling(space, positions):
+    """The coordinate map of P_sigma for sigma(p) = positions[p] on bit
+    positions: y -> sigma(y) on Q_D, and class u -> class_of(sigma(u)) on
+    Q~_D.  It reads two tables, one over each half of the bit positions,
+    so a relabelling costs 2^(D/2) entries, not 2^D."""
     quotient = isinstance(space, QuotientContext)
-    table = [0]
-    for p in range(space.D - quotient):  # class indices are the vertices below 2^(D-1)
-        table += [y | 1 << positions[p] for y in table]
-    return [space.class_of(y) for y in table] if quotient else table
+    nbits = space.D - quotient  # class indices are the vertices below 2^(D-1)
+    half = nbits // 2
+    low, high = [0], [0]
+    for p in range(half):
+        low += [y | 1 << positions[p] for y in low]
+    for p in range(half, nbits):
+        high += [y | 1 << positions[p] for y in high]
+    mask = (1 << half) - 1
+    if quotient:
+        class_of = space.class_of
+        return lambda y: class_of(low[y & mask] | high[y >> half])
+    return lambda y: low[y & mask] | high[y >> half]
 
 
 def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
     """P_sigma s, for sigma the bit permutation that takes rep_tableau to
-    tableau, each read row by row."""
+    tableau, each read row by row; sigma is applied to the stored rows of s only."""
     words = (sorted(range(space.D), key=t.__contains__) for t in (rep_tableau, tableau))
     sigma = _relabelling(space, dict(zip(*words)))
-    image = {(sigma[y], c): v for (y, c), v in s.entries.items()}
+    image = {(sigma(y), c): v for (y, c), v in s.entries.items()}
     return ExactMatrix._make(s.nrows, s.ncols, image)
 
 
 @lru_cache(maxsize=None)
 def _check_symmetric(space, build) -> None:
     """M P_tau == P_tau M, i.e. M[tau(y), tau(z)] = M[y, z], for M = build(space)
-    and each adjacent transposition tau of bit positions."""
+    and each adjacent transposition tau of bit positions.  tau is checked to
+    be a bijection, so it maps the stored entries one to one onto stored
+    entries of equal value; there are as many, so M has no others."""
     m = build(space)
+    entries = m.entries
     for j in range(space.D - 1):
-        tau = _relabelling(space, [*range(j), j + 1, j, *range(j + 2, space.D)])
+        sigma = _relabelling(space, [*range(j), j + 1, j, *range(j + 2, space.D)])
+        tau = [sigma(y) for y in range(m.nrows)]
         what = f"{build.__name__} at D={space.D}, transposition ({j} {j + 1})"
         if len(set(tau)) != len(tau):
             raise AssertionError(f"{what}: the relabelling is not a bijection")
-        if {(tau[y], tau[z]): v for (y, z), v in m.entries.items()} != m.entries:
+        if any(entries.get((tau[y], tau[z])) != v for (y, z), v in entries.items()):
             raise AssertionError(f"{what}: the builder does not commute with it")
 
 

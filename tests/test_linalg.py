@@ -32,6 +32,11 @@ def _random_matrix(rng, nrows, ncols, density=0.5, complex_part=True):
     return ExactMatrix(nrows, ncols, entries)
 
 
+def _dense(m):
+    """m as a list of rows, zeros written out."""
+    return [[m.get(r, c) for c in range(m.ncols)] for r in range(m.nrows)]
+
+
 def test_identity_product():
     rng = random.Random(3)
     m = _random_matrix(rng, 7, 7)
@@ -87,12 +92,27 @@ def test_matmul_associative_random():
         assert (a @ b) @ c == a @ (b @ c)
 
 
+def _coprime_denominators(rng, nrows, ncols, dens, density):
+    """Gaussian entries whose parts have denominators drawn from dens."""
+    def part():
+        return Fraction(rng.randint(-9, 9), rng.choice(dens))
+
+    return ExactMatrix(nrows, ncols, {
+        (r, c): gr(part(), part())
+        for r in range(nrows) for c in range(ncols) if rng.random() < density
+    })
+
+
 def test_matmul_matches_row_by_column_sums():
     rng = random.Random(17)
+    pairs = []
     for density in (0.1, 0.5, 1.0):
-        a = _random_matrix(rng, 7, 9, density=density)
-        b = _random_matrix(rng, 9, 6, density=density)
-        a_rows, b_rows = a.to_rows(), b.to_rows()
+        pairs.append((_random_matrix(rng, 7, 9, density), _random_matrix(rng, 9, 6, density)))
+        # a and b are read as integers over lcm(2, 3, 5) and lcm(7, 11, 13)
+        pairs.append((_coprime_denominators(rng, 7, 9, (1, 2, 3, 5), density),
+                      _coprime_denominators(rng, 9, 6, (7, 11, 13), density)))
+    for a, b in pairs:
+        a_rows, b_rows = _dense(a), _dense(b)
         want = [[sum((a_rows[i][k] * b_rows[k][j] for k in range(9)), gr(0)) for j in range(6)]
                 for i in range(7)]
         assert matmul(a, b) == ExactMatrix.from_rows(want)
@@ -203,7 +223,7 @@ def test_equal_matrices_by_different_routes_hash_equal(monkeypatch):
     m = _random_matrix(random.Random(11), 5, 4)
     routes = [
         ExactMatrix(5, 4, dict(reversed(list(m.entries.items())))),
-        ExactMatrix.from_rows(m.to_rows()),
+        ExactMatrix.from_rows(_dense(m)),
         (m + m) * Fraction(1, 2),
         ExactMatrix.identity(5) @ m,
         parse_matrix(format_matrix(m)),
@@ -216,7 +236,7 @@ def test_equal_matrices_by_different_routes_hash_equal(monkeypatch):
     monkeypatch.setattr(
         GaussianRational, "__hash__", lambda v: scalar_hashes.append(v) or scalar_hash(v)
     )
-    fresh = ExactMatrix.from_rows(m.to_rows())
+    fresh = ExactMatrix.from_rows(_dense(m))
     assert {fresh: 1}[m] == 1 and hash(fresh) == hash(m)
     assert len(scalar_hashes) == m.nnz()
     with pytest.raises(AttributeError):
@@ -479,7 +499,7 @@ def test_invert_is_a_two_sided_inverse(m, data):
     assert m @ inverse == eye and inverse @ m == eye
     if n >= 2:
         i, j = data.draw(st.permutations(range(n)))[:2]
-        rows = m.to_rows()
+        rows = _dense(m)
         rows[j] = rows[i]
         with pytest.raises(ValueError, match="matrix is singular"):
             invert(ExactMatrix.from_rows(rows))
@@ -564,22 +584,84 @@ def test_kernel_basis_spans_the_null_space(m):
     assert rank(k) == k.ncols
 
 
-def test_rank_and_kernel_match_sympy():
-    sympy = pytest.importorskip("sympy")
+def _elimination_cases():
+    """Q(i) matrices with fractional and imaginary parts: empty shapes,
+    random ones, and products through a narrow inner dimension, so that
+    kernels are common."""
     rng = random.Random(59)
     cases = [ExactMatrix.zeros(0, 3), ExactMatrix.zeros(3, 0), ExactMatrix.zeros(2, 4)]
-    for nrows, ncols in ((1, 1), (2, 3), (3, 2), (3, 3), (4, 5), (5, 4), (5, 5)):
+    for nrows, ncols in ((1, 1), (2, 3), (3, 2), (3, 3), (4, 5), (5, 4), (5, 5), (4, 7), (6, 6)):
         cases.append(_random_matrix(rng, nrows, ncols, density=0.6))
         cases.append(_random_matrix(rng, nrows, ncols, density=0.4, complex_part=False))
         inner = rng.randint(1, min(nrows, ncols))
         cases.append(_random_matrix(rng, nrows, inner) @ _random_matrix(rng, inner, ncols))
-    for m in cases:
+    return cases
+
+
+def _from_sympy(sympy, v):
+    v = sympy.expand(v)
+    re, im = sympy.re(v), sympy.im(v)
+    return gr(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def test_rank_and_kernel_match_sympy():
+    # the kernel entry for entry: sympy's nullspace() basis, each vector
+    # scaled so its first nonzero coordinate is 1
+    sympy = pytest.importorskip("sympy")
+    for m in _elimination_cases():
         want = _sympy_matrix(sympy, m)
         assert rank(m) == want.rank(), m
-        null = want.nullspace()
-        k = kernel_basis(m)
-        assert k.ncols == len(null), m
-        if null:
-            # the two bases span one space: stacking them adds no rank
-            both = sympy.Matrix.hstack(*null, _sympy_matrix(sympy, k))
-            assert both.rank() == len(null), m
+        columns = []
+        for vec in want.nullspace():
+            values = [_from_sympy(sympy, x) for x in vec]
+            first = next(v for v in values if v).inverse()
+            columns.append({r: v * first for r, v in enumerate(values) if v})
+        assert kernel_basis(m) == ExactMatrix(m.ncols, len(columns), {
+            (r, j): v for j, col in enumerate(columns) for r, v in col.items()
+        }), m
+
+
+def test_echelon_rows_equal_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    for m in _elimination_cases():
+        reduced, pivot_cols = _sympy_matrix(sympy, m).rref()
+        pivots = linalg._echelon(list(linalg._int_rows(m)[1].values()))
+        assert tuple(c for c, _row in pivots) == pivot_cols, m
+        for i, (_c, row) in enumerate(pivots):
+            want = {c: _from_sympy(sympy, reduced[i, c]) for c in range(m.ncols)}
+            assert row == {c: v for c, v in want.items() if v}, m
+
+
+def _hilbert_style(n):
+    return ExactMatrix.from_rows([
+        [gr(Fraction(1, r + c + 1), Fraction(1, r + 2 * c + 3)) for c in range(n)] for r in range(n)
+    ])
+
+
+def test_hilbert_style_solve_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    h = _hilbert_style(12)
+    b = ExactMatrix.from_rows(
+        [[gr(r - r % 3, 1 + r % 3), gr(Fraction(1, r + 1))] for r in range(12)]
+    )
+    to_domain = DomainMatrix.from_Matrix
+    want = to_domain(_sympy_matrix(sympy, h)).lu_solve(to_domain(_sympy_matrix(sympy, b)))
+    assert _sympy_matrix(sympy, linalg._solve(h, b)) == want.to_Matrix().applyfunc(sympy.expand)
+
+
+def test_echelon_integers_stay_near_the_minors():
+    # Hadamard: every minor of the integer matrix d*h is at most the product
+    # of its row norms.  With the content division the echelon rows stay
+    # within twice that bit length; without it they grow exponentially.
+    h = _hilbert_style(12)
+    _d, rows = linalg._int_rows(h)
+    hadamard_bits = sum(
+        (sum(re * re + im * im for _c, re, im in row).bit_length() + 1) // 2
+        for row in rows.values()
+    )
+    pivots = linalg._echelon(list(rows.values()), reduce_up=False)
+    bits = max(max(abs(re).bit_length(), abs(im).bit_length())
+               for _c, row in pivots for re, im in row.values())
+    assert len(pivots) == 12 and bits <= 2 * hadamard_bits

@@ -66,14 +66,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each subcommand takes only the flags it reads
     common = _Parser(add_help=False)
-    common.add_argument("--D", type=int, help="cube diameter")
-    common.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
     common.add_argument("--out", type=Path, help="output file or directory")
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=20240817, help="accepted; no suite reads it")
     common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
     common.add_argument("--force", action="store_true", help="exceed the default D caps")
+    diameter = _Parser(add_help=False)
+    diameter.add_argument("--D", type=int, help="cube diameter")
 
     parser = _Parser(
         prog="cubetri",
@@ -81,14 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_build = sub.add_parser("build", parents=[common], help="write matrices in exchange format")
+    p_build = sub.add_parser("build", parents=[diameter, common], help="write matrices in exchange format")
     p_build.add_argument("--matrix", action="append", required=True, help="matrix name, repeatable")
     p_build.set_defaults(handler=cmd_build)
 
-    p_dec = sub.add_parser("decompose", parents=[common], help="list irreducible modules")
+    p_dec = sub.add_parser("decompose", parents=[diameter, common], help="list irreducible modules")
+    p_dec.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
     p_dec.set_defaults(handler=cmd_decompose)
 
-    p_ver = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p_ver = sub.add_parser("verify", parents=[diameter, common], help="run verification suites")
+    p_ver.add_argument("--seed", type=int, default=20240817, help="accepted; no suite reads it")
     p_ver.add_argument(
         "--suite", action="append", choices=sorted(SUITES), help="suite name, repeatable; default all"
     )

@@ -15,12 +15,13 @@ no separate basis type.  `ExactMatrix.from_columns` scales each column so
 its first nonzero coordinate is 1, `kernel_basis` returns such a matrix,
 and `restrict` takes one.
 
-Every elimination runs through the one row reducer `_echelon`: `rank` and
-`kernel_basis` directly, the latter by back substitution on its echelon
-form, and `invert` and `restrict` through `_solve`, which reads the unique
-X with S X = B off the reduced form of [S | B] and proves, from where its
-pivots fall, that S has full column rank and that every column of B lies
-in span S.  A change of basis to the columns of P is `restrict(M, P)` =
+Every elimination runs through the one forward row reducer `_echelon` and
+the one back substitution `_null_vector`: `rank` counts pivots,
+`kernel_basis` reads a null vector per free column, and `invert` and
+`restrict` go through `_solve`, which proves from where the pivots of
+[S | B] fall that S has full column rank and that every column of B lies
+in span S, then reads the unique X with S X = B off null vectors of
+[S | B].  A change of basis to the columns of P is `restrict(M, P)` =
 P^-1 M P, so P^-1 is never formed.
 """
 from __future__ import annotations
@@ -153,26 +154,24 @@ class ExactMatrix:
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._same_shape(other)
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            s = entries.get(key)
-            t = v if s is None else s + v
-            if t:
-                entries[key] = t
-            elif s is not None:
-                del entries[key]
-        return ExactMatrix._make(self.nrows, self.ncols, entries)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._plus(other, -1)
+
+    def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
+        """self + sign*other, sign = ±1, with no stored zeros."""
         self._same_shape(other)
         entries = dict(self.entries)
         for key, v in other.entries.items():
             s = entries.get(key)
-            t = -v if s is None else s - v
+            if s is None:
+                entries[key] = v if sign > 0 else -v
+                continue
+            t = s + v if sign > 0 else s - v
             if t:
                 entries[key] = t
-            elif s is not None:
+            else:
                 del entries[key]
         return ExactMatrix._make(self.nrows, self.ncols, entries)
 
@@ -279,30 +278,22 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 # -- elimination: echelon form, rank, kernels ----------------------------------
 
 
-def _echelon(rows, reduce_up=True):
-    """Fraction-free row reduction over Z[i]; returns the pivot rows as
-    (col, row) in increasing col.
+def _echelon(rows):
+    """Fraction-free forward elimination over Z[i]; returns the pivot rows
+    as (col, row) in increasing col, each a dict col -> (re, im) with a
+    real pivot and zero below it, left undivided.
 
     Each of `rows` lists (col, re, im) for its nonzero entries, Gaussian
-    integers (`_int_rows`); the reduction holds each row as a dict
-    col -> (re, im).  The next pivot column is the least leading column of a
-    remaining row, and one row led there becomes the pivot row.  A
-    non-real pivot p is made real first, by multiplying its row by conj(p).
-    Every other row led there is replaced by p*row - f*pivot_row, for f
-    its entry in that column (`_eliminate`), and divided by the gcd of its
-    integer parts.  With real pivots that gcd can take out the previous
-    pivot, the exact divisor of Bareiss (1968): on dense Gaussian matrices
-    up to 60 x 60 the integers stayed within about twice the bit length of
-    his minors.  A Gaussian factor such as 1 + 2i escapes an integer gcd,
-    so with non-real pivots they would grow exponentially.
-
-    With reduce_up the earlier pivot rows are cleared in that column too,
-    and each pivot row is divided by its pivot once, at the end: the rows
-    are the reduced row echelon form over Q(i), dicts col -> GaussianRational,
-    which is unique, so it does not depend on which row becomes a pivot
-    row.  Without, the rows are an echelon form over Z[i] with real pivots,
-    zero below each pivot and left undivided (`kernel_basis`
-    back-substitutes in integers)."""
+    integers (`_int_rows`).  The next pivot column is the least leading
+    column of a remaining row, and one row led there becomes the pivot row.
+    A non-real pivot p is made real first, by multiplying its row by
+    conj(p).  Every other row led there is replaced by p*row - f*pivot_row,
+    for f its entry in that column (`_eliminate`), and divided by the gcd
+    of its integer parts.  With real pivots that gcd can take out the
+    previous pivot, the exact divisor of Bareiss (1968): on dense Gaussian
+    matrices up to 60 x 60 the integers stayed within about twice the bit
+    length of his minors.  A Gaussian factor such as 1 + 2i escapes an
+    integer gcd, so with non-real pivots they would grow exponentially."""
     leading: dict = {}
     for row in rows:
         if row:
@@ -321,14 +312,8 @@ def _echelon(rows, reduce_up=True):
             row = _eliminate(row, pivot_row, col)
             if row:
                 leading.setdefault(min(row), []).append(row)
-        if reduce_up:
-            for i, (c, above) in enumerate(pivots):
-                if col in above:
-                    pivots[i] = (c, _eliminate(above, pivot_row, col))
         pivots.append((col, pivot_row))
-    if not reduce_up:
-        return pivots
-    return [(col, _divided(row, row[col][0])) for col, row in pivots]
+    return pivots
 
 
 def _eliminate(row, pivot_row, col):
@@ -361,57 +346,61 @@ def _primitive(row):
     return {j: (a // g, b // g) for j, (a, b) in row.items()}
 
 
-def _divided(row, p):
-    """row / p for a nonzero integer p, as a dict col -> GaussianRational."""
-    s = -1 if p < 0 else 1
-    return {j: _reduced(s * a, s * b, s * p) for j, (a, b) in row.items()}
-
-
 def rank(m: ExactMatrix) -> int:
-    return len(_echelon(list(_int_rows(m)[1].values()), reduce_up=False))
+    return len(_echelon(list(_int_rows(m)[1].values())))
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
     """Basis of the right null space as columns, each scaled so its first
     nonzero coordinate is 1; m.ncols x 0 if m is injective.
 
-    The column of free column f is the null vector x with x_f = 1 and 0 at
-    every other free column, the one the reduced form reads off.  It comes
-    from the echelon form over Z[i] (`_echelon` without the upward sweep)
-    by back substitution, last pivot row first: for the pivot row R_c with
-    pivot p, x_c = -(sum_{j > c} R_c[j] x_j) / p, and x_c = 0 for c > f.
-    The sums run over a Gaussian-integer multiple y of x, scaled by p only
-    when p does not divide the sum, and x is y over its first nonzero
-    coordinate, one division per coordinate.  Each pivot row is read once
-    per vector, so a pivot row with three entries, as in the tridiagonal
-    shifts of `integer_eigenspaces`, costs O(1)."""
-    pivots = _echelon(list(_int_rows(m)[1].values()), reduce_up=False)
+    The column of free column f is the null vector `_null_vector` finds
+    for f, 0 at every other free column, over its first nonzero
+    coordinate: one division per coordinate."""
+    pivots = _echelon(list(_int_rows(m)[1].values()))
     pivot_cols = {c for c, _row in pivots}
     entries: dict = {}
     free = [f for f in range(m.ncols) if f not in pivot_cols]
     for k, f in enumerate(free):
-        y = {f: (1, 0)}
-        for c, row in reversed(pivots):
-            if c > f:
-                continue
-            sr = si = 0
-            for j, (a, b) in row.items():
-                yj = y.get(j)
-                if yj is not None:
-                    sr += a * yj[0] - b * yj[1]
-                    si += a * yj[1] + b * yj[0]
-            if sr or si:
-                p = row[c][0]
-                if sr % p or si % p:
-                    y = {j: (a * p, b * p) for j, (a, b) in y.items()}
-                    y[c] = (-sr, -si)
-                else:
-                    y[c] = (-sr // p, -si // p)
+        y = _null_vector(pivots, f)
         pr, pi = y[min(y)]
         n = pr * pr + pi * pi
         for j, (a, b) in y.items():
             entries[(j, k)] = _reduced(a * pr + b * pi, b * pr - a * pi, n)
     return ExactMatrix._make(m.ncols, len(free), entries)
+
+
+def _null_vector(pivots, f):
+    """The null vector y over Z[i] of the echelon rows `pivots` (`_echelon`)
+    with y_f real and nonzero and y = 0 at every other column that holds no
+    pivot, as a dict col -> (re, im) of its nonzero coordinates.
+
+    Back substitution, last pivot row first: for the pivot row R_c with
+    pivot p, y_c = -(sum_{j > c} R_c[j] y_j) / p, and y_c = 0 for c > f.
+    When p does not divide the sum, y is scaled by p first, so every
+    coordinate stays a Gaussian integer.  Each sum walks the shorter of R_c
+    and y: a pivot row with three entries, as in the tridiagonal shifts of
+    `integer_eigenspaces`, costs O(1), and a row of [S | B] in `_solve`
+    costs no more than the coordinates of y found so far."""
+    y = {f: (1, 0)}
+    for c, row in reversed(pivots):
+        if c > f:
+            continue
+        sr = si = 0
+        short, long = (row, y) if len(row) < len(y) else (y, row)
+        for j, (a, b) in short.items():
+            other = long.get(j)
+            if other is not None:
+                sr += a * other[0] - b * other[1]
+                si += a * other[1] + b * other[0]
+        if sr or si:
+            p = row[c][0]
+            if sr % p or si % p:
+                y = {j: (a * p, b * p) for j, (a, b) in y.items()}
+                y[c] = (-sr, -si)
+            else:
+                y[c] = (-sr // p, -si // p)
+    return y
 
 
 def _char_poly(m: ExactMatrix):
@@ -500,11 +489,14 @@ def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     the rows nonzero in s or in b (a zero row holds no pivot), scaled to
     Gaussian integers (`_int_rows`).  With k = s.ncols,
     rank [s | b] = rank s = k holds exactly when s has full column rank and
-    every column of b lies in span s; the k pivot rows of the reduced form
-    are then [I | X].  Pivot columns increase, so if the first k are not
-    0..k-1 the columns of s are dependent; otherwise the first further
-    pivot, in column k+j, marks the first b_j outside
-    span(s, b_0..b_{j-1}) = span s.  Either failure raises ValueError."""
+    every column of b lies in span s.  Pivot columns increase, so if the
+    first k are not 0..k-1 the columns of s are dependent; otherwise the
+    first further pivot, in column k+j, marks the first b_j outside
+    span(s, b_0..b_{j-1}) = span s.  Either failure raises ValueError.
+
+    Else no column of b holds a pivot, and column j of X is -y/y_{k+j} for
+    y = `_null_vector` at k+j: the kernel vector of [s | b] that is -1 at
+    k+j and 0 at every other column of b, so s x = b_j."""
     k = s.ncols
     ds, rows = _int_rows(s)
     db, b_rows = _int_rows(b)
@@ -520,16 +512,19 @@ def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError(
             f"subspace not invariant: image of basis vector {pivot_cols[k] - k} leaves the span"
         )
-    entries = {
-        (i, c - k): v for i, (_c, row) in enumerate(pivots) for c, v in row.items() if c >= k
-    }
+    entries = {}
+    for j in range(b.ncols):
+        y = _null_vector(pivots, k + j)
+        t = y.pop(k + j)[0]
+        sign = -1 if t > 0 else 1
+        for i, (re, im) in y.items():
+            entries[(i, j)] = _reduced(sign * re, sign * im, abs(t))
     return ExactMatrix._make(k, b.ncols, entries)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
-    """m^-1 as the unique X with m @ X == I (`_solve`); a square m has n
-    rows, so [m | I] can hold no pivot beyond m's n columns, and m is
-    singular exactly when its own columns are dependent."""
+    """m^-1 as the unique X with m @ X == I (`_solve`); [m | I] has rank
+    n, so m is singular exactly when its own columns are dependent."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     try:
@@ -539,11 +534,12 @@ def invert(m: ExactMatrix) -> ExactMatrix:
 
 
 def restrict(m: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
-    """Matrix of m in the coordinates of the basis columns of s: the unique
-    X with m S = S X.  `_solve(S, m S)` succeeds exactly when
-    rank [S | m S] = rank S = k, i.e. S has full column rank and m maps
-    span S into itself; otherwise it fails loudly, naming dependent columns
-    first and else the first basis vector whose image leaves the span."""
+    """Matrix of m in the coordinates of the basis columns of s: the X with
+    m S = S X, unique as S has full column rank.  `_solve(S, m S)`
+    succeeds exactly when rank [S | m S] = rank S = k, i.e. S has full
+    column rank and m maps span S into itself; otherwise it fails loudly,
+    naming dependent columns first and else the first basis vector whose
+    image leaves the span."""
     if not m.nrows == m.ncols == s.nrows:
         raise ValueError("matrix and basis ambient dimensions differ")
     return _solve(s, m @ s)

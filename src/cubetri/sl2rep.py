@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .acsa import ModuleActionTriple, ab_type, check_relations, classify, restrict_triple
+from .acsa import ModuleActionTriple, _sign, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, exp_nilpotent
 
@@ -184,7 +184,7 @@ def split_odd(action: Sl2Action, structure_index: int):
     one = gr(1)
     plus_cols = [{i: one, d - i: one} for i in range(delta + 1)]
     minus_cols = [
-        {i: gr(_pm(i)), d - i: gr(-_pm(i))} for i in range(delta + 1)
+        {i: gr(_sign(i)), d - i: gr(-_sign(i))} for i in range(delta + 1)
     ]
     plus = ExactMatrix.from_columns(n, plus_cols)
     minus = ExactMatrix.from_columns(n, minus_cols)
@@ -199,10 +199,6 @@ def split_odd(action: Sl2Action, structure_index: int):
             )
         out.append((basis, found))
     return out
-
-
-def _pm(i: int) -> int:
-    return 1 if i % 2 == 0 else -1
 
 
 def expected_h_eigenvalue(i: int, d: int) -> GaussianRational:

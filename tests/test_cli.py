@@ -171,6 +171,21 @@ def test_usage_errors_are_one_line(capsys):
         assert captured.err.count("\n") == 1, argv
 
 
+def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys):
+    # argparse refuses these before a matrix file is opened or a suite runs
+    files = ["--x", "x.mtx", "--y", "y.mtx", "--z", "z.mtx"]
+    for argv, flag in (
+        (["skew", "--d", "3", "--D", "5"], "--D 5"),
+        (["verify", "--quotient"], "--quotient"),
+        (["classify", *files, "--seed", "1"], "--seed 1"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2, argv
+        assert (captured.out, captured.err) == ("", f"error: unrecognized arguments: {flag}\n"), argv
+
+
 def test_verify_rejects_a_nonpositive_d_before_running_any_suite(capsys, monkeypatch):
     def no_run(name, **_kw):
         raise AssertionError(f"suite {name} ran with a nonpositive --D")

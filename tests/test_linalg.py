@@ -621,13 +621,35 @@ def test_rank_and_kernel_match_sympy():
         }), m
 
 
+def _reduced_from_echelon(pivots):
+    """The reduced row echelon form of `_echelon`'s rows, in Fraction
+    (re, im) pairs: each row divided by its real pivot, then each pivot
+    column cleared in the rows above."""
+    rows = [
+        (c, {j: (Fraction(a, row[c][0]), Fraction(b, row[c][0])) for j, (a, b) in row.items()})
+        for c, row in pivots
+    ]
+    for i, (c, row) in enumerate(rows):
+        for _c, above in rows[:i]:
+            fr, fi = above.get(c, (0, 0))
+            for j, (a, b) in row.items():
+                ar, ai = above.get(j, (0, 0))
+                above[j] = (ar - fr * a + fi * b, ai - fr * b - fi * a)
+    return [{j: gr(a, b) for j, (a, b) in row.items() if a or b} for _c, row in rows]
+
+
 def test_echelon_rows_equal_sympy_rref():
+    # the forward form: sympy's pivot columns, real pivots, zeros below
+    # them, and sympy's rref() once reduced
     sympy = pytest.importorskip("sympy")
     for m in _elimination_cases():
         reduced, pivot_cols = _sympy_matrix(sympy, m).rref()
         pivots = linalg._echelon(list(linalg._int_rows(m)[1].values()))
         assert tuple(c for c, _row in pivots) == pivot_cols, m
-        for i, (_c, row) in enumerate(pivots):
+        for i, (c, row) in enumerate(pivots):
+            assert row[c][0] and not row[c][1], m
+            assert all(c not in below for _c, below in pivots[i + 1:]), m
+        for i, row in enumerate(_reduced_from_echelon(pivots)):
             want = {c: _from_sympy(sympy, reduced[i, c]) for c in range(m.ncols)}
             assert row == {c: v for c, v in want.items() if v}, m
 
@@ -661,7 +683,27 @@ def test_echelon_integers_stay_near_the_minors():
         (sum(re * re + im * im for _c, re, im in row).bit_length() + 1) // 2
         for row in rows.values()
     )
-    pivots = linalg._echelon(list(rows.values()), reduce_up=False)
+    pivots = linalg._echelon(list(rows.values()))
     bits = max(max(abs(re).bit_length(), abs(im).bit_length())
                for _c, row in pivots for re, im in row.values())
     assert len(pivots) == 12 and bits <= 2 * hadamard_bits
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_back_substitution_integers_stay_near_the_minors(n):
+    # each null vector of the echelon rows of [d*h | d*I] holds minors of
+    # that matrix (Cramer), up to a common factor that the rescale by a
+    # pivot brings in; they stay within twice the Hadamard bit length
+    h = _hilbert_style(n)
+    augmented = ExactMatrix(n, 2 * n, {**h.entries, **{(i, n + i): 1 for i in range(n)}})
+    _d, rows = linalg._int_rows(augmented)
+    hadamard_bits = sum(
+        (sum(re * re + im * im for _c, re, im in row).bit_length() + 1) // 2
+        for row in rows.values()
+    )
+    pivots = linalg._echelon(list(rows.values()))
+    assert [c for c, _row in pivots] == list(range(n))
+    for f in range(n, 2 * n):
+        y = linalg._null_vector(pivots, f)
+        bits = max(max(abs(re).bit_length(), abs(im).bit_length()) for re, im in y.values())
+        assert y[f][0] and not y[f][1] and bits <= 2 * hadamard_bits, (f, bits, hadamard_bits)

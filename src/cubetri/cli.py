@@ -42,7 +42,7 @@ from .sl2rep import (
     split_odd,
 )
 from .suites import SUITES, run_suite
-from .tmodules import decompose, h_by_class, module_summary, quotient_modules, split_and_type
+from .tmodules import decompose, h_by_class, quotient_modules, split_and_type
 
 DEFAULT_MAX_D = 10
 
@@ -225,22 +225,26 @@ def cmd_decompose(args) -> int:
     D = _check_d(args, need_odd=args.quotient)
     ctx = cube(D)
     if args.quotient:
-        records = [
-            {
-                "id": sb.module_id,
-                "endpoint": sb.endpoint,
-                "diameter": sb.diameter,
-                "dim": sb.dimension,
-                "type": str(t),
-                "parity_split": None,
-            }
-            for sb, t in quotient_modules(quotient(D))
-        ]
+        records = [module_summary(sb, [t]) for sb, t in quotient_modules(quotient(D))]
     else:
-        records = [module_summary(ctx, m, split_and_type(ctx, m)) for m in decompose(ctx)]
+        records = [
+            module_summary(m, [t for _basis, t in split_and_type(ctx, m)]) for m in decompose(ctx)
+        ]
     payload = {"D": D, "quotient": bool(args.quotient), "modules": records}
     _emit(args, payload, _format_decompose_text)
     return 0
+
+
+def module_summary(w, types) -> dict:
+    """JSON-ready record for one module of the decomposition listing: types
+    holds the module's own type, or the types of its V+ and V- halves."""
+    record = {"id": w.module_id, "endpoint": w.endpoint, "diameter": w.diameter, "dim": w.dimension}
+    if len(types) == 1:
+        record["type"], record["parity_split"] = str(types[0]), None
+    else:
+        record["type"] = None
+        record["parity_split"] = {"plus": str(types[0]), "minus": str(types[1])}
+    return record
 
 
 def _format_decompose_text(payload) -> str:

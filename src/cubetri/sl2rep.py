@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .acsa import ModuleActionTriple, _sign, ab_type, check_relations, classify, restrict_triple
+from .acsa import ModuleActionTriple, _chain, _sign, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, exp_nilpotent
 
@@ -49,20 +49,10 @@ def build_irreducible_sl2(d: int) -> Sl2Action:
     diagonal.  Memoized: the action is immutable, so callers share one copy."""
     if d < 0:
         raise ValueError("diameter must be nonnegative")
-    n = d + 1
-    x_entries = {}
-    z_entries = {}
-    for i in range(n):
-        if i > 0:
-            x_entries[(i - 1, i)] = gr(d - i + 1)
-            z_entries[(i - 1, i)] = gr(0, d - i + 1)
-        if i < d:
-            x_entries[(i + 1, i)] = gr(i + 1)
-            z_entries[(i + 1, i)] = gr(0, -(i + 1))
     action = Sl2Action(
-        ExactMatrix(n, n, x_entries),
-        ExactMatrix.diagonal([d - 2 * i for i in range(n)]),
-        ExactMatrix(n, n, z_entries),
+        _chain(d, lambda i: d - i + 1, lambda i: i + 1, fold=False),
+        ExactMatrix.diagonal([d - 2 * i for i in range(d + 1)]),
+        _chain(d, lambda i: d - i + 1, lambda i: -(i + 1), fold=False) * I,
     )
     if not check_brackets(action):
         raise AssertionError(f"bracket relations fail on the diameter-{d} module")

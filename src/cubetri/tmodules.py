@@ -118,10 +118,11 @@ def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
 def _check_commutator(ctx: CubeContext) -> None:
     """LR - RL = (D - 2w) I on the weight-w slice, for R and L the raising
     and lowering parts of A (`_move_vector`), checked exactly at the one
-    vertex y = 2^w - 1 of each weight w.  Once A commutes with every bit
-    permutation P_sigma (`_check_symmetric`), so do R, L and LR - RL,
-    because P_sigma keeps weights; S_D is transitive on each weight slice,
-    so the identity at e_y gives it at every P_sigma e_y."""
+    vertex y = 2^w - 1 of each weight w.  Once A commutes with the two
+    generators of S_D, and so with every bit permutation P_sigma
+    (`_check_symmetric`), so do R, L and LR - RL, because P_sigma keeps
+    weights; S_D is transitive on each weight slice, so the identity at e_y
+    gives it at every P_sigma e_y."""
     D = ctx.D
     for w in range(D + 1):
         y = (1 << w) - 1
@@ -141,9 +142,10 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
     Let R and L be the raising and lowering parts of A = `adjacency(ctx)`
     (`_move_vector`); each seed and each chain vector lies in one weight
     slice by construction.  `_check_symmetric` proves A P_sigma = P_sigma A
-    for every bit permutation sigma, and P_sigma keeps weights, so
-    R P_sigma = P_sigma R and L P_sigma = P_sigma L.  `_check_commutator`
-    then checks LR - RL = (D - 2w) I on every weight slice.
+    for the two generators of S_D, hence for every bit permutation sigma,
+    and P_sigma keeps weights, so R P_sigma = P_sigma R and
+    L P_sigma = P_sigma L.  `_check_commutator` then checks
+    LR - RL = (D - 2w) I on every weight slice.
 
     For each endpoint r there must be C(D, r) - C(D, r - 1) standard
     tableaux of shape (D - r, r).  Only the seed u = e_rep of the first one
@@ -295,8 +297,9 @@ def _module_action(space, w: SubmoduleBasis, builders, derive):
     Otherwise w gets the value of its class representative (`_derived`), for
     sigma the bit permutation that takes rep's tableau, read row by row, to
     w's: S_t = w.vectors must be P_sigma S_rep entry for entry (ValueError
-    otherwise), and M P_sigma = P_sigma M (`_check_symmetric`), so
-    M S_t = P_sigma M S_rep = P_sigma S_rep M_rep = S_t M_rep."""
+    otherwise), and M P_sigma = P_sigma M, which `_check_symmetric` proves
+    on the two generators of S_D, so M S_t = P_sigma M S_rep =
+    P_sigma S_rep M_rep = S_t M_rep."""
     if w.tableau is None:
         return derive(space, *_product_proof(space, w, builders))
     rep, value = _derived(space, w.endpoint, builders, derive)
@@ -382,15 +385,25 @@ def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
 @lru_cache(maxsize=None)
 def _check_symmetric(space, build) -> None:
     """M P_tau == P_tau M, i.e. M[tau(y), tau(z)] = M[y, z], for M = build(space)
-    and each adjacent transposition tau of bit positions.  tau is checked to
-    be a bijection, so it maps the stored entries one to one onto stored
-    entries of equal value; there are as many, so M has no others."""
+    and tau each of the transposition (0 1) and the cycle (0 1 ... D-1) of bit
+    positions, which generate S_D (for D <= 1 there is nothing to check, and
+    at D = 2 they coincide).  On Q~_D the cycle takes bit D-2 to D-1, and
+    class_of folds it back.  tau is checked to be a bijection, so it maps the
+    stored entries one to one onto stored entries of equal value; there are
+    as many, so M has no others.  The sigma with M P_sigma = P_sigma M form a
+    group, so M commutes with every P_sigma."""
+    D = space.D
+    if D < 2:
+        return
     m = build(space)
     entries = m.entries
-    for j in range(space.D - 1):
-        sigma = _relabelling(space, [*range(j), j + 1, j, *range(j + 2, space.D)])
+    for name, positions in (
+        ("transposition (0 1)", [1, 0, *range(2, D)]),
+        (f"cycle (0 1 ... {D - 1})", [*range(1, D), 0]),
+    ):
+        sigma = _relabelling(space, positions)
         tau = [sigma(y) for y in range(m.nrows)]
-        what = f"{build.__name__} at D={space.D}, transposition ({j} {j + 1})"
+        what = f"{build.__name__} at D={D}, {name}"
         if len(set(tau)) != len(tau):
             raise AssertionError(f"{what}: the relabelling is not a bijection")
         if any(entries.get((tau[y], tau[z])) != v for (y, z), v in entries.items()):
@@ -491,23 +504,3 @@ def _quotient_image(q: QuotientContext, endpoint: int) -> SubmoduleBasis:
     cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
     basis = ExactMatrix.from_columns(q.nclasses, cols)
     return SubmoduleBasis(rep.module_id, endpoint, basis, rep.tableau)
-
-
-def module_summary(ctx: CubeContext, w: SubmoduleBasis, typed) -> dict:
-    """JSON-ready record for one module of the decomposition listing."""
-    record = {
-        "id": w.module_id,
-        "endpoint": w.endpoint,
-        "diameter": w.diameter,
-        "dim": w.dimension,
-    }
-    if ctx.D % 2 == 0:
-        record["type"] = str(typed[0][1])
-        record["parity_split"] = None
-    else:
-        record["type"] = None
-        record["parity_split"] = {
-            "plus": str(typed[0][1]),
-            "minus": str(typed[1][1]),
-        }
-    return record

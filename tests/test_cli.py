@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -6,7 +7,10 @@ import pytest
 from cubetri.acsa import ab_type, build_canonical
 from cubetri import cli
 from cubetri.cli import main
+from cubetri.hypercube import cube
 from cubetri.linalg import read_matrix, write_matrix
+from cubetri.quotient import quotient
+from cubetri.tmodules import decompose, quotient_modules, split_and_type
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +77,49 @@ def test_decompose_quotient_types(capsys):
     assert types["r0#0"] == "AB(3,z)"
     assert types["r1#0"] == "AB(2,z)"
     assert sum(m["dim"] for m in payload["modules"]) == 64
+
+
+def test_module_summary_shape():
+    ctx = cube(3)
+    m = decompose(ctx)[0]
+    record = cli.module_summary(m, [t for _basis, t in split_and_type(ctx, m)])
+    assert record["id"] == "r0#0"
+    assert record["type"] is None
+    assert record["parity_split"] == {"plus": "AB(1,z)", "minus": "AB(1,x)"}
+    sb, t = quotient_modules(quotient(3))[0]
+    record = cli.module_summary(sb, [t])
+    assert (record["type"], record["parity_split"]) == (str(t), None)
+
+
+# sha256 of the default `verify --format json` report without its `timing`
+# block, and of each `decompose` listing as printed, keyed by its arguments.
+OUTPUT_DIGESTS = {
+    "verify": "f7ccb0050d56453f77449d5f03e19665cb3ab86123aa555b08658753ec63dd0f",
+    "decompose --D 5": "bf198bfaad89b5ff0e318a16139cf3609c3373c771d661bf2526bb7ee4f53d31",
+    "decompose --D 5 --quotient": "0ec3fe7b33f363646fade15c139c2500c7f61f61019e059c3be2e0aa73206b3b",
+    "decompose --D 7": "9902c2e65f60b7421f3b0d51f2a24902569b57a79e32bc2ef62268a4853a5dc6",
+    "decompose --D 7 --quotient": "0b08d5141178805dfe0bcf5d4989e96e7c58fa85de4e7babc52479b087f992dd",
+    "decompose --D 8": "c0059730ac9344c9b923f47c21bb0978279036499f9bf72e08c40c420b302656",
+    "decompose --D 9": "bf6b43d1417a751f6b09d0ea13256822faac276e0bf1b959ddca108f7d8a223d",
+    "decompose --D 9 --quotient": "c9cc72351198c63d9f06b9082499d2faa548ff6e83858d23534359a71ce81926",
+}
+
+
+def test_default_outputs_are_pinned(capsys):
+    def sha256(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    code, out = run_cli(capsys, "verify", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    del report["timing"]
+    digests = {"verify": sha256(json.dumps(report, indent=2))}
+    for argv in OUTPUT_DIGESTS:
+        if argv != "verify":
+            code, out = run_cli(capsys, *argv.split())
+            assert code == 0
+            digests[argv] = sha256(out)
+    assert digests == OUTPUT_DIGESTS
 
 
 def test_verify_pass_and_exit_codes(capsys):

@@ -1,0 +1,69 @@
+import importlib
+
+import pytest
+
+from cubetri.hypercube import second_dual_adjacency, weighted_adjacency
+from cubetri.linalg import ExactMatrix
+from cubetri.quotient import (
+    quotient,
+    quotient_acsa_structure,
+    quotient_dual_adjacency,
+    quotient_weighted_adjacency,
+)
+from cubetri.suites import run_suite
+
+# `from cubetri import quotient` gives the function the package exports
+quotient_module = importlib.import_module("cubetri.quotient")
+
+
+@pytest.mark.parametrize(
+    "name, kwargs", [("decomposition", {"Dz": (2,)}), ("skew", {"Ds": (3,)})]
+)
+def test_an_unknown_keyword_raises(name, kwargs):
+    with pytest.raises(TypeError):
+        run_suite(name, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [
+        ("relations", {"Ds": ()}),
+        ("weights", {"Ds": (), "quotient_Ds": ()}),
+        ("idempotents", {"Ds": ()}),
+        ("decomposition", {"Ds": ()}),
+        ("leonard-even", {"Ds": ()}),
+        ("leonard-quotient", {"Ds": ()}),
+        ("transport", {"Ds": ()}),
+    ],
+)
+def test_an_empty_range_checks_nothing(name, kwargs):
+    r = run_suite(name, **kwargs)
+    assert r.passed
+    assert r.detail == ""
+    assert r.certificates == []
+
+
+def _negated_entry(m):
+    entries = dict(m.entries)
+    key, v = next(iter(entries.items()))
+    entries[key] = -v
+    return ExactMatrix(m.nrows, m.ncols, entries)
+
+
+@pytest.mark.parametrize(
+    "parent_name, parent, want",
+    [
+        ("second_dual_adjacency", second_dual_adjacency, "dual adjacency"),
+        ("weighted_adjacency", weighted_adjacency, "weighted adjacency"),
+    ],
+)
+def test_transport_stops_on_the_builders_check_of_a_damaged_parent(
+    monkeypatch, parent_name, parent, want
+):
+    # the suite leaves psi M == M~ psi to the quotient builders, which prove it
+    damaged = _negated_entry(parent(quotient(5).parent))
+    monkeypatch.setattr(quotient_module, parent_name, lambda ctx: damaged)
+    for cached in (quotient_dual_adjacency, quotient_weighted_adjacency, quotient_acsa_structure):
+        cached.cache_clear()  # a cached matrix would skip the check
+    with pytest.raises(AssertionError, match=f"{want} of Q~_5 is not the image"):
+        run_suite("transport", Ds=(5,))

@@ -29,7 +29,6 @@ from cubetri.tmodules import (
     dual_profile,
     h_by_class,
     module_structure,
-    module_summary,
     quotient_modules,
     quotient_structure,
     split_and_type,
@@ -271,17 +270,30 @@ def test_commutator_is_checked_at_one_vertex_per_weight(monkeypatch):
     assert {y for vec in seen if len(vec) == 1 for y in vec} == {(1 << w) - 1 for w in range(8)}
 
 
-def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch):
-    # the chains are raised with this matrix, and the relabelled modules need
-    # it to commute with every bit permutation
+def _adjacency_without(edge):
+    """`adjacency` with the edge {y, z} taken out."""
     def without_edge(ctx):
         a = adjacency(ctx)
         return ExactMatrix(a.nrows, a.ncols, {
-            key: v for key, v in a.entries.items() if key not in ((0, 1), (1, 0))
+            key: v for key, v in a.entries.items() if key not in (edge, edge[::-1])
         })
+    return without_edge
 
-    monkeypatch.setattr(tmodules, "adjacency", without_edge)
+
+def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch):
+    # the chains are raised with this matrix, and the relabelled modules need
+    # it to commute with every bit permutation
+    monkeypatch.setattr(tmodules, "adjacency", _adjacency_without((0, 1)))
     want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_rejects_an_adjacency_that_commutes_with_0_1_but_not_the_cycle(monkeypatch):
+    # (0 1) fixes the vertices 0 and 4, so only the cycle (0 1 2 3 4), which
+    # takes the edge {0, 4} to {0, 8}, sees that A lost its symmetry
+    monkeypatch.setattr(tmodules, "adjacency", _adjacency_without((0, 4)))
+    want = r"without_edge at D=5, cycle \(0 1 \.\.\. 4\): the builder does not commute with it"
     with pytest.raises(AssertionError, match=want):
         decompose.__wrapped__(cube(5))
 
@@ -556,12 +568,7 @@ def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch):
     # the endpoint-2 modules of Q_5 live on weights 2 and 3, so the
     # representative's products never meet the edge {0, 1}; only the
     # transposition check sees that A lost its symmetry
-    def without_edge(ctx):
-        a = adjacency(ctx)
-        return ExactMatrix(a.nrows, a.ncols, {
-            key: v for key, v in a.entries.items() if key not in ((0, 1), (1, 0))
-        })
-
+    without_edge = _adjacency_without((0, 1))
     monkeypatch.setattr(tmodules, "adjacency", without_edge)
     ctx = cube(5)
     rep, other = [m for m in decompose(ctx) if m.endpoint == 2][:2]
@@ -702,16 +709,6 @@ def test_quotient_modules_reject_a_damaged_representative_image(monkeypatch):
     finally:
         monkeypatch.undo()
         tmodules._derived.cache_clear()
-
-
-def test_module_summary_shape():
-    ctx = cube(3)
-    m = decompose(ctx)[0]
-    typed = split_and_type(ctx, m)
-    record = module_summary(ctx, m, typed)
-    assert record["id"] == "r0#0"
-    assert record["type"] is None
-    assert record["parity_split"] == {"plus": "AB(1,z)", "minus": "AB(1,x)"}
 
 
 def test_builders_cache_on_the_value_of_the_context():

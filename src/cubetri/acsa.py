@@ -189,31 +189,47 @@ def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
 
 
 def is_irreducible(m: ModuleActionTriple) -> bool:
-    """True iff the space is nonzero and every x-eigenvector generates it
-    under {x, y}; the zero module is not irreducible.
+    """True iff the space is nonzero and every eigenvector of a generator g
+    generates it under {x, y}; the zero module is not irreducible.
 
-    Irreducible modules of the five families have multiplicity-free integer
-    x-spectrum, so a repeated eigenvalue already witnesses reducibility.
-    Otherwise let P hold the eigenvectors v_0..v_{n-1} of x as columns and
-    C = P^-1 y P, so that y v_c = sum_r C[r,c] v_r.  x is multiplicity-free,
-    so every x-invariant subspace is spanned by the eigenvectors it contains.
-    The {x, y}-closure of v_j is therefore the span of the v_r reachable from
-    j along the edges c -> r with C[r,c] != 0, and every eigenvector
-    generates the space iff that support graph is strongly connected: node 0
-    reaches every node, and every node reaches node 0.  x is diagonalizable,
-    so any nonzero {x, y}-invariant subspace contains an x-eigenvector; the
-    test is therefore irreducibility of the {x, y}-action itself.
+    g is the first of x, y whose stored entries all lie on the diagonal, and
+    x when neither is diagonal.  The {x, y}-closure of a subspace does not
+    depend on which of the two generators is listed first, so let h be the
+    other one.  For any diagonalizable, multiplicity-free g, let P hold its
+    eigenvectors v_0..v_{n-1} as columns and C = P^-1 h P, so that
+    h v_c = sum_r C[r,c] v_r.  Every g-invariant subspace is spanned by the
+    eigenvectors it contains, so the {x, y}-closure of v_j is the span of
+    the v_r reachable from j along the edges c -> r with C[r,c] != 0, and
+    every eigenvector generates the space iff that support graph is
+    strongly connected: node 0 reaches every node, and every node reaches
+    node 0.  Any nonzero {x, y}-invariant subspace contains a g-eigenvector,
+    so the test is irreducibility of the {x, y}-action itself.
+
+    A diagonal g has P = I, so C is h as stored and no eigenvalue scan or
+    solve is needed.  A repeated eigenvalue of g returns False.  Irreducible
+    modules of the five families have multiplicity-free integer x-spectrum,
+    and (x, y, z) -> (y, z, x) is an automorphism of the algebra, so on a
+    triple that satisfies the relations their y-spectrum is multiplicity-free
+    too: a repeated eigenvalue of either generator witnesses reducibility.
+    Both callers, the families suite and `cubetri classify`, check the
+    relations first.  Every canonical module is built with x or y diagonal.
     """
     n = m.dimension
-    eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
-    if any(basis.ncols > 1 for _theta, basis in eigenspaces):
-        return False
-    p = ExactMatrix(n, n, {
-        (r, j): v
-        for j, (_theta, basis) in enumerate(eigenspaces)
-        for (r, _c), v in basis.entries.items()
-    })
-    coupling = restrict(m.y_mat, p)
+    for g, coupling in ((m.x_mat, m.y_mat), (m.y_mat, m.x_mat)):
+        if all(r == c for r, c in g.entries):  # P = I: the coupling is stored
+            if len({g.get(i, i) for i in range(n)}) < n:
+                return False
+            break
+    else:
+        eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
+        if any(basis.ncols > 1 for _theta, basis in eigenspaces):
+            return False
+        p = ExactMatrix(n, n, {
+            (r, j): v
+            for j, (_theta, basis) in enumerate(eigenspaces)
+            for (r, _c), v in basis.entries.items()
+        })
+        coupling = restrict(m.y_mat, p)
     forward = [(c, r) for (r, c) in coupling.entries]
     return n > 0 and _reaches_all(n, forward) and _reaches_all(n, coupling.entries)
 

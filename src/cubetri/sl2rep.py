@@ -116,10 +116,12 @@ def verify_skew(action: Sl2Action, s_mat: ExactMatrix) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def build_skew(action: Sl2Action) -> SkewOperatorRealization:
     """s = h k for an irreducible action, k = k_scalar(dimension) I; raises
     AssertionError unless `verify_skew` holds (it fails on summands of mixed
-    parity, where s^2 != I)."""
+    parity, where s^2 != I).  Memoized on the action's value, like `build_h`:
+    the skew suite, the sl2 factory and `split_odd` share one checked s."""
     h = build_h(action)
     k = ExactMatrix.identity(action.dimension) * k_scalar(action.dimension)
     s = h @ k
@@ -128,9 +130,12 @@ def build_skew(action: Sl2Action) -> SkewOperatorRealization:
     return SkewOperatorRealization(h, k, s)
 
 
+@lru_cache(maxsize=None)
 def induce_acsa_structures(action: Sl2Action, s_mat: ExactMatrix):
     """The two anticommutator-algebra structures carried by a skew operator:
-    (X, sY, -siZ) and (X, -sY, siZ)."""
+    (X, sY, -siZ) and (X, -sY, siZ), each checked against the relations.
+    Memoized on its immutable arguments: `split_odd` asks for both
+    structures once per structure index."""
     sy = s_mat @ action.y_mat
     siz = (s_mat @ action.z_mat) * I
     first = ModuleActionTriple(action.x_mat, sy, -siz)

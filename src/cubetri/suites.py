@@ -163,7 +163,8 @@ def suite_skew(ds=tuple(range(0, 11)), cube_D=None):
         exp_nilpotent(ad(gr(half), gr(0, half), gr(0)), 3) == second,
         "second exp-ad matrix differs from the adjoint-representation recomputation",
     )
-    notes.append(f"diameters {min(ds)}..{max(ds)}: h pattern, h^2 sign, skew relations, exp-ad matrices")
+    checked = f"diameters {min(ds)}..{max(ds)}: h pattern, h^2 sign, skew relations, " if ds else ""
+    notes.append(checked + "exp-ad matrices")
     if cube_D is not None:
         for r, h in enumerate(h_by_class(cube(cube_D))):  # proves s = h*k and skew on V
             d = cube_D - 2 * r
@@ -429,7 +430,8 @@ def suite_sl2_factory(ds=tuple(range(0, 10))):
                         t.family == "AB" and t.d == delta,
                         f"d={d}: split part has type {t}",
                     )
-    notes.append(f"diameters {min(ds)}..{max(ds)}: induced types confirmed by classification")
+    if ds:
+        notes.append(f"diameters {min(ds)}..{max(ds)}: induced types confirmed by classification")
     return notes, []
 
 
@@ -447,7 +449,10 @@ def suite_families(ds=tuple(range(0, 11))):
             _require(is_irreducible(triple), f"{t}: not irreducible")
             _require(classify(triple) == t, f"{t}: classification round trip failed")
             count += 1
-    notes.append(f"{count} canonical modules: relations, irreducibility, classification round trip")
+    if count:
+        notes.append(
+            f"{count} canonical modules: relations, irreducibility, classification round trip"
+        )
     return notes, []
 
 

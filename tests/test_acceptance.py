@@ -42,8 +42,8 @@ BUDGETS = {
     "idempotents-small": 0.21,
     "idempotents-full": 2.79,
     "decomposition": 0.30,
-    "families": 0.28,
-    "sl2-factory": 0.14,
+    "families": 0.06,
+    "sl2-factory": 0.13,
     "leonard-even": 0.33,
     "leonard-quotient": 1.59,
 }

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cubetri import acsa
 from cubetri.acsa import (
     ModuleActionTriple,
     ModuleType,
@@ -171,6 +172,93 @@ def test_one_way_coupling_is_reducible():
     assert not is_irreducible(ModuleActionTriple(x, forward, zero))
     assert not is_irreducible(ModuleActionTriple(x, backward, zero))
     assert is_irreducible(ModuleActionTriple(x, forward + backward, zero))
+
+
+def _irreducible_by_y_closure(m):
+    """For y diagonal and multiplicity-free, every y-eigenvector is a unit
+    vector, and each must generate the space under {x, y}."""
+    n = m.dimension
+    return all(
+        _closure_dimension(ExactMatrix(n, 1, {(j, 0): 1}), (m.x_mat, m.y_mat)) == n
+        for j in range(n)
+    )
+
+
+def test_irreducibility_with_y_diagonal_matches_closure_oracle():
+    rng = random.Random(20261020)
+    # x the one-way chain e_j -> e_{j+1}: span{e_{n-1}} is a proper submodule
+    chain = ExactMatrix(3, 3, {(1, 0): 1, (2, 1): 1})
+    cases = [ModuleActionTriple(chain, ExactMatrix.diagonal([5, -1, 2]), ExactMatrix.zeros(3, 3))]
+    cases += [build_canonical(ab_type(d, n)) for d in range(1, 5) for n in "0xyz"]
+    while len(cases) < 80:
+        n = rng.randint(2, 5)
+        x = ExactMatrix(
+            n,
+            n,
+            {
+                (r, c): gr(rng.choice([-2, -1, 1, 3]), rng.randint(-1, 1))
+                for r in range(n)
+                for c in range(n)
+                if rng.random() < 0.4
+            },
+        )
+        if all(r == c for r, c in x.entries):
+            continue
+        y = ExactMatrix.diagonal(rng.sample(range(-6, 7), n))
+        cases.append(ModuleActionTriple(x, y, ExactMatrix.zeros(n, n)))
+    verdicts = []
+    for triple in cases:
+        assert any(r != c for r, c in triple.x_mat.entries)
+        got = is_irreducible(triple)
+        assert got is _irreducible_by_y_closure(triple), (triple.x_mat.entries, triple.y_mat)
+        verdicts.append(got)
+    assert verdicts[0] is False
+    assert 20 <= sum(verdicts) <= 70
+
+
+def test_canonical_modules_need_no_eigenvalue_scan_or_solve(monkeypatch):
+    triples = [build_canonical(t) for t in ALL_TYPES_SMALL]
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a diagonal generator needs no change of basis")
+
+    for name in ("integer_eigenspaces", "restrict", "ExactMatrix"):
+        monkeypatch.setattr(acsa, name, forbidden)
+    for t, triple in zip(ALL_TYPES_SMALL, triples):
+        assert is_irreducible(triple), t
+
+
+def test_a_missing_chain_entry_makes_an_ab_module_reducible():
+    for t in [ab_type(d, n) for d in (1, 2, 5) for n in "0xyz"]:
+        triple = build_canonical(t)
+        off_diagonal = [k for k in triple.x_mat.entries if k[0] != k[1]]
+        assert off_diagonal, t
+        for key in off_diagonal:
+            entries = dict(triple.x_mat.entries)
+            del entries[key]
+            x = ExactMatrix(t.dimension, t.dimension, entries)
+            cut = ModuleActionTriple(x, triple.y_mat, triple.z_mat)
+            assert is_irreducible(cut) is False, (t, key)
+
+
+def test_a_repeated_diagonal_value_is_reducible_even_when_the_coupling_connects():
+    # B(2) + B(2) conjugated by g = [[I, K], [0, I]] with K = diag(1, 0, 0):
+    # g commutes with x = diag(2, 0, -2, 2, 0, -2), so x stays diagonal with
+    # every value twice, while y gains entries between the two copies
+    b2 = build_canonical(b_type(2))
+    summed = _direct_sum(b2, b2)
+    g = ExactMatrix.identity(6) + ExactMatrix(6, 6, {(0, 3): 1})
+    ginv = invert(g)
+    conj = ModuleActionTriple(*(g @ m @ ginv for m in summed.matrices()))
+    assert conj.x_mat == summed.x_mat
+    assert check_relations(conj) == (True, None)
+    assert any(r < 3 <= c or c < 3 <= r for r, c in conj.y_mat.entries)
+    assert is_irreducible(conj) is False
+    # the same for the bare pair x = I, y = swap, whose coupling is strongly connected
+    swap = ExactMatrix(2, 2, {(0, 1): 1, (1, 0): 1})
+    pair = ModuleActionTriple(ExactMatrix.identity(2), swap, ExactMatrix.zeros(2, 2))
+    assert is_irreducible(pair) is False
+    assert _irreducible_by_closure(pair) is False
 
 
 def test_zero_module_is_not_irreducible():

@@ -33,14 +33,7 @@ from .quotient import (
     quotient_dual_adjacency,
     quotient_weighted_adjacency,
 )
-from .sl2rep import (
-    build_irreducible_sl2,
-    build_skew,
-    expected_h_eigenvalue,
-    induce_acsa_structures,
-    k_scalar,
-    split_odd,
-)
+from .sl2rep import checked_skew, expected_h_eigenvalue, induce_acsa_structures, k_scalar, split_odd
 from .suites import SUITES, run_suite
 from .tmodules import decompose, h_by_class, quotient_modules, split_and_type
 
@@ -71,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", type=Path, help="output file or directory")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
-    common.add_argument("--force", action="store_true", help="exceed the default D caps")
     diameter = _Parser(add_help=False)
     diameter.add_argument("--D", type=int, help="cube diameter")
 
@@ -129,8 +121,8 @@ def _check_d(args, need_odd=False, need_even=False) -> int:
 
 
 def _check_cap(args, name: str, value: int) -> None:
-    if value > args.max_d and not args.force:
-        raise ValueError(f"{name}={value} exceeds --max-D {args.max_d}; pass --force to override")
+    if value > args.max_d:
+        raise ValueError(f"{name}={value} exceeds --max-D {args.max_d}; raise --max-D to run it")
 
 
 # -- build -------------------------------------------------------------------
@@ -227,9 +219,7 @@ def cmd_decompose(args) -> int:
     if args.quotient:
         records = [module_summary(sb, [t]) for sb, t in quotient_modules(quotient(D))]
     else:
-        records = [
-            module_summary(m, [t for _basis, t in split_and_type(ctx, m)]) for m in decompose(ctx)
-        ]
+        records = [module_summary(m, split_and_type(ctx, m)) for m in decompose(ctx)]
     payload = {"D": D, "quotient": bool(args.quotient), "modules": records}
     _emit(args, payload, _format_decompose_text)
     return 0
@@ -382,8 +372,7 @@ def cmd_skew(args) -> int:
     if d < 0:
         raise ValueError("diameter must be nonnegative")
     _check_cap(args, "d", d)
-    action = build_irreducible_sl2(d)
-    skew = build_skew(action)
+    action, skew = checked_skew(d)  # the printed h pattern and h^2 sign are checked
     payload = {
         "d": d,
         "h_eigenvalues": [str(expected_h_eigenvalue(i, d)) for i in range(d + 1)],

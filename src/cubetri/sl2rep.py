@@ -130,6 +130,26 @@ def build_skew(action: Sl2Action) -> SkewOperatorRealization:
     return SkewOperatorRealization(h, k, s)
 
 
+def checked_skew(d: int) -> tuple[Sl2Action, SkewOperatorRealization]:
+    """The diameter-d irreducible action and its `build_skew`, once h is checked:
+    hX = -Xh, hY = Yh, hZ = -Zh, h = diag((-1)^i i^d) and h^2 = (-1)^d I, or
+    AssertionError.  `verify_skew` fixes s = hk only up to sign; these fix h."""
+    action = build_irreducible_sl2(d)
+    x, y, z = action.matrices()
+    h = build_h(action)
+    want_h = ExactMatrix.diagonal([expected_h_eigenvalue(i, d) for i in range(d + 1)])
+    for holds, what in (
+        (h @ x == -(x @ h), "h fails to anticommute with X"),
+        (h @ y == y @ h, "h fails to commute with Y"),
+        (h @ z == -(z @ h), "h fails to anticommute with Z"),
+        (h == want_h, "h eigenvalues differ from (-1)^i i^d"),
+        (h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d), "h^2 != (-1)^d"),
+    ):
+        if not holds:
+            raise AssertionError(f"d={d}: {what}")
+    return action, build_skew(action)
+
+
 @lru_cache(maxsize=None)
 def induce_acsa_structures(action: Sl2Action, s_mat: ExactMatrix):
     """The two anticommutator-algebra structures carried by a skew operator:

@@ -45,11 +45,10 @@ from .quotient import (
     quotient_weighted_adjacency,
 )
 from .sl2rep import (
-    build_h,
     build_irreducible_sl2,
     build_skew,
+    checked_skew,
     exp_ad_matrices,
-    expected_h_eigenvalue,
     induce_acsa_structures,
     split_odd,
 )
@@ -128,19 +127,10 @@ def suite_weights(Ds=tuple(range(1, 9)), quotient_Ds=(3, 5, 7, 9)):
 def suite_skew(ds=tuple(range(0, 11)), cube_D=None):
     notes = []
     for d in ds:
-        action = build_irreducible_sl2(d)
-        x, y, z = action.matrices()
-        h = build_h(action)
-        _require(h @ x == -(x @ h), f"d={d}: h fails to anticommute with X")
-        _require(h @ y == y @ h, f"d={d}: h fails to commute with Y")
-        _require(h @ z == -(z @ h), f"d={d}: h fails to anticommute with Z")
-        want_h = ExactMatrix.diagonal([expected_h_eigenvalue(i, d) for i in range(d + 1)])
-        _require(h == want_h, f"d={d}: h eigenvalues differ from (-1)^i i^d")
-        _require(
-            h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d),
-            f"d={d}: h^2 != (-1)^d",
-        )
-        build_skew(action)  # raises unless s^2=I and skew relations hold
+        try:
+            checked_skew(d)  # the h pattern, h^2 sign and skew relations
+        except AssertionError as err:
+            raise CheckFailure(str(err)) from err
     half = Fraction(1, 2)
     two_i = gr(0, 2)
 
@@ -343,9 +333,8 @@ def suite_leonard_quotient(Ds=(5, 7, 9), reference_tables: bool = False):
             r = m.endpoint
             if reference_tables:
                 key = (r % 2, cal_d % 2)
-                for (basis, found), table, label in (
-                    (typed[0], REFERENCE_PLUS_TABLE, "V+"),
-                    (typed[1], REFERENCE_MINUS_TABLE, "V-"),
+                for found, table, label in zip(
+                    typed, (REFERENCE_PLUS_TABLE, REFERENCE_MINUS_TABLE), ("V+", "V-")
                 ):
                     want = ab_type(cal_d - r, table[key])
                     if found != want:

@@ -8,24 +8,22 @@ closed form (G. D. James, The Representation Theory of the Symmetric
 Groups, LNM 682, 1978); the raising chains on them are the T-modules
 (J. T. Go, "The Terwilliger algebra of the hypercube", Europ. J. Combin.
 23, 2002).  The bit permutations P_sigma commute with A and with every
-E*_i, and P_sigma e_t = e_{sigma t}, so `decompose` raises one chain per
-class (D, r), on the polytabloid of the first standard tableau, and builds
-every other module as its relabelling.  It proves that the chains are a
-basis of V from one sl2 identity of raising and lowering, with no rank
-taken.  A module's basis is the matrix whose columns are its chain vectors
-(`SubmoduleBasis.vectors`), and the V+/V- halves are matrices of
-W-coordinates.  Every basis vector lives in a single weight slice: the
-thinness witness, and the disjoint supports that let `_module_action` read
+E*_i, and P_sigma e_t = e_{sigma t}, so a module is its class (D, r) and
+its standard tableau t (`SubmoduleBasis`), and its basis, formed only when
+asked for, is P_sigma S_rep for S_rep the one chain raised per class
+(`_class_basis`).  `decompose` proves that the chains are a basis of V from
+one sl2 identity of raising and lowering, with no rank taken.  A basis is
+the matrix of its chain vectors; the V+/V- halves are matrices of
+W-coordinates.  Every chain vector lives in a single weight slice: the
+thinness witness, and the disjoint supports that let `_product_proof` read
 each action off one row per basis vector and prove it by one exact
-product, with no elimination on V.
-
-That product runs once per class (D, r), on r{r}#0 (on Q~_D, psi(W+)); every
-other module is its relabelling by a permutation of bit positions, with which
-every acting matrix is checked to commute (`_module_action`).
+product, with no elimination on V.  That product runs once per class, on
+S_rep (on Q~_D, psi(S_rep c+)), and every module of the class gets its
+value (`_module_action`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -48,29 +46,34 @@ from .sl2rep import Sl2Action, build_skew, check_brackets
 
 @dataclass(frozen=True)
 class SubmoduleBasis:
-    """One irreducible T-module: a thin raising chain with metadata.
+    """An irreducible T-module of Q_D, or its image psi(W+) in Q~_D, named
+    by its class (space, endpoint) and the second row of the standard
+    tableau of its seed.  Its basis `vectors`, formed on each call, is
+    P_sigma S_rep for sigma the bit permutation that takes the first tableau
+    to this one (`_class_basis`, `_relabelled`); column j is supported on
+    the weight-(endpoint+j) slice, so the columns have disjoint supports."""
 
-    Basis vector j, column j of `vectors`, is supported on the
-    weight-(endpoint+j) slice, so the columns have disjoint supports.
-    `tableau` is the second row of the standard tableau of its seed, or None
-    for a basis built otherwise.
-    """
-
+    space: CubeContext | QuotientContext
     module_id: str
     endpoint: int
-    vectors: ExactMatrix
-    tableau: tuple[int, ...] | None = None
+    tableau: tuple[int, ...]
+
+    @property
+    def vectors(self) -> ExactMatrix:
+        first = _standard_tableaux(self.space.D, self.endpoint)[0]
+        return _relabelled(self.space, _class_basis(self.space, self.endpoint), first, self.tableau)
 
     @property
     def diameter(self) -> int:
-        return self.vectors.ncols - 1
+        return self.dimension - 1
 
     @property
     def dimension(self) -> int:
-        return self.vectors.ncols
+        return _class_basis(self.space, self.endpoint).ncols
 
 
-def _standard_tableaux(D: int, r: int) -> list[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _standard_tableaux(D: int, r: int) -> tuple[tuple[int, ...], ...]:
     """The second rows b_1 < ... < b_r of the standard tableaux of shape
     (D-r, r), in lexicographic order: a_i < b_i for a_1 < ... < a_r the r
     smallest other positions."""
@@ -79,7 +82,7 @@ def _standard_tableaux(D: int, r: int) -> list[tuple[int, ...]]:
         first = [p for p in range(D) if p not in second]
         if all(a < b for a, b in zip(first, second)):
             out.append(second)
-    return out
+    return tuple(out)
 
 
 def _polytabloid(D: int, second: tuple[int, ...]) -> dict:
@@ -149,15 +152,17 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
 
     For each endpoint r there must be C(D, r) - C(D, r - 1) standard
     tableaux of shape (D - r, r).  Only the seed u = e_rep of the first one
-    is built and raised: lowering must kill it, its chain must not die
-    before step D - 2r, and it must then terminate.  Module t gets the basis
-    P_sigma S_rep, for sigma the bit permutation that takes the first
-    tableau to t, read row by row (`_relabelled`).  P_sigma e_rep = e_t, and
-    R^k P_sigma = P_sigma R^k, so column k is R^k e_t scaled as column k of
-    S_rep, and L e_t = P_sigma L e_rep = 0.  The seed of each module must
-    have its largest vertex at the bits of its tableau, and the tableaux
-    are distinct, which makes the seeds triangular and so independent.
-    Together these prove that the chains are a basis of V:
+    is built and raised (`_class_basis`): lowering must kill it, its chain
+    must not die before step D - 2r, and it must then terminate.  Module t
+    is named by its class and t, and its basis is P_sigma S_rep by
+    construction (`SubmoduleBasis.vectors`), for sigma the bit permutation
+    that takes the first tableau to t, read row by row.  P_sigma e_rep =
+    e_t, and R^k P_sigma = P_sigma R^k, so column k is R^k e_t scaled as
+    column k of S_rep, and L e_t = P_sigma L e_rep = 0.  The seed of each
+    module, sigma applied to the entries of e_rep, must have its largest
+    vertex at the bits of its tableau, and the tableaux are distinct, which
+    makes the seeds triangular and so independent.  Together these prove
+    that the chains are a basis of V:
 
     - Chains are sl2 strings.  Let u be a seed.  By induction on k,
       L R^k u = k(D - 2r - k + 1) R^(k-1) u.  So L^k R^k is a nonzero
@@ -187,25 +192,16 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
             )
         if len(set(tableaux)) != len(tableaux):
             raise AssertionError(f"endpoint {r} of Q_{D}: seeds share a largest vertex")
-        chain = [_polytabloid(D, tableaux[0])]
-        if _move_vector(ctx, chain[0], r - 1):
-            raise AssertionError(f"seed r={r}#0 of Q_{D} is not killed by lowering")
-        diameter = D - 2 * r
-        for j in range(diameter):
-            chain.append(_move_vector(ctx, chain[-1], r + j + 1))
-            if not chain[-1]:
-                raise AssertionError(f"chain r={r}#0 of Q_{D} died early at step {j + 1}")
-        if _move_vector(ctx, chain[-1], r + diameter + 1):
-            raise AssertionError(f"chain r={r}#0 of Q_{D} failed to terminate")
-        rep = ExactMatrix.from_columns(ctx.nvertices, chain)
+        rep = _class_basis(ctx, r)
+        seed = [y for y, c in rep.entries if c == 0]
         for m, tableau in enumerate(tableaux):
-            basis = _relabelled(ctx, rep, tableaux[0], tableau)
-            if max(y for y, c in basis.entries if c == 0) != sum(1 << p for p in tableau):
+            sigma = _sigma(ctx, tableaux[0], tableau)
+            if max(map(sigma, seed)) != sum(1 << p for p in tableau):
                 raise AssertionError(
                     f"seed r={r}#{m} of Q_{D}: largest vertex is not at tableau {tableau}"
                 )
-            modules.append(SubmoduleBasis(f"r{r}#{m}", r, basis, tableau))
-            total_dim += diameter + 1
+            modules.append(SubmoduleBasis(ctx, f"r{r}#{m}", r, tableau))
+            total_dim += rep.ncols
     if total_dim != ctx.nvertices:
         raise AssertionError(
             f"decomposition of Q_{D} spans {total_dim} of {ctx.nvertices} dimensions"
@@ -293,42 +289,63 @@ def _classify_against(sub, want: ModuleType, what: str, basis=None) -> ModuleTyp
 
 def _module_action(space, w: SubmoduleBasis, builders, derive):
     """derive(space, *M_W) for the matrices M = build(space) on span(w.vectors),
-    in its coordinates.  A basis with no tableau is proved by `_product_proof`.
-    Otherwise w gets the value of its class representative (`_derived`), for
-    sigma the bit permutation that takes rep's tableau, read row by row, to
-    w's: S_t = w.vectors must be P_sigma S_rep entry for entry (ValueError
-    otherwise), and M P_sigma = P_sigma M, which `_check_symmetric` proves
-    on the two generators of S_D, so M S_t = P_sigma M S_rep =
-    P_sigma S_rep M_rep = S_t M_rep."""
-    if w.tableau is None:
-        return derive(space, *_product_proof(space, w, builders))
-    rep, value = _derived(space, w.endpoint, builders, derive)
+    in its coordinates: the value of w's class (`_derived`), once
+    `_check_symmetric` proves M P_sigma = P_sigma M on the two generators of
+    S_D, hence for every bit permutation sigma.  The basis of w is
+    S_t = P_sigma S_rep by construction (`SubmoduleBasis.vectors`), so
+    M S_t = P_sigma M S_rep = P_sigma S_rep M_rep = S_t M_rep."""
+    if w.space != space:
+        raise ValueError(f"module {w.module_id} of {w.space} is not a module of {space}")
+    value = _derived(space, w.endpoint, builders, derive)
     for build in builders:
         _check_symmetric(space, build)
-    if w.vectors != _relabelled(space, rep.vectors, rep.tableau, w.tableau):
-        raise ValueError(f"module {w.module_id} is not the relabelling of {rep.module_id}")
     return value
 
 
 @lru_cache(maxsize=None)
 def _derived(space, endpoint: int, builders, derive):
-    """The representative r{endpoint}#0 (on Q~_D, psi(W+)) and derive of its `_product_proof`."""
+    """derive of the `_product_proof` on the class basis S_rep (`_class_basis`)."""
+    return derive(space, *_product_proof(space, _class_basis(space, endpoint), builders))
+
+
+@lru_cache(maxsize=None)
+def _class_basis(space, endpoint: int) -> ExactMatrix:
+    """S_rep, the basis of the representative r{endpoint}#0 of its class.
+    On Q_D: the chain R^k e_rep on the polytabloid of the first standard
+    tableau, for R and L the raising and lowering parts of A
+    (`_move_vector`).  Lowering must kill the seed, the chain must not die
+    before step D - 2r, and it must then terminate.  On Q~_D: psi S_rep c+
+    for c+ the W-coordinates of its W+ (`antipodal_split`), columns by class
+    weight."""
     if isinstance(space, QuotientContext):
-        rep = _quotient_image(space, endpoint)
-    else:
-        rep = next(w for w in decompose(space) if w.endpoint == endpoint)
-    return rep, derive(space, *_product_proof(space, rep, builders))
+        rep = next(w for w in decompose(space.parent) if w.endpoint == endpoint)
+        plus, _minus = antipodal_split(space.parent, rep)
+        img = psi_matrix(space) @ _class_basis(space.parent, endpoint) @ plus
+        cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
+        cols.sort(key=lambda col: min(space.class_weight(u) for u in col))
+        return ExactMatrix.from_columns(space.nclasses, cols)
+    D, r = space.D, endpoint
+    chain = [_polytabloid(D, _standard_tableaux(D, r)[0])]
+    if _move_vector(space, chain[0], r - 1):
+        raise AssertionError(f"seed r={r}#0 of Q_{D} is not killed by lowering")
+    diameter = D - 2 * r
+    for j in range(diameter):
+        chain.append(_move_vector(space, chain[-1], r + j + 1))
+        if not chain[-1]:
+            raise AssertionError(f"chain r={r}#0 of Q_{D} died early at step {j + 1}")
+    if _move_vector(space, chain[-1], r + diameter + 1):
+        raise AssertionError(f"chain r={r}#0 of Q_{D} failed to terminate")
+    return ExactMatrix.from_columns(space.nvertices, chain)
 
 
-def _product_proof(space, w: SubmoduleBasis, builders) -> tuple[ExactMatrix, ...]:
-    """The M_W for M = build(space), proved by products on V.
+def _product_proof(space, s: ExactMatrix, builders) -> tuple[ExactMatrix, ...]:
+    """The M_W for M = build(space) on span(s), proved by products on V.
 
-    The columns of S = w.vectors must be nonzero with pairwise disjoint
-    supports, which proves that S has full column rank.  With p_i the first
-    row of column i, (S X)[p_i, j] = S[p_i, i] X[i, j] for every X, so the
-    only candidate is M_W[i, j] = (M S)[p_i, j] / S[p_i, i], and M S == S M_W
-    is checked exactly.  Anything else raises ValueError."""
-    s = w.vectors
+    The columns of s must be nonzero with pairwise disjoint supports, which
+    proves that s has full column rank.  With p_i the first row of column i,
+    (s X)[p_i, j] = s[p_i, i] X[i, j] for every X, so the only candidate is
+    M_W[i, j] = (M s)[p_i, j] / s[p_i, i], and M s == s M_W is checked
+    exactly.  Anything else raises ValueError."""
     owner: dict = {}
     first: dict = {}
     for (row, c) in sorted(s.entries):
@@ -373,13 +390,17 @@ def _relabelling(space, positions):
     return lambda y: low[y & mask] | high[y >> half]
 
 
-def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
-    """P_sigma s, for sigma the bit permutation that takes rep_tableau to
-    tableau, each read row by row; sigma is applied to the stored rows of s only."""
+def _sigma(space, rep_tableau, tableau):
+    """The coordinate map of P_sigma, for sigma the bit permutation that
+    takes rep_tableau to tableau, each read row by row."""
     words = (sorted(range(space.D), key=t.__contains__) for t in (rep_tableau, tableau))
-    sigma = _relabelling(space, dict(zip(*words)))
-    image = {(sigma(y), c): v for (y, c), v in s.entries.items()}
-    return ExactMatrix._make(s.nrows, s.ncols, image)
+    return _relabelling(space, dict(zip(*words)))
+
+
+def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
+    """P_sigma s (`_sigma`); sigma is applied to the stored rows of s only."""
+    sigma = _sigma(space, rep_tableau, tableau)
+    return ExactMatrix._make(s.nrows, s.ncols, {(sigma(y), c): v for (y, c), v in s.entries.items()})
 
 
 @lru_cache(maxsize=None)
@@ -423,15 +444,13 @@ def _halves(_ctx, inside: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     return kernel_basis(inside - eye), kernel_basis(inside + eye)
 
 
-@lru_cache(maxsize=None)
 def module_structure(ctx: CubeContext, w: SubmoduleBasis) -> ModuleActionTriple:
     """The positive structure on W in the coordinates of w.vectors: x = A and
     y = A*_{D-1} by `_module_action`, z_W = (x_W y_W + y_W x_W)/2 as z = (xy+yx)/2.
-    One triple per class; memoized on (ctx, w), so each module is checked once."""
+    One triple per class."""
     return _module_action(ctx, w, (adjacency, second_dual_adjacency), _anticommutator_triple)
 
 
-@lru_cache(maxsize=None)
 def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTriple:
     """`module_structure` for a quotient image sb, with x, y the quotient
     adjacency and dual adjacency, proved on sb by `_module_action`; one
@@ -440,27 +459,23 @@ def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTr
     return _module_action(q, sb, builders, _anticommutator_triple)
 
 
-@lru_cache(maxsize=None)
 def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
     """Intersections of W with the symmetric/antisymmetric halves, in
     W-coordinates (ambient vectors S c): the kernels of (A_D)_W - I and
     (A_D)_W + I for the antipodal involution A_D, with (A_D)_W proved by
-    `_module_action` and the kernels taken once per class.  Memoized
-    on (ctx, w): `split_and_type` and `quotient_modules` share one split."""
+    `_module_action` and the kernels taken once per class."""
     return _module_action(ctx, w, (_antipodal_map,), _halves)
 
 
-def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
-    """Module structure carried by one T-module under the positive structure.
-
-    Even D: the module itself (basis w.vectors), of type B(D-2r).  Odd D:
-    the two halves under the antipodal involution, in W-coordinates as
-    `antipodal_split` returns them, with variants from the parity tables.
-    """
+def split_and_type(ctx: CubeContext, w: SubmoduleBasis) -> list[ModuleType]:
+    """Types of the structure carried by one T-module under the positive
+    structure.  Even D: the type of the module itself, B(D-2r).  Odd D: the
+    types of its V+ and V- halves (`antipodal_split`), with variants from
+    the parity tables."""
     sub = module_structure(ctx, w)
     if ctx.D % 2 == 0:
         want = b_type(ctx.D - 2 * w.endpoint)
-        return [(w.vectors, _classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}"))]
+        return [_classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}")]
     cal_d = ctx.D // 2
     out = []
     for basis, table, label in zip(
@@ -468,7 +483,7 @@ def split_and_type(ctx: CubeContext, w: SubmoduleBasis):
     ):
         want = ab_type(cal_d - w.endpoint, table[cal_d % 2])
         what = f"Q_{ctx.D} module {w.module_id} ({label} half)"
-        out.append((basis, _classify_against(sub, want, what, basis)))
+        out.append(_classify_against(sub, want, what, basis))
     return out
 
 
@@ -476,31 +491,16 @@ def quotient_modules(q: QuotientContext):
     """Images psi(W+) of the parent T-modules in the quotient, with their types.
 
     psi(W+) is formed once per endpoint, for the representative
-    (`_quotient_image`).  Every other image is P~_sigma times it: the module
-    of tableau t has basis S_t = P_sigma S_rep (`decompose`), c+ is the class
-    value of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
-    psi S_t c+ = P~_sigma psi S_rep c+.  P~_sigma keeps class weights, so the
-    columns stay ordered by class weight."""
+    (`_class_basis`).  Every other image is P~_sigma times it
+    (`SubmoduleBasis.vectors`): S_t = P_sigma S_rep, c+ is the class value
+    of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
+    psi S_t c+ = P~_sigma psi S_rep c+.  P~_sigma keeps class weights, so
+    the columns stay ordered by class weight."""
     cal_d = q.cal_d
     out = []
     for w in decompose(q.parent):
-        rep = _quotient_image(q, w.endpoint)
-        basis = _relabelled(q, rep.vectors, rep.tableau, w.tableau)
-        sb = SubmoduleBasis(w.module_id, w.endpoint, basis, w.tableau)
+        sb = replace(w, space=q)
         want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
         what = f"Q~_{q.D} image of {w.module_id}"
         out.append((sb, _classify_against(quotient_structure(q, sb), want, what)))
     return out
-
-
-@lru_cache(maxsize=None)
-def _quotient_image(q: QuotientContext, endpoint: int) -> SubmoduleBasis:
-    """psi S c for S the basis of r{endpoint}#0 and c the W-coordinates of
-    its W+, columns by class weight."""
-    rep = next(w for w in decompose(q.parent) if w.endpoint == endpoint)
-    plus, _minus = antipodal_split(q.parent, rep)
-    img = psi_matrix(q) @ rep.vectors @ plus
-    cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
-    cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
-    basis = ExactMatrix.from_columns(q.nclasses, cols)
-    return SubmoduleBasis(rep.module_id, endpoint, basis, rep.tableau)

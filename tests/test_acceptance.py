@@ -191,7 +191,7 @@ def test_criterion_7_odd_types_reference_tables_known_defect():
             # the halves come in W-coordinates c; restrict on the ambient S c
             halves = [m.vectors @ c for c in antipodal_split(ctx, m)]
             typed = split_and_type(ctx, m)
-            for label, basis, (_b, untwisted) in zip(("V+", "V-"), halves, typed):
+            for label, basis, untwisted in zip(("V+", "V-"), halves, typed):
                 sub = ModuleActionTriple(
                     *(restrict(g, basis) for g in cube_structures[r % 2].matrices())
                 )

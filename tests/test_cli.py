@@ -5,11 +5,12 @@ import time
 import pytest
 
 from cubetri.acsa import ab_type, build_canonical
-from cubetri import cli
+from cubetri import cli, sl2rep
 from cubetri.cli import main
 from cubetri.hypercube import cube
 from cubetri.linalg import read_matrix, write_matrix
 from cubetri.quotient import quotient
+from cubetri.suites import run_suite
 from cubetri.tmodules import decompose, quotient_modules, split_and_type
 
 
@@ -56,7 +57,7 @@ def test_build_rejects_bad_input(tmp_path, capsys):
     code, _ = run_cli(
         capsys, "build", "--D", "12", "--matrix", "A", "--out", str(tmp_path)
     )
-    assert code == 2  # exceeds --max-D without --force
+    assert code == 2  # exceeds the default --max-D
 
 
 def test_decompose_censuses(capsys):
@@ -82,7 +83,7 @@ def test_decompose_quotient_types(capsys):
 def test_module_summary_shape():
     ctx = cube(3)
     m = decompose(ctx)[0]
-    record = cli.module_summary(m, [t for _basis, t in split_and_type(ctx, m)])
+    record = cli.module_summary(m, split_and_type(ctx, m))
     assert record["id"] == "r0#0"
     assert record["type"] is None
     assert record["parity_split"] == {"plus": "AB(1,z)", "minus": "AB(1,x)"}
@@ -344,9 +345,22 @@ def test_skew_command(capsys):
     assert payload["induced"] == {"first": "B(4)", "second": "B(4)"}
 
 
+def test_skew_command_rejects_a_wrong_sign_h(capsys, monkeypatch):
+    # s = hk satisfies its relations with either sign of h, and at even d
+    # both induced structures still classify as B(d), so only the closed
+    # form h = diag((-1)^i i^d) that the command prints can see it
+    build_h = sl2rep.build_h
+    monkeypatch.setattr(sl2rep, "build_h", lambda action: -build_h(action))
+    assert main(["skew", "--d", "4"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: d=4: h eigenvalues differ from (-1)^i i^d\n")
+    r = run_suite("skew", ds=(4,))
+    assert (r.status, r.detail) == ("fail", "d=4: h eigenvalues differ from (-1)^i i^d")
+
+
 def test_skew_respects_the_d_cap(capsys, monkeypatch):
     built = []
-    monkeypatch.setattr(cli, "build_irreducible_sl2", built.append)
+    monkeypatch.setattr(cli, "checked_skew", built.append)
     for argv in (("--d", "60"), ("--d", "4", "--max-D", "3")):
         assert main(["skew", *argv]) == 2
         err = capsys.readouterr().err

@@ -17,13 +17,19 @@ from cubetri.hypercube import (
     positive_structure,
     primitive_idempotent,
     s_diagonal,
+    second_dual_adjacency,
 )
 from cubetri.linalg import ExactMatrix, format_matrix, kernel_basis, rank, restrict
 from cubetri import tmodules
-from cubetri.quotient import psi_matrix, quotient, quotient_acsa_structure
+from cubetri.quotient import (
+    psi_matrix,
+    quotient,
+    quotient_acsa_structure,
+    quotient_adjacency,
+    quotient_dual_adjacency,
+)
 from cubetri.sl2rep import build_h, k_scalar
 from cubetri.tmodules import (
-    SubmoduleBasis,
     antipodal_split,
     decompose,
     dual_profile,
@@ -33,6 +39,18 @@ from cubetri.tmodules import (
     quotient_structure,
     split_and_type,
 )
+
+
+@pytest.fixture
+def fresh_class_bases():
+    """Class bases and class values computed inside the test, and dropped
+    after it, for tests that patch what builds them."""
+    caches = (tmodules._class_basis, tmodules._derived)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
 
 
 def test_decompose_d4_census():
@@ -192,7 +210,7 @@ def test_seeds_span_the_kernel_of_lowering():
             assert rank(seeds) == rank(stacked) == kern.ncols, (D, r)
 
 
-def test_decompose_rejects_a_seed_with_one_flipped_sign(monkeypatch):
+def test_decompose_rejects_a_seed_with_one_flipped_sign(monkeypatch, fresh_class_bases):
     polytabloid = tmodules._polytabloid
 
     def one_flipped(D, second):
@@ -207,7 +225,7 @@ def test_decompose_rejects_a_seed_with_one_flipped_sign(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_a_repeated_seed(monkeypatch):
+def test_decompose_rejects_a_repeated_seed(monkeypatch, fresh_class_bases):
     tableaux = tmodules._standard_tableaux
 
     def repeated(D, r):
@@ -219,7 +237,7 @@ def test_decompose_rejects_a_repeated_seed(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_a_tableau_that_is_not_standard(monkeypatch):
+def test_decompose_rejects_a_tableau_that_is_not_standard(monkeypatch, fresh_class_bases):
     # (0, 1) in place of (2, 3) keeps the count and the tableaux distinct, but
     # relabels the seed (e_1 - e_0)(e_3 - e_2) to (e_0 - e_2)(e_1 - e_3), whose
     # largest vertex has bits {2, 3}: the same module as (2, 3) up to sign
@@ -243,7 +261,7 @@ def _without_edge(move, edge):
     return moved
 
 
-def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch):
+def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch, fresh_class_bases):
     # with the edge {0, 1} gone, LR e_0 = (D - 1) e_0 while D e_0 is required
     monkeypatch.setattr(tmodules, "_move_vector", _without_edge(tmodules._move_vector, (0, 1)))
     want = r"Q_4: LR - RL != \(D - 2w\) I at vertex 0 of weight 0"
@@ -251,7 +269,9 @@ def test_decompose_rejects_raising_and_lowering_without_one_edge(monkeypatch):
         decompose.__wrapped__(cube(4))
 
 
-def test_decompose_rejects_a_commutator_broken_at_a_checked_vertex_above_weight_0(monkeypatch):
+def test_decompose_rejects_a_commutator_broken_at_a_checked_vertex_above_weight_0(
+    monkeypatch, fresh_class_bases
+):
     # with {3, 7} gone, LR e_3 loses e_3 at the checked vertex of weight 2;
     # the vertices of weights 0 and 1 never meet that edge
     monkeypatch.setattr(tmodules, "_move_vector", _without_edge(tmodules._move_vector, (3, 7)))
@@ -280,7 +300,7 @@ def _adjacency_without(edge):
     return without_edge
 
 
-def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch):
+def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch, fresh_class_bases):
     # the chains are raised with this matrix, and the relabelled modules need
     # it to commute with every bit permutation
     monkeypatch.setattr(tmodules, "adjacency", _adjacency_without((0, 1)))
@@ -289,7 +309,9 @@ def test_decompose_rejects_an_adjacency_without_the_edge_0_1(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_an_adjacency_that_commutes_with_0_1_but_not_the_cycle(monkeypatch):
+def test_decompose_rejects_an_adjacency_that_commutes_with_0_1_but_not_the_cycle(
+    monkeypatch, fresh_class_bases
+):
     # (0 1) fixes the vertices 0 and 4, so only the cycle (0 1 2 3 4), which
     # takes the edge {0, 4} to {0, 8}, sees that A lost its symmetry
     monkeypatch.setattr(tmodules, "adjacency", _adjacency_without((0, 4)))
@@ -298,7 +320,7 @@ def test_decompose_rejects_an_adjacency_that_commutes_with_0_1_but_not_the_cycle
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_raises_and_lowers_with_the_checked_adjacency(monkeypatch):
+def test_decompose_raises_and_lowers_with_the_checked_adjacency(monkeypatch, fresh_class_bases):
     # 2A commutes with every bit permutation, so only chains read off the
     # same matrix see that LR - RL = 4(D - 2w) I
     monkeypatch.setattr(tmodules, "adjacency", lambda ctx: adjacency(ctx) * 2)
@@ -307,7 +329,7 @@ def test_decompose_raises_and_lowers_with_the_checked_adjacency(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_a_representative_chain_that_dies_early(monkeypatch):
+def test_decompose_rejects_a_representative_chain_that_dies_early(monkeypatch, fresh_class_bases):
     # the commutator checks move vectors of at most D entries; R^2 e_0 has 10
     move = tmodules._move_vector
 
@@ -319,7 +341,9 @@ def test_decompose_rejects_a_representative_chain_that_dies_early(monkeypatch):
         decompose.__wrapped__(cube(5))
 
 
-def test_decompose_rejects_a_representative_chain_that_does_not_terminate(monkeypatch):
+def test_decompose_rejects_a_representative_chain_that_does_not_terminate(
+    monkeypatch, fresh_class_bases
+):
     # raising out of the top slice returns e_0, which L never maps back
     move = tmodules._move_vector
     monkeypatch.setattr(
@@ -393,20 +417,28 @@ def test_dual_profile_matches_dense_idempotents():
             assert dual_profile(ctx, m) == want, (D, m.module_id)
 
 
-def _non_invariant_module(D):
-    """A one-vector 'module' spanned by a weight-1 vertex, which A moves out."""
-    return SubmoduleBasis("r1#0", 1, ExactMatrix.from_columns(1 << D, [{1: 1}]))
+def _non_invariant_class(monkeypatch, ctx):
+    """The modules of ctx, with the class basis of endpoint 1 replaced by
+    the weight-1 vertex e_1, which A moves out of its span."""
+    modules = decompose(ctx)
+    basis = tmodules._class_basis
+    fake = ExactMatrix.from_columns(ctx.nvertices, [{1: 1}])
+    monkeypatch.setattr(
+        tmodules, "_class_basis", lambda space, r: fake if (space, r) == (ctx, 1) else basis(space, r)
+    )
+    return modules
 
 
-def test_dual_profile_rejects_non_invariant_basis():
+def test_dual_profile_rejects_non_invariant_basis(monkeypatch, fresh_class_bases):
+    ctx = cube(3)
+    modules = _non_invariant_class(monkeypatch, ctx)
     with pytest.raises(ValueError, match="not invariant"):
-        dual_profile(cube(3), _non_invariant_module(3))
+        dual_profile(ctx, modules[1])
 
 
-def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch):
-    # at D=2 the fake r1#0 passes the dimension, diameter and slice checks
-    real = decompose(cube(2))
-    monkeypatch.setattr(suites, "decompose", lambda ctx: [real[0], _non_invariant_module(2)])
+def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch, fresh_class_bases):
+    # at D=2 the fake class r1 passes the dimension and diameter checks
+    _non_invariant_class(monkeypatch, cube(2))
     r = suites.run_suite("decomposition", Ds=(2,))
     assert r.status == "fail"
     assert r.detail.startswith("D=2 r1#0: subspace not invariant")
@@ -415,9 +447,7 @@ def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch):
 def test_split_and_type_even():
     ctx = cube(6)
     for m in decompose(ctx):
-        typed = split_and_type(ctx, m)
-        assert len(typed) == 1
-        assert typed[0][1] == b_type(6 - 2 * m.endpoint)
+        assert split_and_type(ctx, m) == [b_type(6 - 2 * m.endpoint)]
 
 
 def test_split_and_type_odd():
@@ -427,12 +457,8 @@ def test_split_and_type_odd():
         ctx = cube(D)
         cal_d = D // 2
         for m in decompose(ctx):
-            typed = split_and_type(ctx, m)
-            assert len(typed) == 2
             delta = cal_d - m.endpoint
-            assert typed[0][1] == ab_type(delta, plus_n)
-            assert typed[1][1] == ab_type(delta, minus_n)
-            assert typed[0][0].ncols + typed[1][0].ncols == m.dimension
+            assert split_and_type(ctx, m) == [ab_type(delta, plus_n), ab_type(delta, minus_n)]
 
 
 def test_module_structure_is_the_restricted_positive_structure():
@@ -459,53 +485,39 @@ def test_quotient_structure_is_the_restricted_quotient_structure():
         assert all(len(v) == 1 for v in by_class.values()), D
 
 
-def _rebased(m, columns):
-    """m with its basis columns replaced, unnormalized."""
+def _stacked(nrows, columns):
+    """The matrix with the given one-column matrices as its columns, unnormalized."""
     entries = {(r, j): v for j, col in enumerate(columns) for (r, _c), v in col.entries.items()}
-    basis = ExactMatrix(m.vectors.nrows, len(columns), entries)
-    return SubmoduleBasis(m.module_id, m.endpoint, basis)
+    return ExactMatrix(nrows, len(columns), entries)
 
 
 def test_module_action_solves_scaled_and_rejects_overlapping_bases():
-    # a rescaled column still spans an invariant subspace: its action is read
-    # off exactly and matches the elimination oracle `restrict`
-    ctx = cube(5)
-    m = decompose(ctx)[2]
-    assert m.module_id == "r1#1"
-    cols = [m.vectors.column(j) for j in range(m.dimension)]
-    scaled = _rebased(m, [cols[0] * 2, *cols[1:]])
-    s = scaled.vectors
-    assert module_structure(ctx, scaled) == restrict_triple(positive_structure(ctx), s)
-    ad_w, eye = restrict(distance_matrix(ctx, 5), s), ExactMatrix.identity(m.dimension)
-    assert antipodal_split(ctx, scaled) == (kernel_basis(ad_w - eye), kernel_basis(ad_w + eye))
-    assert dual_profile(ctx, scaled) == [rank(primitive_idempotent(ctx, i) @ s) for i in range(6)]
-    overlapping = _rebased(m, [cols[0], cols[1] + cols[0], *cols[2:]])
-    short = _rebased(m, cols[:-1])
-    zero = _rebased(m, [cols[0] * 0, *cols[1:]])
-    outside = _rebased(m, [*cols[:-1], ExactMatrix.from_columns(32, [{15: 1}])])  # weight 4
-    checks = (
-        lambda w: module_structure(ctx, w),
-        lambda w: antipodal_split(ctx, w),
-        lambda w: dual_profile(ctx, w),
-    )
-    for check in checks:
-        with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
-            check(overlapping)
-        with pytest.raises(ValueError, match="subspace not invariant: image of basis vector"):
-            check(short)
-        with pytest.raises(ValueError, match="basis vector 0 is zero"):
-            check(zero)
-        with pytest.raises(ValueError, match="subspace not invariant: image of basis vector"):
-            check(outside)
-    # the same for a quotient image
-    q = quotient(5)
-    sb = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][1]
-    cols = [sb.vectors.column(j) for j in range(sb.dimension)]
-    scaled = _rebased(sb, [cols[0] * 2, *cols[1:]])
-    want = restrict_triple(quotient_acsa_structure(q), scaled.vectors)
-    assert quotient_structure(q, scaled) == want
-    with pytest.raises(ValueError, match="basis vectors 0 and 1 overlap"):
-        quotient_structure(q, _rebased(sb, [cols[0], cols[1] + cols[0]]))
+    # the product proof on bases built by hand, on Q_5 and Q~_5: a rescaled
+    # column still spans an invariant subspace, whose action is read off
+    # exactly and matches the elimination oracle `restrict`
+    ctx, q = cube(5), quotient(5)
+    rep = decompose(ctx)[2]
+    image = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][1]
+    assert (rep.module_id, image.module_id) == ("r1#1", "r1#1")
+    for space, s, builders, outside in (
+        (ctx, rep.vectors, (adjacency, second_dual_adjacency, tmodules._antipodal_map), 15),
+        (q, image.vectors, (quotient_adjacency, quotient_dual_adjacency), 3),
+    ):
+        assert space.D == 5 and s.ncols > 1
+        cols = [s.column(j) for j in range(s.ncols)]
+        scaled = _stacked(s.nrows, [cols[0] * 2, *cols[1:]])
+        want = tuple(restrict(build(space), scaled) for build in builders)
+        assert tmodules._product_proof(space, scaled, builders) == want
+        # e_outside lies in the slice of the last column (weight 4 on Q_5,
+        # class weight 2 on Q~_5) but not in the span
+        for columns, error in (
+            ([cols[0], cols[1] + cols[0], *cols[2:]], "basis vectors 0 and 1 overlap"),
+            (cols[:-1], "subspace not invariant: image of basis vector"),
+            ([cols[0] * 0, *cols[1:]], "basis vector 0 is zero"),
+            ([*cols[:-1], ExactMatrix.from_columns(s.nrows, [{outside: 1}])], "subspace not invariant"),
+        ):
+            with pytest.raises(ValueError, match=error):
+                tmodules._product_proof(space, _stacked(s.nrows, columns), builders)
 
 
 def test_module_actions_never_eliminate_on_v(monkeypatch):
@@ -527,53 +539,46 @@ def test_module_actions_never_eliminate_on_v(monkeypatch):
     assert decompose.__wrapped__(ctx) == modules and not sizes
     tmodules._derived.cache_clear()
     for m in modules:
-        module_structure.__wrapped__(ctx, m)
-        antipodal_split.__wrapped__(ctx, m)
+        module_structure(ctx, m)
+        antipodal_split(ctx, m)
         dual_profile(ctx, m)
     for sb in images:
-        quotient_structure.__wrapped__(q, sb)
+        quotient_structure(q, sb)
     assert sizes and max(sizes) <= D + 1
 
 
-def _with_entry(m, key, value):
-    """m with one stored basis entry replaced, its tableau kept."""
-    vectors = ExactMatrix(m.vectors.nrows, m.vectors.ncols, {**m.vectors.entries, key: value})
-    return replace(m, vectors=vectors)
+def test_module_actions_reject_a_module_of_another_space():
+    # a module carries no basis, so only its space tells Q_7 from Q_5 or Q~_5
+    w = decompose(cube(7))[3]
+    for check in (module_structure, antipodal_split, dual_profile):
+        with pytest.raises(ValueError, match=r"module r1#2 of CubeContext\(D=7\) is not a module of"):
+            check(cube(5), w)
+    with pytest.raises(ValueError, match="is not a module of QuotientContext"):
+        quotient_structure(quotient(5), decompose(cube(5))[2])
 
 
-def test_relabelled_modules_reject_a_changed_basis_entry():
-    # a basis that keeps its tableau must be the relabelled representative,
-    # or it would be answered with the representative's action; a rescaled
-    # column is still invariant, so only the relabelling check rejects it
-    ctx = cube(5)
-    rep, other = [m for m in decompose(ctx) if m.endpoint == 1][:3:2]
-    assert (rep.module_id, other.module_id) == ("r1#0", "r1#2")
-    for m in (rep, other):
-        key = max(m.vectors.entries)
-        want = f"module {m.module_id} is not the relabelling of r1#0"
-        cols = [m.vectors.column(j) for j in range(m.dimension)]
-        rescaled = replace(_rebased(m, [cols[0], cols[1] * 3, *cols[2:]]), tableau=m.tableau)
-        for changed in (_with_entry(m, key, m.vectors.entries[key] * 2), rescaled):
-            for check in (module_structure.__wrapped__, antipodal_split.__wrapped__, dual_profile):
-                with pytest.raises(ValueError, match=want):
-                    check(ctx, changed)
-    q = quotient(5)
-    sb = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][2]
-    key = max(sb.vectors.entries)
-    with pytest.raises(ValueError, match="module r1#2 is not the relabelling of r1#0"):
-        quotient_structure.__wrapped__(q, _with_entry(sb, key, -sb.vectors.entries[key]))
+def test_decompose_relabels_no_basis(monkeypatch):
+    # a module's basis is formed only when its vectors are asked for
+    calls = []
+    relabelled = tmodules._relabelled
+    monkeypatch.setattr(tmodules, "_relabelled", lambda *a: calls.append(a) or relabelled(*a))
+    modules = decompose.__wrapped__(cube(9))
+    assert len(modules) == comb(9, 4) and not calls
+    assert modules[-1].vectors == _raised_by_bit_flips(cube(9), modules[-1].tableau)
+    assert len(calls) == 1
 
 
-def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch):
+def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch, fresh_class_bases):
     # the endpoint-2 modules of Q_5 live on weights 2 and 3, so the
     # representative's products never meet the edge {0, 1}; only the
     # transposition check sees that A lost its symmetry
-    without_edge = _adjacency_without((0, 1))
-    monkeypatch.setattr(tmodules, "adjacency", without_edge)
     ctx = cube(5)
     rep, other = [m for m in decompose(ctx) if m.endpoint == 2][:2]
+    s = rep.vectors
+    without_edge = _adjacency_without((0, 1))
+    monkeypatch.setattr(tmodules, "adjacency", without_edge)
     proof = tmodules._product_proof
-    assert proof(ctx, rep, (without_edge,)) == proof(ctx, rep, (adjacency,))
+    assert proof(ctx, s, (without_edge,)) == proof(ctx, s, (adjacency,))
     want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
     with pytest.raises(AssertionError, match=want):
         dual_profile(ctx, other)
@@ -588,19 +593,19 @@ def test_product_proof_runs_once_per_class(monkeypatch, D):
     proved = []
     product_proof = tmodules._product_proof
 
-    def counted(space, w, builders):
-        proved.append((space, w.endpoint, builders))
-        return product_proof(space, w, builders)
+    def counted(space, s, builders):
+        proved.append((space, s, builders))
+        return product_proof(space, s, builders)
 
     monkeypatch.setattr(tmodules, "_product_proof", counted)
     tmodules._derived.cache_clear()
     for m in modules:
-        module_structure.__wrapped__(ctx, m)
-        antipodal_split.__wrapped__(ctx, m)
+        module_structure(ctx, m)
+        antipodal_split(ctx, m)
         dual_profile(ctx, m)
     h_by_class.__wrapped__(ctx)
     for sb in images:
-        quotient_structure.__wrapped__(q, sb)
+        quotient_structure(q, sb)
     classes = D // 2 + 1
     assert len(proved) == len(set(proved)) == classes * (5 if q else 4)
     assert {w.endpoint for w in modules} == set(range(classes))
@@ -682,33 +687,27 @@ def test_quotient_images_are_psi_of_their_own_plus_halves():
             assert (sb.module_id, sb.tableau, sb.vectors) == (m.module_id, m.tableau, want), (D,)
 
 
-def test_quotient_modules_form_psi_products_once_per_endpoint(monkeypatch):
+def test_quotient_modules_form_psi_products_once_per_endpoint(monkeypatch, fresh_class_bases):
     q = quotient(7)
     calls = []
     monkeypatch.setattr(tmodules, "psi_matrix", lambda q: calls.append(q) or psi_matrix(q))
-    tmodules._quotient_image.cache_clear()
-    tmodules._derived.cache_clear()
     quotient_modules(q)
     assert len(calls) == 4 == q.cal_d + 1
 
 
-def test_quotient_modules_reject_a_damaged_representative_image(monkeypatch):
-    image = tmodules._quotient_image
+def test_quotient_modules_reject_a_damaged_representative_image(monkeypatch, fresh_class_bases):
+    basis = tmodules._class_basis
 
-    def damaged(q, endpoint):
-        rep = image(q, endpoint)
-        key = max(rep.vectors.entries)
-        entries = {**rep.vectors.entries, key: rep.vectors.entries[key] * 2}
-        return replace(rep, vectors=ExactMatrix(rep.vectors.nrows, rep.vectors.ncols, entries))
+    def damaged(space, endpoint):
+        s = basis(space, endpoint)
+        if space != quotient(5):
+            return s
+        key = max(s.entries)
+        return ExactMatrix(s.nrows, s.ncols, {**s.entries, key: s.entries[key] * 2})
 
-    monkeypatch.setattr(tmodules, "_quotient_image", damaged)
-    tmodules._derived.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="subspace not invariant"):
-            quotient_modules(quotient(5))
-    finally:
-        monkeypatch.undo()
-        tmodules._derived.cache_clear()
+    monkeypatch.setattr(tmodules, "_class_basis", damaged)
+    with pytest.raises(ValueError, match="subspace not invariant"):
+        quotient_modules(quotient(5))
 
 
 def test_builders_cache_on_the_value_of_the_context():

@@ -11,8 +11,8 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 
-from .exactnum import GaussianRational
-from .linalg import ExactMatrix, integer_eigenspaces, restrict
+from .exactnum import GaussianRational, _reduced
+from .linalg import ExactMatrix, _int_rows, _walk, integer_eigenspaces, restrict
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -175,16 +175,39 @@ _RELATIONS = (
 
 
 def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
-    """True iff all three anticommutator relations hold; else names the first failure."""
-    mats = m.matrices()
+    """True iff all three anticommutator relations hold; else names the first
+    failure, with the residue at its smallest (row, col) entry.
+
+    The check runs on Gaussian integers.  With a = A/d_a, b = B/d_b and
+    c = C/d_c (`_int_rows`), ab + ba = 2c holds exactly when
+    (AB + BA)*d_c = 2*d_a*d_b*C, and the residue ab + ba - 2c at an entry is
+    that integer difference over d_a*d_b*d_c, reduced once.  AB + BA is one
+    integer walk (`_walk`), of the rows of [A B] against the stacked rows of
+    [B; A]; both sides are compared entry by entry as integer pairs, with
+    sums that cancel to 0 dropped, as C stores no zeros."""
+    n = m.dimension
+    ints = [_int_rows(g) for g in m.matrices()]
     for label, a, b, c in _RELATIONS:
-        lhs = mats[a] @ mats[b] + mats[b] @ mats[a]
-        rhs = mats[c] * 2
-        # canonical entries and no stored zeros: equal matrices, equal dicts
+        (da, ra), (db, rb), (dc, rc) = ints[a], ints[b], ints[c]
+        rows = {i: list(row) for i, row in ra.items()}
+        for i, row in rb.items():
+            rows.setdefault(i, []).extend((k + n, re, im) for k, re, im in row)
+        stacked = dict(rb)
+        stacked.update((k + n, row) for k, row in ra.items())
+        lhs = {
+            (i, j): (re * dc, im * dc)
+            for i, sums in _walk(rows.items(), stacked)
+            for j, (re, im) in sums.items()
+            if re or im
+        }
+        two = 2 * da * db
+        rhs = {(i, j): (two * re, two * im) for i, row in rc.items() for j, re, im in row}
         if lhs != rhs:
-            diff = lhs - rhs
-            (r, col) = min(diff.entries)
-            return False, f"{label} fails at entry ({r},{col}): residue {diff.entries[(r, col)]}"
+            zero = (0, 0)
+            r, col = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, zero) != rhs.get(k, zero))
+            (p, q), (s, t) = lhs.get((r, col), zero), rhs.get((r, col), zero)
+            residue = _reduced(p - s, q - t, da * db * dc)
+            return False, f"{label} fails at entry ({r},{col}): residue {residue}"
     return True, None
 
 

@@ -3,8 +3,11 @@
 Matrices are immutable maps (row, col) -> nonzero GaussianRational, each
 scalar one reduced integer triple (a, b, d) = (a + b*i)/d.  The inner loops
 run on integers: `_int_rows` reads a matrix as Gaussian integers over the
-lcm of its denominators, so a step of `matmul`'s dict walk is an integer
-multiply-add and each entry of a product is reduced once, `_echelon`
+lcm of its denominators, and every product of such rows is the one integer
+walk `_walk`, whose steps are integer multiply-adds.  `matmul` reduces each
+entry of a product once; `exp_nilpotent` sums its series over the single
+denominator delta^j j! and reduces once at the end; `acsa.check_relations`
+compares both sides of a relation cross-multiplied, as integers.  `_echelon`
 eliminates fraction-free in Z[i], and `_char_poly` works in Z[i] as well.
 A matrix hashes its entries once and keeps the hash.  No code path forms
 a dense 2^D-dimensional product: the cube operators are sparse, and the
@@ -27,7 +30,6 @@ P^-1 M P, so P^-1 is never formed.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from fractions import Fraction
 from math import gcd, lcm
 
 from .exactnum import ZERO, GaussianRational, _reduced
@@ -234,34 +236,19 @@ def _int_rows(m: ExactMatrix):
     return den, rows
 
 
-def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product by a dict walk over integers: with a = A/d and
-    b = B/e (`_int_rows`), each stored A[i, k] meets the stored entries of
-    row k of B, so the cost is the number of those pairs, each an integer
-    multiply-add, and each nonzero entry of A B is reduced once over d*e.
-
-    a is read in place, one row at a time, so besides the result only the
-    integer rows of b and one row's sums are held: a copy of a, or the sums
-    of every row at once, would each raise the peak memory of a run."""
-    if a.ncols != b.nrows:
-        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    da = _den(a)
-    db, b_rows = _int_rows(b)
-    den = da * db
-    a_entries = a.entries
-    a_rows: dict = {}
-    for key in a_entries:
-        a_rows.setdefault(key[0], []).append(key)
-    entries = {}
-    for i, keys in a_rows.items():
+def _walk(rows, b_rows):
+    """The one integer walk of a product: for each (i, row) of `rows`, a
+    row as (k, re, im) Gaussian integers (`_int_rows`), yield (i, sums),
+    sums the dict j -> [re, im] of row i of the product with `b_rows`.
+    Each stored (i, k) meets the stored entries of row k of b_rows, one
+    integer multiply-add per pair; an entry whose row of b_rows is empty
+    is passed over.  Sums that cancel to 0 stay in the dict."""
+    for i, row in rows:
         sums: dict = {}
-        for key in keys:
-            b_row = b_rows.get(key[1])
+        for k, ar, ai in row:
+            b_row = b_rows.get(k)
             if b_row is None:
                 continue
-            ar, ai, d = a_entries[key].triple
-            if d != da:
-                ar, ai = ar * (da // d), ai * (da // d)
             for j, br, bi in b_row:
                 cur = sums.get(j)
                 if cur is None:
@@ -269,10 +256,50 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                 else:
                     cur[0] += ar * br - ai * bi
                     cur[1] += ar * bi + ai * br
+        yield i, sums
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Exact product by the integer walk `_walk`: with a = A/d and
+    b = B/e (`_int_rows`), the cost is the number of pairs of a stored
+    A[i, k] and a stored entry of row k of B, and each nonzero entry of A B
+    is reduced once over d*e.
+
+    a is read in place, one row at a time, and an entry of a whose row of
+    B is empty is dropped before it is scaled to an integer, so besides the
+    result only the integer rows of b and one row of a and of its sums are
+    held: a copy of a, or the sums of every row at once, would each raise
+    the peak memory of a run."""
+    if a.ncols != b.nrows:
+        raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
+    da = _den(a)
+    db, b_rows = _int_rows(b)
+    den = da * db
+    entries = {}
+    for i, sums in _walk(_rows_in_place(a, da, b_rows), b_rows):
         for j, (re, im) in sums.items():
             if re or im:
                 entries[(i, j)] = _reduced(re, im, den)
     return ExactMatrix._make(a.nrows, b.ncols, entries)
+
+
+def _rows_in_place(a: ExactMatrix, da: int, b_rows):
+    """a's rows over the common denominator da, as `_walk` reads them, one
+    row at a time, keeping only the entries whose column has a row in
+    b_rows."""
+    a_entries = a.entries
+    a_rows: dict = {}
+    for key in a_entries:
+        if key[1] in b_rows:
+            a_rows.setdefault(key[0], []).append(key)
+    for i, keys in a_rows.items():
+        row = []
+        for key in keys:
+            ar, ai, d = a_entries[key].triple
+            if d != da:
+                ar, ai = ar * (da // d), ai * (da // d)
+            row.append((key[1], ar, ai))
+        yield i, row
 
 
 # -- elimination: echelon form, rank, kernels ----------------------------------
@@ -549,16 +576,39 @@ def restrict(m: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
 
 
 def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
-    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= bound."""
+    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= bound; ValueError
+    if n^bound != 0, so always for bound = 0.
+
+    The series runs on Gaussian integers.  With n = N/delta (`_int_rows`),
+    n^j/j! = N^j/(delta^j j!), and delta^j j! = delta^(j-1) (j-1)! * delta*j,
+    so the partial sum through term j is T_j/(delta^j j!) for T_0 = I and
+    T_j = delta*j*T_{j-1} + N^j: the same exact sum, over one denominator.
+    N^j is the integer walk (`_walk`) of the rows of N^(j-1) against N, and
+    each entry of the sum is reduced once, when the first N^j = 0 ends the
+    series."""
     if not n.is_square():
         raise ValueError("exponential of a non-square matrix")
-    total = ExactMatrix.identity(n.nrows)
-    term = total
+    delta, n_rows = _int_rows(n)
+    power = {i: [(i, 1, 0)] for i in range(n.nrows)}
+    total = {(i, i): (1, 0) for i in range(n.nrows)}
+    den = 1
     for j in range(1, bound + 1):
-        term = (term @ n) * Fraction(1, j)
-        if term.is_zero():
-            return total
-        total = total + term
+        previous, power = power, {}
+        for i, sums in _walk(previous.items(), n_rows):
+            row = [(c, re, im) for c, (re, im) in sums.items() if re or im]
+            if row:
+                power[i] = row
+        if not power:
+            return ExactMatrix._make(n.nrows, n.ncols, {
+                key: _reduced(re, im, den) for key, (re, im) in total.items() if re or im
+            })
+        scale = delta * j
+        den *= scale
+        total = {key: (re * scale, im * scale) for key, (re, im) in total.items()}
+        for i, row in power.items():
+            for c, re, im in row:
+                cur = total.get((i, c))
+                total[(i, c)] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
     raise ValueError(
         f"power series did not terminate within {bound} terms; input is not nilpotent there"
     )

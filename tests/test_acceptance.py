@@ -35,15 +35,15 @@ from cubetri.tmodules import (
 )
 
 BUDGETS = {
-    "relations": 0.95,
+    "relations": 0.19,
     "weights": 0.55,
-    "skew": 0.13,
+    "skew": 0.08,
     "skew-cube": 0.44,
     "idempotents-small": 0.21,
     "idempotents-full": 2.79,
     "decomposition": 0.30,
-    "families": 0.06,
-    "sl2-factory": 0.13,
+    "families": 0.04,
+    "sl2-factory": 0.09,
     "leonard-even": 0.33,
     "leonard-quotient": 1.59,
 }

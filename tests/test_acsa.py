@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from cubetri.acsa import (
 )
 from cubetri.exactnum import gr
 from cubetri.linalg import ExactMatrix, integer_eigenspaces, invert, rank
+from cubetri.sl2rep import checked_skew, induce_acsa_structures
 
 ALL_TYPES_SMALL = [b_type(d) for d in range(0, 11, 2)] + [
     ab_type(d, n) for d in range(0, 11) for n in "0xyz"
@@ -66,6 +68,42 @@ def test_relations_trivial_cases():
     ok, detail = check_relations(ModuleActionTriple(eye, eye, zero))
     assert not ok
     assert "xy+yx=2z" in detail
+
+
+def test_relations_detail_names_the_residue_at_the_smallest_entry():
+    # (a x, b y, c z) for a triple satisfying the relations multiplies
+    # xy+yx=2z by (ab, c), yz+zy=2x by (bc, a) and zx+xz=2y by (ca, b), so
+    # each choice of scalars below breaks exactly the named relation first
+    action, skew = checked_skew(3)
+    first, _second = induce_acsa_structures(action, skew.s_mat)
+    third, third_1i = gr(Fraction(1, 3)), gr(Fraction(1, 3), Fraction(1, 3))
+    half_1i, sixth_1i = gr(Fraction(1, 2), Fraction(1, 2)), gr(Fraction(1, 6), Fraction(1, 6))
+    cases = (
+        ((third_1i, third_1i, third_1i), "xy+yx=2z fails at entry (0,1): residue 2+2/3*i"),
+        ((third, half_1i, sixth_1i), "yz+zy=2x fails at entry (0,1): residue -2+i"),
+        ((third_1i, gr(-1), -third_1i), "zx+xz=2y fails at entry (0,0): residue -6+4/3*i"),
+    )
+    for scales, detail in cases:
+        triple = ModuleActionTriple(*(m * s for m, s in zip(first.matrices(), scales)))
+        assert check_relations(triple) == (False, detail)
+
+
+def test_relations_drop_products_that_cancel():
+    # xy and yx cancel entry by entry, so xy+yx=2z holds with z = 0 and the
+    # first failure is yz+zy=2x; one entry of z breaks xy+yx=2z there
+    x = ExactMatrix.diagonal([gr(0, Fraction(1, 3)), gr(0, Fraction(-1, 3))])
+    y = ExactMatrix.from_rows([[0, gr(Fraction(1, 2))], [1, 0]])
+    assert (x @ y + y @ x).is_zero()
+    zero = ExactMatrix.zeros(2, 2)
+    assert check_relations(ModuleActionTriple(x, y, zero)) == (
+        False,
+        "yz+zy=2x fails at entry (0,0): residue -2/3*i",
+    )
+    z = ExactMatrix(2, 2, {(1, 0): gr(Fraction(1, 5))})
+    assert check_relations(ModuleActionTriple(x, y, z)) == (
+        False,
+        "xy+yx=2z fails at entry (1,0): residue -2/5",
+    )
 
 
 def _direct_sum(t1, t2):

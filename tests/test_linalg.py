@@ -20,6 +20,7 @@ from cubetri.linalg import (
     restrict,
     _char_poly,
 )
+from cubetri.sl2rep import build_irreducible_sl2, raising_lowering_halves
 
 
 def _random_matrix(rng, nrows, ncols, density=0.5, complex_part=True):
@@ -145,11 +146,23 @@ def test_exp_of_zero_and_shift():
     assert exp_nilpotent(ExactMatrix.zeros(3, 3), 4) == ExactMatrix.identity(3)
     n = ExactMatrix.from_rows([[0, 1], [0, 0]])
     assert exp_nilpotent(n, 2) == ExactMatrix.from_rows([[1, 1], [0, 1]])
+    # the 3 x 3 shift has N^2 != 0 = N^3, so bound 3 is the least that returns
+    shift = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    half = gr(Fraction(1, 2))
+    assert exp_nilpotent(shift, 3) == ExactMatrix.from_rows([[1, 1, half], [0, 1, 1], [0, 0, 1]])
 
 
 def test_exp_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         exp_nilpotent(ExactMatrix.identity(2), 5)
+    shift = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+    message = "power series did not terminate within 2 terms; input is not nilpotent there"
+    with pytest.raises(ValueError) as info:
+        exp_nilpotent(shift, 2)
+    assert str(info.value) == message
+    # bound 0 admits no term, so even the zero matrix raises
+    with pytest.raises(ValueError, match="did not terminate within 0 terms"):
+        exp_nilpotent(ExactMatrix.zeros(3, 3), 0)
 
 
 def test_exp_inverse_property():
@@ -163,6 +176,102 @@ def test_exp_inverse_property():
         }
         m = ExactMatrix(n, n, entries)
         assert exp_nilpotent(m, n) @ exp_nilpotent(-m, n) == ExactMatrix.identity(n)
+
+
+# -- exp_nilpotent against a Fraction-pair series ------------------------------
+
+
+def _pairs(m):
+    """m as dense rows of (re, im) Fraction pairs."""
+    return [[(m.get(r, c).re, m.get(r, c).im) for c in range(m.ncols)] for r in range(m.nrows)]
+
+
+def _pair_identity(size):
+    return [[(Fraction(int(r == c)), Fraction(0)) for c in range(size)] for r in range(size)]
+
+
+def _pair_product(a, b):
+    """a b for dense rows of (re, im) Fraction pairs, with no linalg code."""
+    zero = Fraction(0)
+    out = []
+    for row in a:
+        re, im = [zero] * len(b[0]), [zero] * len(b[0])
+        for (pr, pi), b_row in zip(row, b):
+            if pr or pi:
+                for c, (qr, qi) in enumerate(b_row):
+                    if qr or qi:
+                        re[c] += pr * qr - pi * qi
+                        im[c] += pr * qi + pi * qr
+        out.append(list(zip(re, im)))
+    return out
+
+
+def _pair_exp(n, limit):
+    """(Sum_{j<k} n^j/j!, k) for dense Fraction-pair rows n, summed term by
+    term, with k the least j <= limit such that n^j = 0, or (None, None)."""
+    term = total = _pair_identity(len(n))
+    for j in range(1, limit + 1):
+        term = [[(re / j, im / j) for re, im in row] for row in _pair_product(term, n)]
+        if not any(re or im for row in term for re, im in row):
+            return total, j
+        total = [
+            [(p[0] + q[0], p[1] + q[1]) for p, q in zip(row, add)] for row, add in zip(total, term)
+        ]
+    return None, None
+
+
+def _check_exp_against_pairs(n, bounds):
+    """exp_nilpotent(n, bound) is the pair series for each bound at least its
+    k, and raises for every smaller one."""
+    want, k = _pair_exp(_pairs(n), max(bounds))
+    for bound in bounds:
+        if k is None or bound < k:
+            with pytest.raises(ValueError, match=f"did not terminate within {bound} terms"):
+                exp_nilpotent(n, bound)
+        else:
+            assert _pairs(exp_nilpotent(n, bound)) == want, bound
+
+
+def test_exp_matches_fraction_pair_series_on_conjugated_nilpotents():
+    # N = G U G^-1: U strictly upper triangular with mixed denominators and
+    # non-real entries, G a product of integer row operations, whose inverse
+    # is the product of the opposite operations in reverse order
+    rng = random.Random(47)
+    zero = (Fraction(0), Fraction(0))
+    for size in (1, 2, 3, 4, 5, 6) * 3:
+        u = [
+            [
+                (
+                    Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))),
+                    Fraction(rng.randint(-3, 3), rng.choice((1, 5))),
+                )
+                if c > r and rng.random() < 0.7
+                else zero
+                for c in range(size)
+            ]
+            for r in range(size)
+        ]
+        g = ginv = _pair_identity(size)
+        for _ in range(2 * size if size > 1 else 0):
+            r, c = rng.sample(range(size), 2)
+            f = rng.choice((-2, -1, 1, 2))
+            op, back = _pair_identity(size), _pair_identity(size)
+            op[r][c], back[r][c] = (Fraction(f), Fraction(0)), (Fraction(-f), Fraction(0))
+            g, ginv = _pair_product(op, g), _pair_product(ginv, back)
+        assert _pair_product(g, ginv) == _pair_identity(size)
+        conj = _pair_product(_pair_product(g, u), ginv)
+        n = ExactMatrix(size, size, {
+            (r, c): GaussianRational(re, im)
+            for r, row in enumerate(conj)
+            for c, (re, im) in enumerate(row)
+        })
+        _check_exp_against_pairs(n, range(size + 2))
+
+
+def test_exp_matches_fraction_pair_series_on_the_sl2_halves():
+    for d in range(13):
+        for half in raising_lowering_halves(build_irreducible_sl2(d)):
+            _check_exp_against_pairs(half, (d, d + 1))
 
 
 def test_from_columns_normalizes_and_column_reads_back():

@@ -672,6 +672,20 @@ def test_quotient_modules_types_and_dimensions():
                 assert weights == {sb.endpoint + j}
 
 
+def test_module_bases_store_entries_only_inside_their_shape():
+    # ExactMatrix._make takes entries unchecked, so a relabelling that sent
+    # a row outside the space would still build a matrix
+    spaces = [(cube(D), decompose(cube(D))) for D in range(1, 9)]
+    spaces += [(quotient(D), [sb for sb, _t in quotient_modules(quotient(D))]) for D in (3, 5, 7)]
+    for space, modules in spaces:
+        rows = space.nvertices if isinstance(space, CubeContext) else space.nclasses
+        for m in modules:
+            s = m.vectors
+            assert (s.nrows, s.ncols) == (rows, m.dimension)
+            outside = [(r, c) for r, c in s.entries if not (0 <= r < s.nrows and 0 <= c < s.ncols)]
+            assert not outside, (space.D, m.module_id, outside[:3])
+
+
 def test_quotient_images_are_psi_of_their_own_plus_halves():
     # oracle: psi S_t c+ for each module, with no relabelling, columns by
     # class weight

@@ -215,19 +215,17 @@ def _format_build_text(payload) -> str:
 
 def cmd_decompose(args) -> int:
     D = _check_d(args, need_odd=args.quotient)
-    ctx = cube(D)
-    if args.quotient:
-        records = [module_summary(sb, [t]) for sb, t in quotient_modules(quotient(D))]
-    else:
-        records = [module_summary(m, split_and_type(ctx, m)) for m in decompose(ctx)]
-    payload = {"D": D, "quotient": bool(args.quotient), "modules": records}
+    modules = quotient_modules(quotient(D)) if args.quotient else decompose(cube(D))
+    payload = {"D": D, "quotient": bool(args.quotient), "modules": [module_summary(w) for w in modules]}
     _emit(args, payload, _format_decompose_text)
     return 0
 
 
-def module_summary(w, types) -> dict:
-    """JSON-ready record for one module of the decomposition listing: types
-    holds the module's own type, or the types of its V+ and V- halves."""
+def module_summary(w) -> dict:
+    """JSON-ready record for one module of the decomposition listing, with
+    its `split_and_type`: the module's own type, or the types of its V+ and
+    V- halves."""
+    types = split_and_type(w)
     record = {"id": w.module_id, "endpoint": w.endpoint, "diameter": w.diameter, "dim": w.dimension}
     if len(types) == 1:
         record["type"], record["parity_split"] = str(types[0]), None

@@ -19,7 +19,10 @@ thinness witness, and the disjoint supports that let `_product_proof` read
 each action off one row per basis vector and prove it by one exact
 product, with no elimination on V.  That product runs once per class, on
 S_rep (on Q~_D, psi(S_rep c+)), and every module of the class gets its
-value (`_module_action`).
+value (`_module_action`).  A module is the only argument of the functions
+that act on it: its `space` chooses the acting matrices, so a T-module of
+Q_D and an image psi(W+) in Q~_D (`quotient_modules`) share
+`module_structure` and `split_and_type`.
 """
 from __future__ import annotations
 
@@ -219,7 +222,7 @@ def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
     `_skew_class` proves the identities on W, once per class, and
     `decompose` proves that the modules are a basis of V."""
     builders = (adjacency, dual_adjacency, s_diagonal)
-    by_class = {w.endpoint: _module_action(ctx, w, builders, _skew_class) for w in decompose(ctx)}
+    by_class = {w.endpoint: _module_action(w, builders, _skew_class) for w in decompose(ctx)}
     return tuple(by_class.values())
 
 
@@ -236,15 +239,16 @@ def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix
     return skew.h_mat
 
 
-def dual_profile(ctx: CubeContext, w: SubmoduleBasis) -> list[int]:
-    """Dimensions of the spectral projections E_i W for i = 0..D.
+def dual_profile(w: SubmoduleBasis) -> list[int]:
+    """Dimensions of the spectral projections E_i W for i = 0..D, for a
+    T-module w of Q_D.
 
     `_module_action` proves that S = w.vectors has full column rank and
     A S = S A_W, or raises ValueError.  Then E_i W = S V_i for V_i the
     theta_i-eigenspace of A_W, so dim E_i W is the dimension the one integer
     eigenvalue scan finds at theta_i = D - 2i, and 0 where it finds none.
     The scan proves that A_W is diagonalizable or raises ValueError."""
-    return list(_module_action(ctx, w, (adjacency,), _eigenspace_dims))
+    return list(_module_action(w, (adjacency,), _eigenspace_dims))
 
 
 def _eigenspace_dims(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
@@ -287,18 +291,17 @@ def _classify_against(sub, want: ModuleType, what: str, basis=None) -> ModuleTyp
     return found
 
 
-def _module_action(space, w: SubmoduleBasis, builders, derive):
+def _module_action(w: SubmoduleBasis, builders, derive):
     """derive(space, *M_W) for the matrices M = build(space) on span(w.vectors),
-    in its coordinates: the value of w's class (`_derived`), once
-    `_check_symmetric` proves M P_sigma = P_sigma M on the two generators of
-    S_D, hence for every bit permutation sigma.  The basis of w is
-    S_t = P_sigma S_rep by construction (`SubmoduleBasis.vectors`), so
+    in its coordinates, for space = w.space: the value of w's class
+    (`_derived`), once `_check_symmetric` proves M P_sigma = P_sigma M on
+    the two generators of S_D, hence for every bit permutation sigma.  The
+    basis of w is S_t = P_sigma S_rep by construction
+    (`SubmoduleBasis.vectors`), so
     M S_t = P_sigma M S_rep = P_sigma S_rep M_rep = S_t M_rep."""
-    if w.space != space:
-        raise ValueError(f"module {w.module_id} of {w.space} is not a module of {space}")
-    value = _derived(space, w.endpoint, builders, derive)
+    value = _derived(w.space, w.endpoint, builders, derive)
     for build in builders:
-        _check_symmetric(space, build)
+        _check_symmetric(w.space, build)
     return value
 
 
@@ -319,7 +322,7 @@ def _class_basis(space, endpoint: int) -> ExactMatrix:
     weight."""
     if isinstance(space, QuotientContext):
         rep = next(w for w in decompose(space.parent) if w.endpoint == endpoint)
-        plus, _minus = antipodal_split(space.parent, rep)
+        plus, _minus = antipodal_split(rep)
         img = psi_matrix(space) @ _class_basis(space.parent, endpoint) @ plus
         cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
         cols.sort(key=lambda col: min(space.class_weight(u) for u in col))
@@ -444,63 +447,60 @@ def _halves(_ctx, inside: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     return kernel_basis(inside - eye), kernel_basis(inside + eye)
 
 
-def module_structure(ctx: CubeContext, w: SubmoduleBasis) -> ModuleActionTriple:
-    """The positive structure on W in the coordinates of w.vectors: x = A and
-    y = A*_{D-1} by `_module_action`, z_W = (x_W y_W + y_W x_W)/2 as z = (xy+yx)/2.
-    One triple per class."""
-    return _module_action(ctx, w, (adjacency, second_dual_adjacency), _anticommutator_triple)
+def module_structure(w: SubmoduleBasis) -> ModuleActionTriple:
+    """The anticommutator spin algebra structure on W in the coordinates of
+    w.vectors, by `_module_action`: on Q_D the positive structure, x = A
+    and y = A*_{D-1}; on Q~_D the quotient structure, x = A~ and y = B~.
+    z_W = (x_W y_W + y_W x_W)/2, as z = (xy+yx)/2.  One triple per class."""
+    if isinstance(w.space, QuotientContext):
+        builders = (quotient_adjacency, quotient_dual_adjacency)
+    else:
+        builders = (adjacency, second_dual_adjacency)
+    return _module_action(w, builders, _anticommutator_triple)
 
 
-def quotient_structure(q: QuotientContext, sb: SubmoduleBasis) -> ModuleActionTriple:
-    """`module_structure` for a quotient image sb, with x, y the quotient
-    adjacency and dual adjacency, proved on sb by `_module_action`; one
-    triple per (q, endpoint)."""
-    builders = (quotient_adjacency, quotient_dual_adjacency)
-    return _module_action(q, sb, builders, _anticommutator_triple)
+def antipodal_split(w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
+    """Intersections of a T-module W of Q_D with the symmetric/antisymmetric
+    halves, in W-coordinates (ambient vectors S c): the kernels of
+    (A_D)_W - I and (A_D)_W + I for the antipodal involution A_D, with
+    (A_D)_W proved by `_module_action` and the kernels taken once per class."""
+    return _module_action(w, (_antipodal_map,), _halves)
 
 
-def antipodal_split(ctx: CubeContext, w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
-    """Intersections of W with the symmetric/antisymmetric halves, in
-    W-coordinates (ambient vectors S c): the kernels of (A_D)_W - I and
-    (A_D)_W + I for the antipodal involution A_D, with (A_D)_W proved by
-    `_module_action` and the kernels taken once per class."""
-    return _module_action(ctx, w, (_antipodal_map,), _halves)
-
-
-def split_and_type(ctx: CubeContext, w: SubmoduleBasis) -> list[ModuleType]:
-    """Types of the structure carried by one T-module under the positive
-    structure.  Even D: the type of the module itself, B(D-2r).  Odd D: the
-    types of its V+ and V- halves (`antipodal_split`), with variants from
-    the parity tables."""
-    sub = module_structure(ctx, w)
-    if ctx.D % 2 == 0:
-        want = b_type(ctx.D - 2 * w.endpoint)
-        return [_classify_against(sub, want, f"Q_{ctx.D} module {w.module_id}")]
-    cal_d = ctx.D // 2
+def split_and_type(w: SubmoduleBasis) -> list[ModuleType]:
+    """Types of the structure `module_structure` puts on one module, each
+    checked against its table.  A T-module of Q_D at even D: the type of
+    the module itself, B(D-2r).  At odd D: the types of its V+ and V- halves
+    (`antipodal_split`), with variants from the parity tables.  An image
+    psi(W+) in Q~_D: the type of W+, AB(cal_d - r) with its variant from
+    _PLUS_TABLE."""
+    space, sub = w.space, module_structure(w)
+    if isinstance(space, QuotientContext):
+        want = ab_type(space.cal_d - w.endpoint, _PLUS_TABLE[space.cal_d % 2])
+        return [_classify_against(sub, want, f"Q~_{space.D} image of {w.module_id}")]
+    if space.D % 2 == 0:
+        want = b_type(space.D - 2 * w.endpoint)
+        return [_classify_against(sub, want, f"Q_{space.D} module {w.module_id}")]
+    cal_d = space.D // 2
     out = []
     for basis, table, label in zip(
-        antipodal_split(ctx, w), (_PLUS_TABLE, _MINUS_TABLE), ("plus", "minus")
+        antipodal_split(w), (_PLUS_TABLE, _MINUS_TABLE), ("plus", "minus")
     ):
         want = ab_type(cal_d - w.endpoint, table[cal_d % 2])
-        what = f"Q_{ctx.D} module {w.module_id} ({label} half)"
+        what = f"Q_{space.D} module {w.module_id} ({label} half)"
         out.append(_classify_against(sub, want, what, basis))
     return out
 
 
-def quotient_modules(q: QuotientContext):
-    """Images psi(W+) of the parent T-modules in the quotient, with their types.
+def quotient_modules(q: QuotientContext) -> list[SubmoduleBasis]:
+    """The images psi(W+) in Q~_D of the T-modules W of the parent, in the
+    order of `decompose`: each is its parent module with `space` q.
 
-    psi(W+) is formed once per endpoint, for the representative
-    (`_class_basis`).  Every other image is P~_sigma times it
-    (`SubmoduleBasis.vectors`): S_t = P_sigma S_rep, c+ is the class value
-    of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
+    An image's basis is formed when asked for, and proved and typed by
+    `module_structure` and `split_and_type`.  psi(W+) is formed once per
+    endpoint, for the representative (`_class_basis`).  Every other image is
+    P~_sigma times it (`SubmoduleBasis.vectors`): S_t = P_sigma S_rep, c+ is
+    the class value of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
     psi S_t c+ = P~_sigma psi S_rep c+.  P~_sigma keeps class weights, so
     the columns stay ordered by class weight."""
-    cal_d = q.cal_d
-    out = []
-    for w in decompose(q.parent):
-        sb = replace(w, space=q)
-        want = ab_type(cal_d - w.endpoint, _PLUS_TABLE[cal_d % 2])
-        what = f"Q~_{q.D} image of {w.module_id}"
-        out.append((sb, _classify_against(quotient_structure(q, sb), want, what)))
-    return out
+    return [replace(w, space=q) for w in decompose(q.parent)]

@@ -189,15 +189,16 @@ def test_criterion_7_odd_types_reference_tables_known_defect():
             r = m.endpoint
             key = (r % 2, cal_d % 2)
             # the halves come in W-coordinates c; restrict on the ambient S c
-            halves = [m.vectors @ c for c in antipodal_split(ctx, m)]
-            typed = split_and_type(ctx, m)
+            halves = [m.vectors @ c for c in antipodal_split(m)]
+            typed = split_and_type(m)
             for label, basis, untwisted in zip(("V+", "V-"), halves, typed):
                 sub = ModuleActionTriple(
                     *(restrict(g, basis) for g in cube_structures[r % 2].matrices())
                 )
                 cells.append((f"D={D} {m.module_id} {label}", label, key, cal_d - r,
                               classify(sub), untwisted))
-        for sb, untwisted in quotient_modules(q):
+        for sb in quotient_modules(q):
+            (untwisted,) = split_and_type(sb)
             r = sb.endpoint
             key = (r % 2, cal_d % 2)
             sub = ModuleActionTriple(

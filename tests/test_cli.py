@@ -81,14 +81,14 @@ def test_decompose_quotient_types(capsys):
 
 
 def test_module_summary_shape():
-    ctx = cube(3)
-    m = decompose(ctx)[0]
-    record = cli.module_summary(m, split_and_type(ctx, m))
+    m = decompose(cube(3))[0]
+    record = cli.module_summary(m)
     assert record["id"] == "r0#0"
     assert record["type"] is None
     assert record["parity_split"] == {"plus": "AB(1,z)", "minus": "AB(1,x)"}
-    sb, t = quotient_modules(quotient(3))[0]
-    record = cli.module_summary(sb, [t])
+    sb = quotient_modules(quotient(3))[0]
+    (t,) = split_and_type(sb)
+    record = cli.module_summary(sb)
     assert (record["type"], record["parity_split"]) == (str(t), None)
 
 

@@ -36,7 +36,6 @@ from cubetri.tmodules import (
     h_by_class,
     module_structure,
     quotient_modules,
-    quotient_structure,
     split_and_type,
 )
 
@@ -237,6 +236,31 @@ def test_decompose_rejects_a_repeated_seed(monkeypatch, fresh_class_bases):
         decompose.__wrapped__(cube(5))
 
 
+def test_decompose_rejects_a_missing_tableau(monkeypatch, fresh_class_bases):
+    tableaux = tmodules._standard_tableaux
+    monkeypatch.setattr(
+        tmodules, "_standard_tableaux", lambda D, r: tableaux(D, r)[:-1] if r == 1 else tableaux(D, r)
+    )
+    want = "endpoint 1 of Q_5: found 3 seeds, binomial cross-check expects 4"
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(5))
+
+
+def test_decompose_rejects_a_class_basis_short_of_its_chain(monkeypatch, fresh_class_bases):
+    # each of the four endpoint-1 modules loses its top vector
+    basis = tmodules._class_basis
+
+    def shortened(space, r):
+        s = basis(space, r)
+        if r != 1:
+            return s
+        return ExactMatrix(s.nrows, s.ncols - 1, {k: v for k, v in s.entries.items() if k[1] < s.ncols - 1})
+
+    monkeypatch.setattr(tmodules, "_class_basis", shortened)
+    with pytest.raises(AssertionError, match="decomposition of Q_5 spans 28 of 32 dimensions"):
+        decompose.__wrapped__(cube(5))
+
+
 def test_decompose_rejects_a_tableau_that_is_not_standard(monkeypatch, fresh_class_bases):
     # (0, 1) in place of (2, 3) keeps the count and the tableaux distinct, but
     # relabels the seed (e_1 - e_0)(e_3 - e_2) to (e_0 - e_2)(e_1 - e_3), whose
@@ -391,7 +415,7 @@ def test_module_bases_are_pinned():
 def test_dual_profile_windows():
     ctx = cube(4)
     for m in decompose(ctx):
-        profile = dual_profile(ctx, m)
+        profile = dual_profile(m)
         r = m.endpoint
         d = m.diameter
         expected = [1 if r <= i <= r + d else 0 for i in range(ctx.D + 1)]
@@ -402,9 +426,9 @@ def test_dual_profile_windows():
 def test_dual_profile_specific():
     ctx = cube(4)
     mods = decompose(ctx)
-    assert dual_profile(ctx, mods[0]) == [1, 1, 1, 1, 1]
+    assert dual_profile(mods[0]) == [1, 1, 1, 1, 1]
     r2 = next(m for m in mods if m.endpoint == 2)
-    assert dual_profile(ctx, r2) == [0, 0, 1, 0, 0]
+    assert dual_profile(r2) == [0, 0, 1, 0, 0]
 
 
 def test_dual_profile_matches_dense_idempotents():
@@ -414,7 +438,7 @@ def test_dual_profile_matches_dense_idempotents():
         es = [primitive_idempotent(ctx, i) for i in range(D + 1)]
         for m in decompose(ctx):
             want = [rank(e @ m.vectors) for e in es]
-            assert dual_profile(ctx, m) == want, (D, m.module_id)
+            assert dual_profile(m) == want, (D, m.module_id)
 
 
 def _non_invariant_class(monkeypatch, ctx):
@@ -433,11 +457,12 @@ def test_dual_profile_rejects_non_invariant_basis(monkeypatch, fresh_class_bases
     ctx = cube(3)
     modules = _non_invariant_class(monkeypatch, ctx)
     with pytest.raises(ValueError, match="not invariant"):
-        dual_profile(ctx, modules[1])
+        dual_profile(modules[1])
 
 
 def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch, fresh_class_bases):
-    # at D=2 the fake class r1 passes the dimension and diameter checks
+    # Q_2 is decomposed before the patch, so only dual_profile meets the
+    # fake class r1
     _non_invariant_class(monkeypatch, cube(2))
     r = suites.run_suite("decomposition", Ds=(2,))
     assert r.status == "fail"
@@ -447,7 +472,7 @@ def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch, 
 def test_split_and_type_even():
     ctx = cube(6)
     for m in decompose(ctx):
-        assert split_and_type(ctx, m) == [b_type(6 - 2 * m.endpoint)]
+        assert split_and_type(m) == [b_type(6 - 2 * m.endpoint)]
 
 
 def test_split_and_type_odd():
@@ -458,7 +483,7 @@ def test_split_and_type_odd():
         cal_d = D // 2
         for m in decompose(ctx):
             delta = cal_d - m.endpoint
-            assert split_and_type(ctx, m) == [ab_type(delta, plus_n), ab_type(delta, minus_n)]
+            assert split_and_type(m) == [ab_type(delta, plus_n), ab_type(delta, minus_n)]
 
 
 def test_module_structure_is_the_restricted_positive_structure():
@@ -469,7 +494,7 @@ def test_module_structure_is_the_restricted_positive_structure():
         by_class = {}
         for m in decompose(ctx):
             want = restrict_triple(positive_structure(ctx), m.vectors)
-            assert module_structure(ctx, m) == want, (D, m.module_id)
+            assert module_structure(m) == want, (D, m.module_id)
             by_class.setdefault(m.endpoint, set()).add(want)
         assert all(len(v) == 1 for v in by_class.values()), D
 
@@ -478,9 +503,9 @@ def test_quotient_structure_is_the_restricted_quotient_structure():
     for D in (3, 5, 7):
         q = quotient(D)
         by_class = {}
-        for sb, _t in quotient_modules(q):
+        for sb in quotient_modules(q):
             want = restrict_triple(quotient_acsa_structure(q), sb.vectors)
-            assert quotient_structure(q, sb) == want, (D, sb.module_id)
+            assert module_structure(sb) == want, (D, sb.module_id)
             by_class.setdefault(sb.endpoint, set()).add(want)
         assert all(len(v) == 1 for v in by_class.values()), D
 
@@ -497,7 +522,7 @@ def test_module_action_solves_scaled_and_rejects_overlapping_bases():
     # exactly and matches the elimination oracle `restrict`
     ctx, q = cube(5), quotient(5)
     rep = decompose(ctx)[2]
-    image = [sb for sb, _t in quotient_modules(q) if sb.endpoint == 1][1]
+    image = [sb for sb in quotient_modules(q) if sb.endpoint == 1][1]
     assert (rep.module_id, image.module_id) == ("r1#1", "r1#1")
     for space, s, builders, outside in (
         (ctx, rep.vectors, (adjacency, second_dual_adjacency, tmodules._antipodal_map), 15),
@@ -527,7 +552,7 @@ def test_module_actions_never_eliminate_on_v(monkeypatch):
     D = 7
     ctx, q = cube(D), quotient(D)
     modules = decompose(ctx)
-    images = [sb for sb, _t in quotient_modules(q)]
+    images = quotient_modules(q)
     sizes = []
     echelon = linalg._echelon
 
@@ -539,22 +564,12 @@ def test_module_actions_never_eliminate_on_v(monkeypatch):
     assert decompose.__wrapped__(ctx) == modules and not sizes
     tmodules._derived.cache_clear()
     for m in modules:
-        module_structure(ctx, m)
-        antipodal_split(ctx, m)
-        dual_profile(ctx, m)
+        module_structure(m)
+        antipodal_split(m)
+        dual_profile(m)
     for sb in images:
-        quotient_structure(q, sb)
+        module_structure(sb)
     assert sizes and max(sizes) <= D + 1
-
-
-def test_module_actions_reject_a_module_of_another_space():
-    # a module carries no basis, so only its space tells Q_7 from Q_5 or Q~_5
-    w = decompose(cube(7))[3]
-    for check in (module_structure, antipodal_split, dual_profile):
-        with pytest.raises(ValueError, match=r"module r1#2 of CubeContext\(D=7\) is not a module of"):
-            check(cube(5), w)
-    with pytest.raises(ValueError, match="is not a module of QuotientContext"):
-        quotient_structure(quotient(5), decompose(cube(5))[2])
 
 
 def test_decompose_relabels_no_basis(monkeypatch):
@@ -581,7 +596,7 @@ def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch, fresh_c
     assert proof(ctx, s, (without_edge,)) == proof(ctx, s, (adjacency,))
     want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
     with pytest.raises(AssertionError, match=want):
-        dual_profile(ctx, other)
+        dual_profile(other)
 
 
 @pytest.mark.parametrize("D", [7, 8])
@@ -589,7 +604,7 @@ def test_product_proof_runs_once_per_class(monkeypatch, D):
     ctx = cube(D)
     modules = decompose(ctx)
     q = quotient(D) if D % 2 else None
-    images = [sb for sb, _t in quotient_modules(q)] if q else []
+    images = quotient_modules(q) if q else []
     proved = []
     product_proof = tmodules._product_proof
 
@@ -600,12 +615,12 @@ def test_product_proof_runs_once_per_class(monkeypatch, D):
     monkeypatch.setattr(tmodules, "_product_proof", counted)
     tmodules._derived.cache_clear()
     for m in modules:
-        module_structure(ctx, m)
-        antipodal_split(ctx, m)
-        dual_profile(ctx, m)
+        module_structure(m)
+        antipodal_split(m)
+        dual_profile(m)
     h_by_class.__wrapped__(ctx)
     for sb in images:
-        quotient_structure(q, sb)
+        module_structure(sb)
     classes = D // 2 + 1
     assert len(proved) == len(set(proved)) == classes * (5 if q else 4)
     assert {w.endpoint for w in modules} == set(range(classes))
@@ -619,7 +634,7 @@ def test_dual_profile_derives_once_per_class(monkeypatch):
         tmodules, "_eigenspace_dims", lambda *a: calls.append(a) or eigenspace_dims(*a)
     )
     for m in decompose(ctx):
-        dual_profile(ctx, m)
+        dual_profile(m)
     assert len(calls) == 4
 
 
@@ -647,7 +662,7 @@ def test_antipodal_halves_in_module_coordinates():
         ctx = cube(D)
         ad = distance_matrix(ctx, D)
         for m in decompose(ctx):
-            plus, minus = antipodal_split(ctx, m)
+            plus, minus = antipodal_split(m)
             inside, eye = restrict(ad, m.vectors), ExactMatrix.identity(m.dimension)
             assert (plus, minus) == (kernel_basis(inside - eye), kernel_basis(inside + eye))
             assert plus.nrows == minus.nrows == m.dimension
@@ -663,9 +678,9 @@ def test_quotient_modules_types_and_dimensions():
         q = quotient(D)
         cal_d = q.cal_d
         mods = quotient_modules(q)
-        assert sum(sb.dimension for sb, _t in mods) == q.nclasses
-        for sb, t in mods:
-            assert t == ab_type(cal_d - sb.endpoint, variant)
+        assert sum(sb.dimension for sb in mods) == q.nclasses
+        for sb in mods:
+            assert split_and_type(sb) == [ab_type(cal_d - sb.endpoint, variant)]
             for j in range(sb.vectors.ncols):
                 col = sb.vectors.column(j)
                 weights = {q.class_weight(u) for (u, _c) in col.entries}
@@ -676,7 +691,7 @@ def test_module_bases_store_entries_only_inside_their_shape():
     # ExactMatrix._make takes entries unchecked, so a relabelling that sent
     # a row outside the space would still build a matrix
     spaces = [(cube(D), decompose(cube(D))) for D in range(1, 9)]
-    spaces += [(quotient(D), [sb for sb, _t in quotient_modules(quotient(D))]) for D in (3, 5, 7)]
+    spaces += [(quotient(D), quotient_modules(quotient(D))) for D in (3, 5, 7)]
     for space, modules in spaces:
         rows = space.nvertices if isinstance(space, CubeContext) else space.nclasses
         for m in modules:
@@ -693,8 +708,8 @@ def test_quotient_images_are_psi_of_their_own_plus_halves():
         q = quotient(D)
         psi = psi_matrix(q)
         images = quotient_modules(q)
-        for m, (sb, _t) in zip(decompose(q.parent), images, strict=True):
-            img = psi @ m.vectors @ antipodal_split(q.parent, m)[0]
+        for m, sb in zip(decompose(q.parent), images, strict=True):
+            img = psi @ m.vectors @ antipodal_split(m)[0]
             cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
             cols.sort(key=lambda col: min(q.class_weight(u) for u in col))
             want = ExactMatrix.from_columns(q.nclasses, cols)
@@ -705,7 +720,8 @@ def test_quotient_modules_form_psi_products_once_per_endpoint(monkeypatch, fresh
     q = quotient(7)
     calls = []
     monkeypatch.setattr(tmodules, "psi_matrix", lambda q: calls.append(q) or psi_matrix(q))
-    quotient_modules(q)
+    for sb in quotient_modules(q):
+        split_and_type(sb)
     assert len(calls) == 4 == q.cal_d + 1
 
 
@@ -721,7 +737,8 @@ def test_quotient_modules_reject_a_damaged_representative_image(monkeypatch, fre
 
     monkeypatch.setattr(tmodules, "_class_basis", damaged)
     with pytest.raises(ValueError, match="subspace not invariant"):
-        quotient_modules(quotient(5))
+        for sb in quotient_modules(quotient(5)):
+            split_and_type(sb)
 
 
 def test_builders_cache_on_the_value_of_the_context():
@@ -729,7 +746,7 @@ def test_builders_cache_on_the_value_of_the_context():
     assert positive_structure(cube(5)) is positive_structure(CubeContext(5))
     assert quotient_acsa_structure(quotient(5)) is quotient_acsa_structure(quotient(5))
     w = decompose(cube(5))[1]
-    assert antipodal_split(cube(5), w) is antipodal_split(CubeContext(5), w)
+    assert antipodal_split(w) is antipodal_split(replace(w, space=CubeContext(5)))
     # a failed index check is not cached: it raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="index 4 out of range 0..3"):

@@ -130,7 +130,11 @@ def _idempotent_base_columns(D: int) -> tuple[ExactMatrix, ...]:
     tables = [_krawtchouk(D, i) for i in range(D + 1)]
     for i, k in enumerate(tables):
         f = [k[w] for w in weights]
-        if any(sum(f[x ^ (1 << b)] for b in range(D)) != (D - 2 * i) * f[x] for x in range(n)):
+        af = [0] * n
+        for b in range(D):
+            m = 1 << b
+            af = [s + f[x ^ m] for x, s in enumerate(af)]
+        if af != [(D - 2 * i) * v for v in f]:
             raise AssertionError(
                 f"E_{i} e_0 of Q_{D}: column {i} is not a theta_{i}-eigenvector of A"
             )

@@ -49,7 +49,8 @@ class ExactMatrix:
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ValueError(f"entry index ({r},{c}) out of bounds for {nrows}x{ncols}")
-                v = coerce(v)
+                if type(v) is not GaussianRational:
+                    v = coerce(v)
                 if v:
                     clean[(r, c)] = v
         object.__setattr__(self, "nrows", nrows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .acsa import (
     ab_type,
@@ -165,26 +165,25 @@ def suite_skew(ds=tuple(range(0, 11)), cube_D=None):
     return notes, []
 
 
-# Up to this D the idempotents suite also materializes and pins every E_i.
-_PIN_MAX_D = 8
-
-
 def suite_idempotents(Ds=tuple(range(1, 9))):
     """The idempotent algebra, checked on the base columns col_i = E_i e_0.
 
-    M_f[y, z] = f[y ^ z] has M_f e_0 = f, M_{e_0} = I and M_f M_g = M_{f*g}
-    for the XOR-convolution (f*g)[x] = sum_w f[w] g[x ^ w], which the
-    Walsh-Hadamard transform (Hf)[u] = sum_z (-1)^(u.z) f[z] turns into a
-    pointwise product (H^2 = 2^D I).  With E_i = M_{col_i} and A = M_{A e_0}
-    (checked first), the matrix identities are equivalent to identities on
-    the columns, which are checked at all 2^D coordinates for every D:
+    M_f[y, z] = f[y ^ z] has M_f e_0 = f, M_{e_0} = I and M_f M_g = M_{f*g} for
+    the XOR-convolution (f*g)[x] = sum_w f[w] g[x ^ w], which the Walsh-Hadamard
+    transform (Hf)[u] = sum_z (-1)^(u.z) f[z] makes pointwise (H^2 = 2^D I).  With
+    E_i = M_{col_i} and A = M_{A e_0} (checked first), the matrix identities are
+    equivalent to identities on the columns, checked at all 2^D coordinates:
       sum E_i = I, sum theta_i E_i = A <=> sum col_i = e_0, sum theta_i col_i = A e_0
       E_i E_j = delta_ij E_i           <=> (H col_i)(H col_j) = delta_ij H col_i
       E_0 = J/2^D, trace E_i = C(D, i) <=> col_0 = 1/2^D, 2^D col_i[0] = C(D, i)
       E_{D-i} = (-1)^dist(y,z) E_i     <=> col_{D-i}[z] = (-1)^wt(z) col_i[z]
-    The first two rows give A E_j = theta_j E_j.  Up to _PIN_MAX_D every entry
-    of each materialized E_i is pinned to col_i[y ^ z], zero pattern included,
-    so the identities hold for the matrices whatever built them."""
+    The first two rows give A E_j = theta_j E_j.  Each row times the lcm L of all
+    the denominators (the spectral sum also times each A e_0 entry's own) is an
+    identity in Z[i] on g_i = L col_i, exact as L > 0, and H g_i = L H col_i.  In
+    Q(i), v^2 = L v only for v in {0, L}, and only a zero factor makes a product 0,
+    so orthogonality says each H g_i takes only the values 0 and L, on pairwise
+    disjoint supports: one O(D 2^D) pass with an owner array.  Up to D = 8 each E_i,
+    built one at a time, is pinned to col_i[y ^ z] entrywise, zeros included."""
     notes = []
     for D in Ds:
         ctx = cube(D)
@@ -193,53 +192,54 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
         a_col = [a.get(x, 0) for x in range(n)]
         _require(_translation_invariant(a, a_col), f"D={D}: A is not translation-invariant")
         cols = [[_idempotent_base_column(D, i).get(x, 0) for x in range(n)] for i in range(D + 1)]
-        total = [sum(vs) for vs in zip(*cols)]
-        _require(total == [1] + [0] * (n - 1), f"D={D}: sum of idempotents is not I")
-        spectral = [sum(v * eigenvalue(ctx, i) for i, v in enumerate(vs)) for vs in zip(*cols)]
-        _require(spectral == a_col, f"D={D}: sum theta_i E_i is not A")
-        hats = [_walsh_hadamard(col) for col in cols]
-        for i, hi in enumerate(hats):
-            for j in range(i, D + 1):
-                product = [u * v for u, v in zip(hi, hats[j])]
-                want = hi if i == j else [0] * n
-                _require(product == want, f"D={D}: E_{i} E_{j} != delta * E_{i}")
-        _require(cols[0] == [Fraction(1, n)] * n, f"D={D}: E_0 != J/2^D")
-        for i, col in enumerate(cols):
-            _require(col[0] * n == comb(D, i), f"D={D}: rank E_{i} != C(D,{i})")
-            twisted = [v * (-1) ** ctx.weight(x) for x, v in enumerate(col)]
-            _require(cols[D - i] == twisted, f"D={D}: sign relation fails for E_{i}, E_{D - i}")
-        note = (
+        den = lcm(*{v.triple[2] for col in cols for v in col})
+        # g_i = L col_i: its 2^D real parts, then its 2^D imaginary parts
+        g = [[v.triple[k] * (den // v.triple[2]) for k in (0, 1) for v in col] for col in cols]
+        total = [sum(vs) for vs in zip(*g)]
+        _require(total == [den] + [0] * (2 * n - 1), f"D={D}: sum of idempotents is not I")
+        thetas = [eigenvalue(ctx, i) for i in range(D + 1)]
+        lhs = [v.triple[2] * sum(map(int.__mul__, thetas, vs)) for v, vs in zip(a_col * 2, zip(*g))]
+        rhs = [den * v.triple[k] for k in (0, 1) for v in a_col]
+        _require(lhs == rhs, f"D={D}: sum theta_i E_i is not A")
+        first, owner = (D + 1,) * 2, [D + 1] * n  # least failing (i, j); least i with H g_i[u] != 0
+        for j in range(D + 1):
+            re, im = _walsh_hadamard(g[j][:n]), _walsh_hadamard(g[j][n:])
+            i = min((o for o, p, q in zip(owner, re, im) if p or q), default=D + 1)
+            first = min(first, (i, j), (j, j) if any(im) or not {0, den}.issuperset(re) else first)
+            owner = [min(o, j) if p or q else o for o, p, q in zip(owner, re, im)]
+        _require(first[0] > D, "D={}: E_{} E_{} != delta * E_{}".format(D, *first, first[0]))
+        _require([v * n for v in g[0]] == [den] * n + [0] * n, f"D={D}: E_0 != J/2^D")
+        signs = [(-1) ** ctx.weight(x) for x in range(n)] * 2
+        for i in range(D + 1):
+            _require(g[i][0] * n == comb(D, i) * den and not g[i][n], f"D={D}: rank E_{i} != C(D,{i})")
+            twisted = [s * v for s, v in zip(signs, g[i])]
+            _require(g[D - i] == twisted, f"D={D}: sign relation fails for E_{i}, E_{D - i}")
+        pin = D <= 8
+        for i, col in enumerate(cols if pin else ()):
+            _require(
+                _translation_invariant(primitive_idempotent(ctx, i), col),
+                f"D={D}: E_{i} fails the entrywise pin E_{i}[y, z] = col_{i}[y ^ z]",
+            )
+        pinned = "; every E_i entry pinned to its base column" if pin else ""
+        notes.append(
             f"D={D}: sum, spectral sum theta_i E_i = A, orthogonality, E_0, ranks, "
-            f"sign relation on all {n} coordinates of the base columns"
+            f"sign relation on all {n} coordinates of the base columns{pinned}"
         )
-        if D <= _PIN_MAX_D:
-            for i, col in enumerate(cols):
-                e = primitive_idempotent(ctx, i)
-                _require(
-                    (e.nrows, e.ncols) == (n, n) and _translation_invariant(e, col),
-                    f"D={D}: E_{i} fails the entrywise pin E_{i}[y, z] = col_{i}[y ^ z]",
-                )
-            note += "; every E_i entry pinned to its base column"
-        notes.append(note)
     return notes, []
 
 
 def _translation_invariant(m, col) -> bool:
-    """m[y, z] == col[y ^ z] at every stored entry, and no entry is missing."""
-    if len(m.entries) != len(col) * sum(1 for v in col if v):
-        return False
-    return all(v == col[y ^ z] for (y, z), v in m.entries.items())
+    """m is len(col)-square and m[y, z] == col[y ^ z] at all entries, zeros included."""
+    n, stored = len(col), m.entries
+    shape = (m.nrows, m.ncols, len(stored)) == (n, n, n * sum(1 for v in col if v))
+    return shape and list(stored.values()) == [col[y ^ z] for y, z in stored]
 
 
-def _walsh_hadamard(values) -> list:
-    """(H f)[u] = sum_z (-1)^(u.z) f[z], by in-place butterflies on a copy."""
-    out, h = list(values), 1
-    while h < len(out):
-        for start in range(0, len(out), 2 * h):
-            for z in range(start, start + h):
-                out[z], out[z + h] = out[z] + out[z + h], out[z] - out[z + h]
-        h *= 2
-    return out
+def _walsh_hadamard(f) -> list:
+    """H f in D passes, each transforming bit 0 and rotating it to the top."""
+    for _ in range(len(f).bit_length() - 1):
+        f = [p + q for p, q in zip(f[::2], f[1::2])] + [p - q for p, q in zip(f[::2], f[1::2])]
+    return f
 
 
 def suite_decomposition(Ds=tuple(range(1, 9))):

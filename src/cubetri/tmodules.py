@@ -248,7 +248,15 @@ def dual_profile(w: SubmoduleBasis) -> list[int]:
     theta_i-eigenspace of A_W, so dim E_i W is the dimension the one integer
     eigenvalue scan finds at theta_i = D - 2i, and 0 where it finds none.
     The scan proves that A_W is diagonalizable or raises ValueError."""
+    _require_cube_module(w, "dual_profile")
     return list(_module_action(w, (adjacency,), _eigenspace_dims))
+
+
+def _require_cube_module(w: SubmoduleBasis, what: str) -> None:
+    if isinstance(w.space, QuotientContext):
+        raise ValueError(
+            f"{what} takes a T-module of Q_D, not the Q~_{w.space.D} image {w.module_id}"
+        )
 
 
 def _eigenspace_dims(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
@@ -464,6 +472,7 @@ def antipodal_split(w: SubmoduleBasis) -> tuple[ExactMatrix, ExactMatrix]:
     halves, in W-coordinates (ambient vectors S c): the kernels of
     (A_D)_W - I and (A_D)_W + I for the antipodal involution A_D, with
     (A_D)_W proved by `_module_action` and the kernels taken once per class."""
+    _require_cube_module(w, "antipodal_split")
     return _module_action(w, (_antipodal_map,), _halves)
 
 

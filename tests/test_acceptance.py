@@ -39,8 +39,8 @@ BUDGETS = {
     "weights": 0.55,
     "skew": 0.08,
     "skew-cube": 0.44,
-    "idempotents-small": 0.21,
-    "idempotents-full": 2.79,
+    "idempotents-small": 0.04,
+    "idempotents-full": 0.52,
     "decomposition": 0.30,
     "families": 0.04,
     "sl2-factory": 0.09,

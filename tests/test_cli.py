@@ -92,10 +92,13 @@ def test_module_summary_shape():
     assert (record["type"], record["parity_split"]) == (str(t), None)
 
 
-# sha256 of the default `verify --format json` report without its `timing`
-# block, and of each `decompose` listing as printed, keyed by its arguments.
+# sha256 of each `verify ... --format json` report without its `timing` block,
+# and of each `decompose` listing as printed, keyed by its arguments.  The
+# idempotents suite at D=9 and D=10 runs outside the default range.
 OUTPUT_DIGESTS = {
     "verify": "f7ccb0050d56453f77449d5f03e19665cb3ab86123aa555b08658753ec63dd0f",
+    "verify --suite idempotents --D 9": "4cc57fbf04a016f58121432912b473487aae61019ee282c8c940068ec79ea2f8",
+    "verify --suite idempotents --D 10": "7cfec11fa4438ebff1cceac40ce4b5027ada93b15fe3264e25236206703c232c",
     "decompose --D 5": "bf198bfaad89b5ff0e318a16139cf3609c3373c771d661bf2526bb7ee4f53d31",
     "decompose --D 5 --quotient": "0ec3fe7b33f363646fade15c139c2500c7f61f61019e059c3be2e0aa73206b3b",
     "decompose --D 7": "9902c2e65f60b7421f3b0d51f2a24902569b57a79e32bc2ef62268a4853a5dc6",
@@ -110,16 +113,17 @@ def test_default_outputs_are_pinned(capsys):
     def sha256(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
-    code, out = run_cli(capsys, "verify", "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    del report["timing"]
-    digests = {"verify": sha256(json.dumps(report, indent=2))}
+    digests = {}
     for argv in OUTPUT_DIGESTS:
-        if argv != "verify":
+        if argv.startswith("verify"):
+            code, out = run_cli(capsys, *argv.split(), "--format", "json")
+            report = json.loads(out)
+            del report["timing"]
+            out = json.dumps(report, indent=2)
+        else:
             code, out = run_cli(capsys, *argv.split())
-            assert code == 0
-            digests[argv] = sha256(out)
+        assert code == 0
+        digests[argv] = sha256(out)
     assert digests == OUTPUT_DIGESTS
 
 

@@ -1,3 +1,4 @@
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -242,16 +243,88 @@ def test_idempotents_suite_catches_entry_off_translation_pattern(monkeypatch):
     assert "E_2 fails the entrywise pin" in _idempotents_failure(D)
 
 
-def test_idempotents_suite_catches_perturbed_base_column_at_d9(monkeypatch):
+def _idempotents_failure_with(monkeypatch, D, extra):
+    """The suite's detail with extra[i] added to the base column col_i."""
     column = suites._idempotent_base_column
-    bump = ExactMatrix(1 << 9, 1, {(37, 0): Fraction(1, 7)})
 
-    def perturbed(D, i):
-        col = column(D, i)
-        return col + bump if i == 3 else col
+    def perturbed(d, i):
+        return column(d, i) + extra[i] if i in extra else column(d, i)
 
     monkeypatch.setattr(suites, "_idempotent_base_column", perturbed)
-    assert "sum of idempotents is not I" in _idempotents_failure(9)
+    return _idempotents_failure(D)
+
+
+def test_idempotents_suite_catches_perturbed_base_column_at_d9(monkeypatch):
+    # a non-real bump fails where a real one does: no realness check runs first
+    for value in (Fraction(1, 7), gr(0, Fraction(1, 7))):
+        bump = ExactMatrix(1 << 9, 1, {(37, 0): value})
+        detail = _idempotents_failure_with(monkeypatch, 9, {3: bump})
+        assert detail == "D=9: sum of idempotents is not I"
+        monkeypatch.undo()
+
+
+def _character(D, u, c):
+    """c (-1)^(u.z) / 2^D: its Walsh-Hadamard transform is c at u and 0 elsewhere."""
+    n = 1 << D
+    return ExactMatrix(n, 1, {(z, 0): c * (-1) ** (u & z).bit_count() / n for z in range(n)})
+
+
+@pytest.mark.parametrize(
+    "n_col, detail",
+    [
+        (ExactMatrix(16, 1, {(5, 0): Fraction(1, 7)}), "D=4: E_0 E_0 != delta * E_0"),
+        (
+            ExactMatrix(16, 1, {(6, 0): gr(Fraction(1, 3), Fraction(1, 3))}),
+            "D=4: E_0 E_0 != delta * E_0",
+        ),
+        (_character(4, 0b0001, gr(1)), "D=4: E_0 E_1 != delta * E_0"),
+        (_character(4, 0b0001, gr(1, 1)), "D=4: E_0 E_0 != delta * E_0"),
+    ],
+)
+def test_idempotents_suite_names_the_first_non_orthogonal_pair(monkeypatch, n_col, detail):
+    # theta = (4, 2, 0): E_0 + N, E_1 - 2N, E_2 + N keep the sum and the spectral
+    # sum, so only orthogonality fails; each detail is the first (i, j), i <= j,
+    # at which the pairwise products (H col_i)(H col_j) fail
+    extra = {0: n_col, 1: n_col * -2, 2: n_col}
+    assert _idempotents_failure_with(monkeypatch, 4, extra) == detail
+
+
+@pytest.mark.parametrize(
+    "coefficients, scale, detail",
+    [
+        # H g_0 takes only the values 0 and L, but its support meets that of H g_2
+        ((1, 0, -3, 2, 0), gr(1), "D=4: E_0 E_2 != delta * E_0"),
+        ((1, 0, -3, 2, 0), gr(1, 1), "D=4: E_0 E_0 != delta * E_0"),
+        # H g_1 takes the value 2L, outside {0, L}; the supports before it are disjoint
+        ((0, 2, -3, 0, 1), gr(1), "D=4: E_1 E_1 != delta * E_1"),
+        ((0, 2, -3, 0, 1), gr(1, 1), "D=4: E_1 E_1 != delta * E_1"),
+    ],
+)
+def test_idempotents_suite_checks_transform_values_and_supports(
+    monkeypatch, coefficients, scale, detail
+):
+    # H col_i gains c_i at u = 0111 alone; sum c_i = sum theta_i c_i = 0 keeps both sums
+    extra = {i: _character(4, 0b0111, scale * c) for i, c in enumerate(coefficients) if c}
+    assert _idempotents_failure_with(monkeypatch, 4, extra) == detail
+
+
+def test_idempotents_pin_holds_one_e_i_at_a_time(monkeypatch):
+    class Tracked(ExactMatrix):
+        __slots__ = ("__weakref__",)
+
+    built = []
+
+    def tracked(ctx, i):
+        assert all(ref() is None for ref in built), f"E_{i} built while an earlier E_i is alive"
+        e = primitive_idempotent(ctx, i)
+        m = Tracked._make(e.nrows, e.ncols, e.entries)
+        built.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(suites, "primitive_idempotent", tracked)
+    r = suites.run_suite("idempotents", Ds=(4,))
+    assert r.passed, r.detail
+    assert len(built) == 5 and built[-1]() is None
 
 
 def test_idempotents_suite_catches_missing_adjacency_entry(monkeypatch):

@@ -50,6 +50,19 @@ def test_nilpotent_square_is_zero():
     assert (n @ n).is_zero()
 
 
+def test_constructor_checks_bounds_and_drops_zeros_of_every_scalar_type():
+    # Gaussian rationals skip the coercion, not the bounds check or the zero drop
+    for zero in (gr(0), 0, Fraction(0)):
+        m = ExactMatrix(2, 2, {(0, 0): zero, (1, 0): gr(1, 2), (1, 1): 3})
+        assert m.entries == {(1, 0): gr(1, 2), (1, 1): gr(3)}
+        assert all(type(v) is GaussianRational for v in m.entries.values())
+    for entry in (gr(1), 1):
+        with pytest.raises(ValueError, match=r"^entry index \(2,0\) out of bounds for 2x2$"):
+            ExactMatrix(2, 2, {(2, 0): entry})
+        with pytest.raises(ValueError, match=r"^entry index \(0,-1\) out of bounds for 2x2$"):
+            ExactMatrix(2, 2, {(0, -1): entry})
+
+
 def test_dimension_mismatch():
     a = ExactMatrix.zeros(2, 3)
     b = ExactMatrix.zeros(2, 3)

@@ -460,6 +460,14 @@ def test_dual_profile_rejects_non_invariant_basis(monkeypatch, fresh_class_bases
         dual_profile(modules[1])
 
 
+@pytest.mark.parametrize("cube_only", [dual_profile, antipodal_split])
+def test_cube_only_module_functions_reject_a_quotient_image(cube_only):
+    image = quotient_modules(quotient(5))[1]
+    want = f"{cube_only.__name__} takes a T-module of Q_D, not the Q~_5 image r1#0"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        cube_only(image)
+
+
 def test_decomposition_suite_fails_cleanly_on_non_invariant_module(monkeypatch, fresh_class_bases):
     # Q_2 is decomposed before the patch, so only dual_profile meets the
     # fake class r1

@@ -66,13 +66,13 @@ def cube(D: int) -> CubeContext:
 
 @lru_cache(maxsize=None)
 def distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
-    """The 0/1 matrix pairing vertices at distance exactly i."""
+    """The 0/1 matrix pairing vertices at distance exactly i; y ^ m < 2^D,
+    so the entries go in as they are."""
     _check_index(ctx, i)
     n = ctx.nvertices
     one = gr(1)
     masks = [_bits_to_mask(bits) for bits in combinations(range(ctx.D), i)]
-    entries = {(y, y ^ m): one for y in range(n) for m in masks}
-    return ExactMatrix(n, n, entries)
+    return ExactMatrix._make(n, n, {(y, y ^ m): one for y in range(n) for m in masks})
 
 
 def _bits_to_mask(bits) -> int:
@@ -143,7 +143,8 @@ def _idempotent_base_columns(D: int) -> tuple[ExactMatrix, ...]:
     cols = []
     for k in tables:
         by_weight = [gr(Fraction(v, n)) for v in k]
-        cols.append(ExactMatrix.column_vector(by_weight[w] for w in weights))
+        entries = {(x, 0): by_weight[w] for x, w in enumerate(weights) if k[w]}
+        cols.append(ExactMatrix._make(n, 1, entries))
     return tuple(cols)
 
 
@@ -154,11 +155,18 @@ def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def dual_distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
-    """Diagonal matrix with (y,y)-entry 2^D times the base-vertex row of E_i."""
+    """Diagonal matrix with (y,y)-entry 2^D times the base-vertex row of E_i.
+    The row takes one value per weight, so each distinct value is scaled
+    once and shared by its entries."""
     _check_index(ctx, i)
-    col = _idempotent_base_column(ctx.D, i)
-    scale = ctx.nvertices
-    return ExactMatrix.diagonal([col.get(y, 0) * scale for y in ctx.vertices()])
+    scaled: dict = {}
+    entries = {}
+    for (y, _c), v in _idempotent_base_column(ctx.D, i).entries.items():
+        w = scaled.get(v.triple)
+        if w is None:
+            w = scaled[v.triple] = v * ctx.nvertices
+        entries[(y, y)] = w
+    return ExactMatrix._make(ctx.nvertices, ctx.nvertices, entries)
 
 
 def dual_adjacency(ctx: CubeContext) -> ExactMatrix:

@@ -222,7 +222,8 @@ def _int_rows(m: ExactMatrix):
     """(den, rows) with m = rows/den: rows maps each row index holding a
     stored entry to a list of (col, re, im) with integer parts, and den is
     the lcm of the entries' denominators (`_den`).  This is the one integer
-    form of a matrix: `matmul`, the row reducer and `_char_poly` read it."""
+    form of a matrix: `matmul`, the row reducer and `_char_poly` read it,
+    and `tmodules._columns` is its column form."""
     den = _den(m)
     rows: dict = {}
     for (r, c), v in m.entries.items():

@@ -203,7 +203,9 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
         _require(lhs == rhs, f"D={D}: sum theta_i E_i is not A")
         first, owner = (D + 1,) * 2, [D + 1] * n  # least failing (i, j); least i with H g_i[u] != 0
         for j in range(D + 1):
-            re, im = _walsh_hadamard(g[j][:n]), _walsh_hadamard(g[j][n:])
+            re, im = _walsh_hadamard(g[j][:n]), g[j][n:]
+            if any(im):  # H 0 = 0
+                im = _walsh_hadamard(im)
             i = min((o for o, p, q in zip(owner, re, im) if p or q), default=D + 1)
             first = min(first, (i, j), (j, j) if any(im) or not {0, den}.issuperset(re) else first)
             owner = [min(o, j) if p or q else o for o, p, q in zip(owner, re, im)]

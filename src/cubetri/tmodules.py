@@ -19,7 +19,10 @@ thinness witness, and the disjoint supports that let `_product_proof` read
 each action off one row per basis vector and prove it by one exact
 product, with no elimination on V.  That product runs once per class, on
 S_rep (on Q~_D, psi(S_rep c+)), and every module of the class gets its
-value (`_module_action`).  A module is the only argument of the functions
+value (`_module_action`).  The chains and the proofs run in Gaussian
+integers: the stored entries of S_rep are walked through the integer
+columns of each acting matrix, kept once per matrix (`_columns`), so a
+product costs nnz(S_rep) times the column length, D for A.  A module is the only argument of the functions
 that act on it: its `space` chooses the acting matrices, so a T-module of
 Q_D and an image psi(W+) in Q~_D (`quotient_modules`) share
 `module_structure` and `split_and_type`.
@@ -33,7 +36,7 @@ from itertools import combinations
 from math import comb
 
 from .acsa import ModuleActionTriple, ModuleType, ab_type, b_type, classify, restrict_triple
-from .exactnum import gr
+from .exactnum import _reduced, gr
 from .hypercube import (
     CubeContext,
     adjacency,
@@ -42,7 +45,7 @@ from .hypercube import (
     s_diagonal,
     second_dual_adjacency,
 )
-from .linalg import ExactMatrix, integer_eigenspaces, kernel_basis
+from .linalg import ExactMatrix, _den, _int_rows, _walk, integer_eigenspaces, kernel_basis
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -91,49 +94,68 @@ def _standard_tableaux(D: int, r: int) -> tuple[tuple[int, ...], ...]:
 def _polytabloid(D: int, second: tuple[int, ...]) -> dict:
     """e_t = prod_i (e_{b_i} - e_{a_i}) for the tableau t with second row b:
     the +-1 sum over c_i in {a_i, b_i} of the vertex with bits {c_i},
-    negated once per c_i = a_i."""
-    vec = {0: gr(1)}
+    negated once per c_i = a_i, as ints."""
+    vec = {0: 1}
     for a, b in zip((p for p in range(D) if p not in second), second):
         vec = {y | 1 << c: v if c == b else -v for y, v in vec.items() for c in (a, b)}
     return vec
 
 
 @lru_cache(maxsize=None)
-def _columns(m: ExactMatrix) -> list[list]:
-    """Column y of m as a list of (row, value) pairs, for each y."""
-    cols: list[list] = [[] for _ in range(m.ncols)]
+def _columns(m: ExactMatrix) -> tuple[int, dict]:
+    """(den, cols) with m = cols/den: cols[y] lists column y of den*m as
+    (row, re, im) Gaussian integers, for each y holding a stored entry, and
+    den is the lcm of the entries' denominators.  It is the column form of
+    `linalg._int_rows`, read in one pass over the entries, and `_walk`
+    reads cols as the rows of a right operand.  Kept once per matrix."""
+    den = _den(m)
+    cols: dict = {}
     for (z, y), v in m.entries.items():
-        cols[y].append((z, v))
-    return cols
+        a, b, d = v.triple
+        if d != den:
+            a, b = a * (den // d), b * (den // d)
+        col = cols.get(y)
+        if col is None:
+            cols[y] = [(z, a, b)]
+        else:
+            col.append((z, a, b))
+    return den, cols
 
 
 def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
-    """The part of A v that lies in the weight-`to` slice, for A =
-    `adjacency(ctx)` and v supported on the slice next to it: raising R if
-    `to` is above, lowering L if below, so R + L = A."""
-    cols = _columns(adjacency(ctx))
+    """The part of den*A v that lies in the weight-`to` slice, for
+    A = cols/den = `adjacency(ctx)` (`_columns`) and v an int vector on the
+    slice next to it: den R v if `to` is above, den L v if below, for the
+    raising and lowering parts R + L = A.  Each step is integer
+    multiply-adds, so k steps carry den^k.  Every entry of A that a step
+    reads must be real, or the vector would leave Z."""
+    cols = _columns(adjacency(ctx))[1]
     out: dict = {}
     for y, v in vec.items():
-        for z, a in cols[y]:
-            if ctx.weight(z) == to:
-                cur = out.get(z)
-                out[z] = a * v if cur is None else cur + a * v
+        for z, a, b in cols.get(y, ()):
+            if z.bit_count() == to:
+                if b:
+                    raise AssertionError(f"Q_{ctx.D}: adjacency entry ({z}, {y}) is not real")
+                out[z] = out.get(z, 0) + a * v
     return {z: v for z, v in out.items() if v}
 
 
 def _check_commutator(ctx: CubeContext) -> None:
     """LR - RL = (D - 2w) I on the weight-w slice, for R and L the raising
     and lowering parts of A (`_move_vector`), checked exactly at the one
-    vertex y = 2^w - 1 of each weight w.  Once A commutes with the two
+    vertex y = 2^w - 1 of each weight w.  `_move_vector` scales each step
+    by the denominator den of A, so both products carry den^2 and are
+    compared with den^2 (D - 2w).  Once A commutes with the two
     generators of S_D, and so with every bit permutation P_sigma
     (`_check_symmetric`), so do R, L and LR - RL, because P_sigma keeps
     weights; S_D is transitive on each weight slice, so the identity at e_y
     gives it at every P_sigma e_y."""
     D = ctx.D
+    den = _columns(adjacency(ctx))[0]
     for w in range(D + 1):
         y = (1 << w) - 1
         diff = _move_vector(ctx, _move_vector(ctx, {y: 1}, w + 1), w)
-        diff[y] = diff.get(y, 0) - (D - 2 * w)
+        diff[y] = diff.get(y, 0) - den * den * (D - 2 * w)
         for z, v in _move_vector(ctx, _move_vector(ctx, {y: 1}, w - 1), w).items():
             diff[z] = diff.get(z, 0) - v
         if any(diff.values()):
@@ -324,10 +346,11 @@ def _class_basis(space, endpoint: int) -> ExactMatrix:
     """S_rep, the basis of the representative r{endpoint}#0 of its class.
     On Q_D: the chain R^k e_rep on the polytabloid of the first standard
     tableau, for R and L the raising and lowering parts of A
-    (`_move_vector`).  Lowering must kill the seed, the chain must not die
-    before step D - 2r, and it must then terminate.  On Q~_D: psi S_rep c+
-    for c+ the W-coordinates of its W+ (`antipodal_split`), columns by class
-    weight."""
+    (`_move_vector`), raised in integers; `from_columns` scales each column
+    to first entry 1, so the denominator of A drops out.  Lowering must kill
+    the seed, the chain must not die before step D - 2r, and it must then
+    terminate.  On Q~_D: psi S_rep c+ for c+ the W-coordinates of its W+
+    (`antipodal_split`), columns by class weight."""
     if isinstance(space, QuotientContext):
         rep = next(w for w in decompose(space.parent) if w.endpoint == endpoint)
         plus, _minus = antipodal_split(rep)
@@ -356,29 +379,76 @@ def _product_proof(space, s: ExactMatrix, builders) -> tuple[ExactMatrix, ...]:
     proves that s has full column rank.  With p_i the first row of column i,
     (s X)[p_i, j] = s[p_i, i] X[i, j] for every X, so the only candidate is
     M_W[i, j] = (M s)[p_i, j] / s[p_i, i], and M s == s M_W is checked
-    exactly.  Anything else raises ValueError."""
+    exactly.  Anything else raises ValueError.
+
+    Both sides are Gaussian integers.  With s = S/sigma over the lcm of its
+    denominators and M = N/mu (`_columns`), column j of Y = N S =
+    sigma mu (M s) is the `_walk` of the stored entries of column j of S
+    through the columns of N: nnz(S) times the column length of N per
+    product, and M itself is never walked.  Then
+    M_W[i, j] = Y[p_i, j] / (S[p_i, i] mu), reduced once.  Row z of s M_W
+    is s[z, i] M_W[i, j] for the column i that owns z, and 0 if no column
+    does.  So column j of M s == s M_W holds exactly when Y[., j] is 0 at
+    every row no column owns, and Y[z, j] S[p_i, i] == S[z, i] Y[p_i, j]
+    at every row z of every column i, the rows where Y is 0 included
+    (`_span_coordinates`).  A column that owns no nonzero of Y[., j] meets
+    this with M_W[i, j] = 0.  The least failing j is named: the least
+    column where M s and s M_W differ."""
+    rows = _int_rows(s)[1]
     owner: dict = {}
-    first: dict = {}
-    for (row, c) in sorted(s.entries):
-        if owner.setdefault(row, c) != c:
-            raise ValueError(f"basis vectors {owner[row]} and {c} overlap at coordinate {row}")
-        first.setdefault(c, row)
-    if len(first) != s.ncols:
-        raise ValueError(f"basis vector {min(set(range(s.ncols)) - set(first))} is zero")
-    pivots = {row: (c, s.entries[(row, c)].inverse()) for c, row in first.items()}
+    cols: list[list] = [[] for _ in range(s.ncols)]
+    for row in sorted(rows):
+        (c, a, b), *others = sorted(rows[row])
+        if others:
+            raise ValueError(f"basis vectors {c} and {others[0][0]} overlap at coordinate {row}")
+        owner[row] = c
+        cols[c].append((row, a, b))
+    zero = [c for c, col in enumerate(cols) if not col]
+    if zero:
+        raise ValueError(f"basis vector {zero[0]} is zero")
     mats = []
     for build in builders:
-        image = build(space) @ s
-        m_w = ExactMatrix(s.ncols, s.ncols, {
-            (pivots[row][0], j): v * pivots[row][1]
-            for (row, j), v in image.entries.items() if row in pivots
-        })
-        want = s @ m_w
-        if image != want:
-            j = min(c for _row, c in (image - want).entries)
-            raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
-        mats.append(m_w)
+        mu, n_cols = _columns(build(space))
+        entries = {}
+        for j, image in _walk(enumerate(cols), n_cols):
+            at_pivots = _span_coordinates(image, owner, cols)
+            if at_pivots is None:
+                raise ValueError(
+                    f"subspace not invariant: image of basis vector {j} leaves the span"
+                )
+            for i, (yr, yi) in at_pivots.items():
+                _p, sr, si = cols[i][0]
+                norm = (sr * sr + si * si) * mu
+                entries[(i, j)] = _reduced(yr * sr + yi * si, yi * sr - yr * si, norm)
+        mats.append(ExactMatrix._make(s.ncols, s.ncols, entries))
     return tuple(mats)
+
+
+def _span_coordinates(image: dict, owner: dict, cols: list) -> dict | None:
+    """{i: Y[p_i]} for the columns i of S that own a nonzero of the image
+    column Y, a dict row -> [re, im] from `_walk` (`_product_proof`); None
+    if Y is outside span(S): it is nonzero at a row no column owns, or 0 at
+    the first row p_i of such a column, or Y[z] S[p_i, i] != S[z, i] Y[p_i]
+    at some row z of one."""
+    touched = set()
+    for z, (re, im) in image.items():
+        if re or im:
+            i = owner.get(z)
+            if i is None:
+                return None
+            touched.add(i)
+    at_pivots = {}
+    for i in touched:
+        p, sr, si = cols[i][0]
+        yr, yi = image.get(p, (0, 0))
+        if not (yr or yi):
+            return None
+        for z, ar, ai in cols[i]:
+            zr, zi = image.get(z, (0, 0))
+            if zr * sr - zi * si != ar * yr - ai * yi or zr * si + zi * sr != ar * yi + ai * yr:
+                return None
+        at_pivots[i] = (yr, yi)
+    return at_pivots
 
 
 def _relabelling(space, positions):

@@ -41,11 +41,11 @@ BUDGETS = {
     "skew-cube": 0.44,
     "idempotents-small": 0.04,
     "idempotents-full": 0.52,
-    "decomposition": 0.30,
+    "decomposition": 0.09,
     "families": 0.04,
     "sl2-factory": 0.09,
-    "leonard-even": 0.33,
-    "leonard-quotient": 1.59,
+    "leonard-even": 0.11,
+    "leonard-quotient": 0.20,
 }
 
 # The automorphism sigma: (x, y, z) -> (x, -y, -z) negates the y- and

@@ -182,6 +182,33 @@ def test_base_columns_reject_a_wrong_krawtchouk_value(monkeypatch):
             hypercube._idempotent_base_columns.__wrapped__(6)
 
 
+def _inside_and_nonzero(m):
+    return all(v and 0 <= r < m.nrows and 0 <= c < m.ncols for (r, c), v in m.entries.items())
+
+
+def test_cube_builders_match_the_checking_constructor():
+    # the builders store their entries as they are; each must equal the
+    # matrix the bounds-checking, zero-dropping constructor builds
+    for D in range(0, 9):
+        n = 1 << D
+        for i, col in enumerate(hypercube._idempotent_base_columns(D)):
+            want = ExactMatrix.column_vector(
+                [Fraction(_krawtchouk(D, i, x.bit_count()), n) for x in range(n)]
+            )
+            assert col == want and _inside_and_nonzero(col), (D, i)
+        if D == 0:
+            continue
+        ctx = cube(D)
+        for i in range(D + 1):
+            dist = ExactMatrix(n, n, {
+                (y, y ^ m): 1 for y in range(n) for m in range(n) if m.bit_count() == i
+            })
+            diag = ExactMatrix.diagonal([_krawtchouk(D, i, y.bit_count()) for y in range(n)])
+            for got, want in ((distance_matrix(ctx, i), dist),
+                              (dual_distance_matrix(ctx, i), diag)):
+                assert got == want and _inside_and_nonzero(got), (D, i)
+
+
 def test_second_dual_adjacency_closed_form_beyond_the_suite_range():
     # the idempotents suite checks the base columns only up to D = 8 by default
     for D in (9, 10):

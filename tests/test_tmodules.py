@@ -1,5 +1,6 @@
 import hashlib
 from dataclasses import replace
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from cubetri import leonard, linalg, suites
 from cubetri.acsa import ab_type, b_type, restrict_triple
+from cubetri.exactnum import gr
 from cubetri.hypercube import (
     CubeContext,
     adjacency,
@@ -353,6 +355,18 @@ def test_decompose_raises_and_lowers_with_the_checked_adjacency(monkeypatch, fre
         decompose.__wrapped__(cube(5))
 
 
+@pytest.mark.parametrize("scale, want", [
+    # the chains run on den*A = A, so only the den^2 of the check sees A/2
+    (Fraction(1, 2), r"Q_5: LR - RL != \(D - 2w\) I at vertex 0 of weight 0"),
+    # iA commutes with every bit permutation, but its chains leave Z
+    (gr(0, 1), r"Q_5: adjacency entry \(1, 0\) is not real"),
+])
+def test_decompose_raises_on_integers_only(monkeypatch, fresh_class_bases, scale, want):
+    monkeypatch.setattr(tmodules, "adjacency", lambda ctx: adjacency(ctx) * scale)
+    with pytest.raises(AssertionError, match=want):
+        decompose.__wrapped__(cube(5))
+
+
 def test_decompose_rejects_a_representative_chain_that_dies_early(monkeypatch, fresh_class_bases):
     # the commutator checks move vectors of at most D entries; R^2 e_0 has 10
     move = tmodules._move_vector
@@ -524,18 +538,31 @@ def _stacked(nrows, columns):
     return ExactMatrix(nrows, len(columns), entries)
 
 
-def test_module_action_solves_scaled_and_rejects_overlapping_bases():
-    # the product proof on bases built by hand, on Q_5 and Q~_5: a rescaled
-    # column still spans an invariant subspace, whose action is read off
-    # exactly and matches the elimination oracle `restrict`
+_LEAVES = "subspace not invariant: image of basis vector {} leaves the span"
+
+
+def _hand_built_cases():
+    """(space, a basis from decompose or quotient_modules, its builders, a
+    vertex in the slice of the last column but not in the span, and the
+    details of the four hand-built failures), on Q_5 and Q~_5."""
     ctx, q = cube(5), quotient(5)
     rep = decompose(ctx)[2]
     image = [sb for sb in quotient_modules(q) if sb.endpoint == 1][1]
     assert (rep.module_id, image.module_id) == ("r1#1", "r1#1")
-    for space, s, builders, outside in (
-        (ctx, rep.vectors, (adjacency, second_dual_adjacency, tmodules._antipodal_map), 15),
-        (q, image.vectors, (quotient_adjacency, quotient_dual_adjacency), 3),
-    ):
+    overlap, zero = "basis vectors 0 and 1 overlap at coordinate 1", "basis vector 0 is zero"
+    return (
+        (ctx, rep.vectors, (adjacency, second_dual_adjacency, tmodules._antipodal_map), 15,
+         (overlap, _LEAVES.format(2), zero, _LEAVES.format(2))),
+        (q, image.vectors, (quotient_adjacency, quotient_dual_adjacency), 3,
+         (overlap, _LEAVES.format(0), zero, _LEAVES.format(0))),
+    )
+
+
+def test_module_action_solves_scaled_and_rejects_overlapping_bases():
+    # the product proof on bases built by hand, on Q_5 and Q~_5: a rescaled
+    # column still spans an invariant subspace, whose action is read off
+    # exactly and matches the elimination oracle `restrict`
+    for space, s, builders, outside, details in _hand_built_cases():
         assert space.D == 5 and s.ncols > 1
         cols = [s.column(j) for j in range(s.ncols)]
         scaled = _stacked(s.nrows, [cols[0] * 2, *cols[1:]])
@@ -543,14 +570,84 @@ def test_module_action_solves_scaled_and_rejects_overlapping_bases():
         assert tmodules._product_proof(space, scaled, builders) == want
         # e_outside lies in the slice of the last column (weight 4 on Q_5,
         # class weight 2 on Q~_5) but not in the span
-        for columns, error in (
-            ([cols[0], cols[1] + cols[0], *cols[2:]], "basis vectors 0 and 1 overlap"),
-            (cols[:-1], "subspace not invariant: image of basis vector"),
-            ([cols[0] * 0, *cols[1:]], "basis vector 0 is zero"),
-            ([*cols[:-1], ExactMatrix.from_columns(s.nrows, [{outside: 1}])], "subspace not invariant"),
-        ):
-            with pytest.raises(ValueError, match=error):
+        for columns, detail in zip((
+            [cols[0], cols[1] + cols[0], *cols[2:]],
+            cols[:-1],
+            [cols[0] * 0, *cols[1:]],
+            [*cols[:-1], ExactMatrix.from_columns(s.nrows, [{outside: 1}])],
+        ), details):
+            with pytest.raises(ValueError) as failure:
                 tmodules._product_proof(space, _stacked(s.nrows, columns), builders)
+            assert str(failure.value) == detail
+
+
+def _scaled_by(build, c):
+    def scaled(space):
+        return build(space) * c
+    return scaled
+
+
+def test_product_proof_carries_gaussian_denominators_of_basis_and_builder():
+    # columns scaled by non-real values over different denominators, and
+    # builders scaled by (1+i)/3: the integer proof must divide by the
+    # basis's pivots and by the builder's own denominator exactly
+    factors = (gr(Fraction(2, 3), Fraction(1, 3)), gr(Fraction(-1, 2)), gr(0, Fraction(5, 7)))
+    for space, s, builders, _outside, _details in _hand_built_cases():
+        cols = [s.column(j) * factors[j % 3] for j in range(s.ncols)]
+        basis = _stacked(s.nrows, cols)
+        third = gr(Fraction(1, 3), Fraction(1, 3))
+        for these in (builders, tuple(_scaled_by(b, third) for b in builders)):
+            want = tuple(restrict(build(space), basis) for build in these)
+            assert tmodules._product_proof(space, basis, these) == want
+
+
+def test_product_proof_rejects_an_image_zero_on_part_of_its_own_support():
+    # on Q_4, A* is 2 at weight 1 and 0 at weight 2, so A*(e_1 + e_3) = 2 e_1:
+    # nonzero at the pivot row 1, zero at row 3 of the same column
+    ctx = cube(4)
+    s = ExactMatrix.from_columns(ctx.nvertices, [{0: 1}, {1: 1, 3: 1}])
+    for solve in (lambda: restrict(dual_adjacency(ctx), s),
+                  lambda: tmodules._product_proof(ctx, s, (dual_adjacency,))):
+        with pytest.raises(ValueError) as failure:
+            solve()
+        assert str(failure.value) == _LEAVES.format(1)
+
+
+def test_product_proofs_walk_only_the_support_of_the_class_basis(monkeypatch):
+    # every class of Q_9 and Q~_9: each product walks the stored entries of
+    # S through the columns of M, at most D pairs per entry, and no product
+    # with M on the left runs
+    D = 9
+    ctx, q = cube(D), quotient(D)
+    cases = [
+        (ctx, (adjacency, dual_adjacency, s_diagonal, second_dual_adjacency,
+               tmodules._antipodal_map)),
+        (q, (quotient_adjacency, quotient_dual_adjacency)),
+    ]
+    bases = [(space, tmodules._class_basis(space, r), builders)
+             for space, builders in cases for r in range(D // 2 + 1)]
+    for space, builders in cases:
+        for build in builders:
+            build(space)
+    walks = []
+    walk = tmodules._walk
+
+    def counted(rows, b_rows):
+        rows = list(rows)
+        nnz = sum(len(row) for _i, row in rows)
+        walks.append((sum(len(b_rows.get(k, ())) for _i, row in rows for k, *_ in row), nnz))
+        return walk(rows, b_rows)
+
+    def no_product(a, b):
+        raise AssertionError(f"a {a.nrows}x{a.ncols} product ran in a proof")
+
+    monkeypatch.setattr(tmodules, "_walk", counted)
+    monkeypatch.setattr(linalg, "matmul", no_product)
+    for space, s, builders in bases:
+        tmodules._product_proof(space, s, builders)
+    assert len(walks) == (D // 2 + 1) * 7
+    assert all(pairs <= D * nnz for pairs, nnz in walks)
+    assert max(pairs for pairs, _nnz in walks) == D * ctx.nvertices
 
 
 def test_module_actions_never_eliminate_on_v(monkeypatch):

@@ -12,7 +12,7 @@ import re as _re
 from dataclasses import dataclass
 
 from .exactnum import GaussianRational, _reduced
-from .linalg import ExactMatrix, _int_rows, _walk, integer_eigenspaces, restrict
+from .linalg import ExactMatrix, _walk, integer_eigenspaces, restrict
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
@@ -121,7 +121,7 @@ def _chain(d: int, lower, upper, fold: bool) -> ExactMatrix:
                 entries[(i + 1, i)] = entries.get((i + 1, i), 0) + up
             elif fold:
                 entries[(d, d)] = entries.get((d, d), 0) + up
-    return ExactMatrix(d + 1, d + 1, {k: GaussianRational(v) for k, v in entries.items() if v})
+    return ExactMatrix(d + 1, d + 1, entries)
 
 
 def build_canonical(t: ModuleType) -> ModuleActionTriple:
@@ -179,14 +179,14 @@ def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
     failure, with the residue at its smallest (row, col) entry.
 
     The check runs on Gaussian integers.  With a = A/d_a, b = B/d_b and
-    c = C/d_c (`_int_rows`), ab + ba = 2c holds exactly when
+    c = C/d_c (their stored forms), ab + ba = 2c holds exactly when
     (AB + BA)*d_c = 2*d_a*d_b*C, and the residue ab + ba - 2c at an entry is
     that integer difference over d_a*d_b*d_c, reduced once.  AB + BA is one
     integer walk (`_walk`), of the rows of [A B] against the stacked rows of
     [B; A]; both sides are compared entry by entry as integer pairs, with
     sums that cancel to 0 dropped, as C stores no zeros."""
     n = m.dimension
-    ints = [_int_rows(g) for g in m.matrices()]
+    ints = [(g.den, g.rows) for g in m.matrices()]
     for label, a, b, c in _RELATIONS:
         (da, ra), (db, rb), (dc, rc) = ints[a], ints[b], ints[c]
         rows = {i: list(row) for i, row in ra.items()}
@@ -229,8 +229,9 @@ def is_irreducible(m: ModuleActionTriple) -> bool:
     so the test is irreducibility of the {x, y}-action itself.
 
     A diagonal g has P = I, so C is h as stored and no eigenvalue scan or
-    solve is needed.  A repeated eigenvalue of g returns False.  Irreducible
-    modules of the five families have multiplicity-free integer x-spectrum,
+    solve is needed; its eigenvalues are its diagonal numerators over its
+    one denominator, compared as integers.  A repeated eigenvalue of g
+    returns False.  Irreducible modules of the five families have multiplicity-free integer x-spectrum,
     and (x, y, z) -> (y, z, x) is an automorphism of the algebra, so on a
     triple that satisfies the relations their y-spectrum is multiplicity-free
     too: a repeated eigenvalue of either generator witnesses reducibility.
@@ -239,22 +240,21 @@ def is_irreducible(m: ModuleActionTriple) -> bool:
     """
     n = m.dimension
     for g, coupling in ((m.x_mat, m.y_mat), (m.y_mat, m.x_mat)):
-        if all(r == c for r, c in g.entries):  # P = I: the coupling is stored
-            if len({g.get(i, i) for i in range(n)}) < n:
+        diag = {r: (a, b) for r, row in g.rows.items() for c, a, b in row if c == r}
+        if len(diag) == g.nnz():  # P = I: the coupling is stored
+            distinct = len(set(diag.values())) + (len(diag) < n)  # 0 counts once
+            if distinct < n:
                 return False
             break
     else:
         eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
         if any(basis.ncols > 1 for _theta, basis in eigenspaces):
             return False
-        p = ExactMatrix(n, n, {
-            (r, j): v
-            for j, (_theta, basis) in enumerate(eigenspaces)
-            for (r, _c), v in basis.entries.items()
-        })
+        p = ExactMatrix.hstack(basis for _theta, basis in eigenspaces)
         coupling = restrict(m.y_mat, p)
-    forward = [(c, r) for (r, c) in coupling.entries]
-    return n > 0 and _reaches_all(n, forward) and _reaches_all(n, coupling.entries)
+    edges = [(r, c) for r, row in coupling.rows.items() for c, _a, _b in row]
+    forward = [(c, r) for r, c in edges]
+    return n > 0 and _reaches_all(n, forward) and _reaches_all(n, edges)
 
 
 def _reaches_all(n: int, edges) -> bool:

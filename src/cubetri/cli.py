@@ -48,6 +48,10 @@ def main(argv=None) -> int:
     except (ValueError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        # the last resort for a run too large for this machine
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 class _Parser(argparse.ArgumentParser):

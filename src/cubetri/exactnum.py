@@ -1,11 +1,14 @@
 """Exact arithmetic in Q(i), the field of Gaussian rationals.
 
-Every matrix entry in this package is a GaussianRational.  A value is one
-integer triple (a, b, d), meaning (a + b*i)/d, kept canonical: d > 0,
-gcd(a, b, d) = 1, and zero is (0, 0, 1).  Values are immutable and compare
-by exact structural equality of their triples.  Each field operation costs
-a few integer operations and at most one gcd; the exact rational parts are
-Fractions formed on demand, for the text form and square roots.
+A scalar of this package is a GaussianRational: one integer triple
+(a, b, d), meaning (a + b*i)/d, kept canonical: d > 0, gcd(a, b, d) = 1,
+and zero is (0, 0, 1).  Values are immutable and compare by exact
+structural equality of their triples.  Each field operation costs a few
+integer operations and at most one gcd; the exact rational parts are
+Fractions formed on demand, for the text form and square roots.  A matrix
+stores its entries as Gaussian integers over one common denominator
+(`linalg.ExactMatrix`) and forms a GaussianRational only where an entry is
+read.
 """
 from __future__ import annotations
 

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .acsa import ModuleActionTriple
 from .exactnum import gr
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, unit_entries
 from .sl2rep import Sl2Action, check_brackets
 
 
@@ -67,12 +67,13 @@ def cube(D: int) -> CubeContext:
 @lru_cache(maxsize=None)
 def distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
     """The 0/1 matrix pairing vertices at distance exactly i; y ^ m < 2^D,
-    so the entries go in as they are."""
+    so the rows go in as they are.  Every row with an entry 1 in column z
+    shares one stored triple (`unit_entries`)."""
     _check_index(ctx, i)
     n = ctx.nvertices
-    one = gr(1)
+    unit = unit_entries(n)
     masks = [_bits_to_mask(bits) for bits in combinations(range(ctx.D), i)]
-    return ExactMatrix._make(n, n, {(y, y ^ m): one for y in range(n) for m in masks})
+    return ExactMatrix._make(n, n, 1, {y: [unit[y ^ m] for m in masks] for y in range(n)})
 
 
 def _bits_to_mask(bits) -> int:
@@ -93,21 +94,23 @@ def eigenvalue(ctx: CubeContext, i: int) -> int:
 
 
 def primitive_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
-    """E_i, with (y, z)-entry the base column of E_i at y XOR z.  The column's
-    entries are nonzero Q(i) scalars and y XOR x < 2^D, so they go in as they
-    are."""
+    """E_i, with (y, z)-entry the base column of E_i at y XOR z.  Row y
+    relabels the column's stored entries, over its denominator, and
+    y XOR x < 2^D, so the rows go in as they are."""
     _check_index(ctx, i)
-    col = [(x, v) for (x, _c), v in _idempotent_base_column(ctx.D, i).entries.items()]
+    base = _idempotent_base_column(ctx.D, i)
+    col = [(x, a, b) for x, row in base.rows.items() for _c, a, b in row]
     n = ctx.nvertices
-    return ExactMatrix._make(n, n, {(y, y ^ x): v for y in range(n) for x, v in col})
+    rows = {y: [(y ^ x, a, b) for x, a, b in col] for y in range(n)}
+    return ExactMatrix._make(n, n, base.den, rows)
 
 
 def dual_idempotent(ctx: CubeContext, i: int) -> ExactMatrix:
     """Diagonal 0/1 projector onto the Hamming-weight-i vertices."""
     _check_index(ctx, i)
-    one = gr(1)
-    entries = {(y, y): one for y in ctx.vertices() if ctx.weight(y) == i}
-    return ExactMatrix(ctx.nvertices, ctx.nvertices, entries)
+    unit = unit_entries(ctx.nvertices)
+    rows = {y: [unit[y]] for y in ctx.vertices() if ctx.weight(y) == i}
+    return ExactMatrix._make(ctx.nvertices, ctx.nvertices, 1, rows)
 
 
 def _krawtchouk(D: int, i: int) -> list[int]:
@@ -142,9 +145,12 @@ def _idempotent_base_columns(D: int) -> tuple[ExactMatrix, ...]:
         raise AssertionError(f"E_i e_0 of Q_{D}: the columns do not sum to e_0")
     cols = []
     for k in tables:
-        by_weight = [gr(Fraction(v, n)) for v in k]
-        entries = {(x, 0): by_weight[w] for x, w in enumerate(weights) if k[w]}
-        cols.append(ExactMatrix._make(n, 1, entries))
+        # K_i(w)/2^D over the reduced denominator; the rows of one weight
+        # share one stored row
+        g = gcd(n, *k)
+        by_weight = [[(0, v // g, 0)] for v in k]
+        rows = {x: by_weight[w] for x, w in enumerate(weights) if k[w]}
+        cols.append(ExactMatrix._make(n, 1, n // g, rows))
     return tuple(cols)
 
 
@@ -155,18 +161,14 @@ def _idempotent_base_column(D: int, i: int) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def dual_distance_matrix(ctx: CubeContext, i: int) -> ExactMatrix:
-    """Diagonal matrix with (y,y)-entry 2^D times the base-vertex row of E_i.
-    The row takes one value per weight, so each distinct value is scaled
-    once and shared by its entries."""
+    """Diagonal matrix with (y,y)-entry 2^D times the base-vertex row of E_i:
+    the base column's numerators times 2^D over its denominator, which
+    divides 2^D, so the entries are integers."""
     _check_index(ctx, i)
-    scaled: dict = {}
-    entries = {}
-    for (y, _c), v in _idempotent_base_column(ctx.D, i).entries.items():
-        w = scaled.get(v.triple)
-        if w is None:
-            w = scaled[v.triple] = v * ctx.nvertices
-        entries[(y, y)] = w
-    return ExactMatrix._make(ctx.nvertices, ctx.nvertices, entries)
+    base = _idempotent_base_column(ctx.D, i)
+    f = ctx.nvertices // base.den
+    rows = {y: [(y, a * f, b * f)] for y, row in base.rows.items() for _c, a, b in row}
+    return ExactMatrix._make(ctx.nvertices, ctx.nvertices, 1, rows)
 
 
 def dual_adjacency(ctx: CubeContext) -> ExactMatrix:
@@ -226,9 +228,8 @@ def v_plus_minus(ctx: CubeContext) -> tuple[ExactMatrix, ExactMatrix]:
     """Bases (as columns) of the symmetric and antisymmetric halves under
     the antipodal map."""
     n = ctx.nvertices
-    one = gr(1)
-    plus_cols = [{y: one, yp: one} for (y, yp) in antipodal_pairs(ctx)]
-    minus_cols = [{y: one, yp: -one} for (y, yp) in antipodal_pairs(ctx)]
+    plus_cols = [{y: 1, yp: 1} for (y, yp) in antipodal_pairs(ctx)]
+    minus_cols = [{y: 1, yp: -1} for (y, yp) in antipodal_pairs(ctx)]
     return ExactMatrix.from_columns(n, plus_cols), ExactMatrix.from_columns(n, minus_cols)
 
 

@@ -87,16 +87,15 @@ def standard_ordering(pairs, other1: ExactMatrix, other2: ExactMatrix):
     The support graph over eigenvalues must be a path; the traversal starts
     at the endpoint with the larger eigenvalue."""
     n = len(pairs)
-    p = ExactMatrix(other1.nrows, n, {
-        (r, j): v for j, (_theta, vec) in enumerate(pairs) for (r, _c), v in vec.entries.items()
-    })
+    p = ExactMatrix.hstack(vec for _theta, vec in pairs)
     c1, c2 = restrict(other1, p), restrict(other2, p)
     neighbors: dict = {j: set() for j in range(n)}
     for mat in (c1, c2):
-        for (r, c) in mat.entries:
-            if r != c:
-                neighbors[r].add(c)
-                neighbors[c].add(r)
+        for r, row in mat.rows.items():
+            for c, _a, _b in row:
+                if r != c:
+                    neighbors[r].add(c)
+                    neighbors[c].add(r)
     order = _path_order(neighbors, [theta for theta, _v in pairs])
     for mat, label in ((c1, "first"), (c2, "second")):
         for a, b in zip(order, order[1:]):
@@ -105,9 +104,11 @@ def standard_ordering(pairs, other1: ExactMatrix, other2: ExactMatrix):
                     f"{label} companion matrix is tridiagonal but not irreducible: "
                     f"zero block between eigenvalues {pairs[a][0]} and {pairs[b][0]}"
                 )
-    pos = {j: p for p, j in enumerate(order)}
+    pos = {j: p for p, j in enumerate(order)}  # a permutation keeps the stored form canonical
     c1, c2 = (
-        ExactMatrix(n, n, {(pos[r], pos[c]): v for (r, c), v in m.entries.items()})
+        ExactMatrix._make(n, n, m.den, {
+            pos[r]: [(pos[c], a, b) for c, a, b in row] for r, row in m.rows.items()
+        })
         for m in (c1, c2)
     )
     return [pairs[j][0] for j in order], c1, c2

@@ -1,17 +1,26 @@
 """Exact sparse linear algebra over Q(i).
 
-Matrices are immutable maps (row, col) -> nonzero GaussianRational, each
-scalar one reduced integer triple (a, b, d) = (a + b*i)/d.  The inner loops
-run on integers: `_int_rows` reads a matrix as Gaussian integers over the
-lcm of its denominators, and every product of such rows is the one integer
-walk `_walk`, whose steps are integer multiply-adds.  `matmul` reduces each
-entry of a product once; `exp_nilpotent` sums its series over the single
-denominator delta^j j! and reduces once at the end; `acsa.check_relations`
-compares both sides of a relation cross-multiplied, as integers.  `_echelon`
-eliminates fraction-free in Z[i], and `_char_poly` works in Z[i] as well.
-A matrix hashes its entries once and keeps the hash.  No code path forms
-a dense 2^D-dimensional product: the cube operators are sparse, and the
-skew operator is built per T-module class (`tmodules.h_by_class`).
+A matrix is stored in one canonical integer form: a denominator den > 0
+and `rows`, a dict mapping each row index that holds a stored entry to a
+list of (col, re, im), so that entry (r, col) is (re + im*i)/den with re,
+im integers.  No zero is stored, and gcd(den, every re and im) = 1.  The
+canonical form of a matrix is unique: den is the lcm of the denominators
+of its entries in lowest terms.  So `==` and `hash` read the stored form
+as it is, and every operation runs on integers and reduces its result
+once, by one gcd over den and all the parts (`_canonical`).  The column
+form (`ExactMatrix.columns`) is computed only where it is read, and kept
+on the matrix, as the hash is.  `GaussianRational` appears only at the
+edges: `get`, the read-only `entries` view, the constructor, `trace` and
+the exchange format.
+
+Every product of stored rows is the one integer walk `_walk`, whose steps
+are integer multiply-adds: `matmul` walks the rows of its left operand
+against those of its right; `exp_nilpotent` sums its series over the
+single denominator delta^j j!; `acsa.check_relations` compares both sides
+of a relation cross-multiplied.  `_echelon` eliminates fraction-free in
+Z[i], and `_char_poly` works in Z[i] as well.  No code path forms a dense
+2^D-dimensional product: the cube operators are sparse, and the skew
+operator is built per T-module class (`tmodules.h_by_class`).
 
 A basis of a subspace is the matrix whose columns are its vectors; there is
 no separate basis type.  `ExactMatrix.from_columns` scales each column so
@@ -29,56 +38,64 @@ P^-1 M P, so P^-1 is never formed.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import contextmanager
+from fractions import Fraction
 from math import gcd, lcm
 
 from .exactnum import ZERO, GaussianRational, _reduced
 
 
 class ExactMatrix:
-    """Sparse exact matrix over Q(i); no stored zeros, immutable."""
+    """Sparse exact matrix over Q(i), immutable: entry (r, c) is
+    (re + im*i)/den for each (c, re, im) of rows[r], in the canonical form
+    the module docstring describes.  `den` and `rows` are read, never
+    changed; a row list may be shared by several matrices."""
 
-    __slots__ = ("nrows", "ncols", "entries", "_hash")
+    __slots__ = ("nrows", "ncols", "den", "rows", "_hash", "_cols")
 
     def __init__(self, nrows: int, ncols: int, entries=None):
         if nrows < 0 or ncols < 0:
             raise ValueError("negative matrix dimension")
-        clean = {}
+        items = []
         if entries:
-            coerce = GaussianRational.coerce
             for (r, c), v in entries.items():
                 if not (0 <= r < nrows and 0 <= c < ncols):
                     raise ValueError(f"entry index ({r},{c}) out of bounds for {nrows}x{ncols}")
-                if type(v) is not GaussianRational:
-                    v = coerce(v)
-                if v:
-                    clean[(r, c)] = v
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", clean)
+                a, b, d = _triple(v)
+                if a or b:
+                    items.append((r, c, a, b, d))
+        # reduced triples over the lcm of their denominators are canonical
+        # already: a prime power exactly dividing the lcm exactly divides
+        # some entry's d, whose parts it does not both divide
+        den, rows = _over_lcm(items)
+        _set(self, "nrows", nrows)
+        _set(self, "ncols", ncols)
+        _set(self, "den", den)
+        _set(self, "rows", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
     @classmethod
-    def _make(cls, nrows, ncols, entries) -> "ExactMatrix":
-        # internal: entries already clean (bounded, nonzero GaussianRational)
+    def _make(cls, nrows, ncols, den, rows) -> "ExactMatrix":
+        # internal: rows/den already canonical, every index in bounds
         m = object.__new__(cls)
-        object.__setattr__(m, "nrows", nrows)
-        object.__setattr__(m, "ncols", ncols)
-        object.__setattr__(m, "entries", entries)
+        _set(m, "nrows", nrows)
+        _set(m, "ncols", ncols)
+        _set(m, "den", den)
+        _set(m, "rows", rows)
         return m
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        return cls._make(nrows, ncols, {})
+        return cls._make(nrows, ncols, 1, {})
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        one = GaussianRational(1)
-        return cls._make(n, n, {(i, i): one for i in range(n)})
+        return cls._make(n, n, 1, {i: [(i, 1, 0)] for i in range(n)})
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -96,59 +113,112 @@ class ExactMatrix:
     @classmethod
     def from_columns(cls, nrows: int, columns) -> "ExactMatrix":
         """The nrows x len(columns) matrix whose column j is columns[j], a
-        dict row -> value, scaled so its first nonzero coordinate is 1."""
-        entries = {}
-        for j, col in enumerate(columns):
-            items = [(r, GaussianRational.coerce(v)) for r, v in sorted(col.items())]
-            items = [(r, v) for r, v in items if v]
-            if not items:
-                raise ValueError(f"basis vector {j} is zero")
-            inv = items[0][1].inverse()
-            for r, v in items:
-                entries[(r, j)] = v * inv
-        return cls._make(nrows, len(columns), entries)
+        dict row -> value, scaled so its first nonzero coordinate is 1.
+        A column is read as Gaussian integers over the lcm of its
+        denominators, which the scaling cancels (`_first_entry_one`)."""
+        int_columns = []
+        for col in columns:
+            parts = [(r, *_triple(v)) for r, v in col.items()]
+            d = lcm(*(t[3] for t in parts))
+            int_columns.append(
+                [(r, a * (d // e), b * (d // e)) for r, a, b, e in parts if a or b]
+            )
+        return _first_entry_one(nrows, int_columns)
 
     @classmethod
-    def column_vector(cls, values) -> "ExactMatrix":
-        values = list(values)
-        return cls(len(values), 1, {(i, 0): v for i, v in enumerate(values)})
+    def hstack(cls, blocks) -> "ExactMatrix":
+        """The matrix whose columns are those of blocks, in order, over the
+        lcm of their denominators.  Each block is canonical, so the result
+        is: a prime power exactly dividing the lcm exactly divides the
+        denominator of some block, which has a part it does not divide."""
+        blocks = list(blocks)
+        den = lcm(*(m.den for m in blocks))
+        rows: dict = {}
+        offset = 0
+        for m in blocks:
+            f = den // m.den
+            for r, row in m.rows.items():
+                rows.setdefault(r, []).extend((c + offset, a * f, b * f) for c, a, b in row)
+            offset += m.ncols
+        nrows = blocks[0].nrows if blocks else 0
+        return cls._make(nrows, offset, den, rows)
 
     # -- access ------------------------------------------------------------
 
     def get(self, r: int, c: int) -> GaussianRational:
-        return self.entries.get((r, c), ZERO)
+        for j, a, b in self.rows.get(r, ()):
+            if j == c:
+                return _reduced(a, b, self.den)
+        return ZERO
+
+    @property
+    def entries(self) -> Mapping:
+        """A read-only view (row, col) -> GaussianRational of the stored
+        entries; each value is formed when it is read."""
+        return _Entries(self)
 
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self.rows.values()))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.rows
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def column(self, j: int) -> "ExactMatrix":
         """Column j as an nrows x 1 matrix."""
-        col = {(r, 0): v for (r, c), v in self.entries.items() if c == j}
-        return ExactMatrix._make(self.nrows, 1, col)
+        col = {r: [(0, a, b)] for r, row in self.rows.items() for c, a, b in row if c == j}
+        return _canonical(self.nrows, 1, self.den, col)
+
+    def columns(self) -> dict:
+        """The column form of the stored entries: each column index holding
+        a stored entry maps to a list of (row, re, im) over `den`.  Formed
+        on the first call and kept on the matrix; entries of one row that
+        follow each other with equal values share one triple."""
+        try:
+            return self._cols
+        except AttributeError:
+            cols: dict = {}
+            for r, row in self.rows.items():
+                t = None
+                for c, a, b in row:
+                    if t is None or t[1] != a or t[2] != b:
+                        t = (r, a, b)
+                    col = cols.get(c)
+                    if col is None:
+                        cols[c] = [t]
+                    else:
+                        col.append(t)
+            _set(self, "_cols", cols)
+            return cols
 
     def __eq__(self, other):
+        """Equal stored forms, as the canonical form is unique; a row may
+        list its entries in any order."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (
-            self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
+        if (self.nrows, self.ncols, self.den) != (other.nrows, other.ncols, other.den):
+            return False
+        mine, theirs = self.rows, other.rows
+        if mine == theirs:
+            return True
+        if mine.keys() != theirs.keys():
+            return False
+        return all(
+            row == theirs[r] or sorted(row) == sorted(theirs[r]) for r, row in mine.items()
         )
 
     def __hash__(self):
-        # computed once per matrix: every lookup of a builder cached on a
-        # module basis hashes that basis
+        # computed once per matrix from the stored form, with no scalar
+        # formed: every lookup of a builder cached on a module basis hashes
+        # that basis
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.nrows, self.ncols, frozenset(self.entries.items())))
-            object.__setattr__(self, "_hash", h)
+            stored = frozenset((r, frozenset(row)) for r, row in self.rows.items())
+            h = hash((self.nrows, self.ncols, self.den, stored))
+            _set(self, "_hash", h)
             return h
 
     def __repr__(self):
@@ -163,33 +233,45 @@ class ExactMatrix:
         return self._plus(other, -1)
 
     def _plus(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
-        """self + sign*other, sign = ±1, with no stored zeros."""
+        """self + sign*other, sign = ±1, over the lcm of the denominators;
+        a row of one side only is scaled, or kept as it is."""
         self._same_shape(other)
-        entries = dict(self.entries)
-        for key, v in other.entries.items():
-            s = entries.get(key)
-            if s is None:
-                entries[key] = v if sign > 0 else -v
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        rows = {r: _scaled(row, fa) for r, row in self.rows.items()}
+        for r, row in other.rows.items():
+            mine = rows.get(r)
+            if mine is None:
+                rows[r] = _scaled(row, fb)
                 continue
-            t = s + v if sign > 0 else s - v
-            if t:
-                entries[key] = t
+            sums = {c: (a, b) for c, a, b in mine}
+            for c, a, b in row:
+                cur = sums.get(c)
+                sums[c] = (a * fb, b * fb) if cur is None else (cur[0] + a * fb, cur[1] + b * fb)
+            merged = [(c, a, b) for c, (a, b) in sums.items() if a or b]
+            if merged:
+                rows[r] = merged
             else:
-                del entries[key]
-        return ExactMatrix._make(self.nrows, self.ncols, entries)
+                del rows[r]
+        return _canonical(self.nrows, self.ncols, den, rows)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._make(
-            self.nrows, self.ncols, {k: -v for k, v in self.entries.items()}
-        )
+        return ExactMatrix._make(self.nrows, self.ncols, self.den, {
+            r: [(c, -a, -b) for c, a, b in row] for r, row in self.rows.items()
+        })
 
     def __mul__(self, scalar) -> "ExactMatrix":
-        s = GaussianRational.coerce(scalar)
-        if not s:
+        p, q, e = _triple(scalar)
+        if not (p or q):
             return ExactMatrix.zeros(self.nrows, self.ncols)
-        return ExactMatrix._make(
-            self.nrows, self.ncols, {k: v * s for k, v in self.entries.items()}
-        )
+        if q:
+            rows = {
+                r: [(c, a * p - b * q, a * q + b * p) for c, a, b in row]
+                for r, row in self.rows.items()
+            }
+        else:
+            rows = {r: _scaled(row, p) for r, row in self.rows.items()}
+        return _canonical(self.nrows, self.ncols, self.den * e, rows)
 
     __rmul__ = __mul__
 
@@ -197,11 +279,12 @@ class ExactMatrix:
         return matmul(self, other)
 
     def trace(self) -> GaussianRational:
-        t = ZERO
-        for (r, c), v in self.entries.items():
-            if r == c:
-                t = t + v
-        return t
+        re = im = 0
+        for r, row in self.rows.items():
+            for c, a, b in row:
+                if c == r:
+                    re, im = re + a, im + b
+        return _reduced(re, im, self.den)
 
     def _same_shape(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -210,24 +293,81 @@ class ExactMatrix:
             )
 
 
-# -- products ----------------------------------------------------------------
+_set = object.__setattr__
 
 
-def _den(m: ExactMatrix) -> int:
-    """The lcm of the denominators of m's entries."""
-    return lcm(*{v.triple[2] for v in m.entries.values()})
+class _Entries(Mapping):
+    """The `ExactMatrix.entries` view: keys (row, col) in stored order,
+    values GaussianRational, formed as they are read."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: ExactMatrix):
+        self._m = m
+
+    def __len__(self):
+        return self._m.nnz()
+
+    def __iter__(self):
+        for r, row in self._m.rows.items():
+            for c, _a, _b in row:
+                yield r, c
+
+    def __getitem__(self, key):
+        v = self._m.get(*key)
+        if not v:  # no zero is stored
+            raise KeyError(key)
+        return v
 
 
-def _int_rows(m: ExactMatrix):
-    """(den, rows) with m = rows/den: rows maps each row index holding a
-    stored entry to a list of (col, re, im) with integer parts, and den is
-    the lcm of the entries' denominators (`_den`).  This is the one integer
-    form of a matrix: `matmul`, the row reducer and `_char_poly` read it,
-    and `tmodules._columns` is its column form."""
-    den = _den(m)
+def unit_entries(n: int) -> list:
+    """The stored triples (c, 1, 0) of an entry 1 in column c < n, for
+    builders of 0/1 matrices: rows that share a triple share its memory."""
+    return [(c, 1, 0) for c in range(n)]
+
+
+def _triple(value) -> tuple[int, int, int]:
+    """The reduced triple (a, b, d) of an int, Fraction or GaussianRational,
+    formed without a GaussianRational."""
+    if type(value) is GaussianRational:
+        return value.triple
+    if isinstance(value, int):
+        return int(value), 0, 1
+    if isinstance(value, Fraction):
+        return value.numerator, 0, value.denominator
+    raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
+
+
+def _scaled(row, f: int):
+    """A stored row times the integer f; the row itself when f = 1."""
+    if f == 1:
+        return row
+    return [(c, a * f, b * f) for c, a, b in row]
+
+
+def _canonical(nrows: int, ncols: int, den: int, rows: dict) -> ExactMatrix:
+    """The matrix rows/den, for den > 0 and rows with no zero stored,
+    divided by g = gcd(den, every part): the one gcd of an operation.  The
+    scan stops at the end of the row where g reaches 1."""
+    g = den
+    for row in rows.values():
+        if g == 1:
+            break
+        for _c, a, b in row:
+            g = gcd(g, a, b)
+    if g != 1:
+        den //= g
+        rows = {r: [(c, a // g, b // g) for c, a, b in row] for r, row in rows.items()}
+    return ExactMatrix._make(nrows, ncols, den, rows)
+
+
+def _over_lcm(items) -> tuple[int, dict]:
+    """(den, rows) with entry (r, c) = (a + b*i)/d for each (r, c, a, b, d)
+    of items, d > 0 and a + b*i != 0, over the lcm den of the d; not yet
+    reduced (`_canonical`)."""
+    den = lcm(*{t[4] for t in items})
     rows: dict = {}
-    for (r, c), v in m.entries.items():
-        a, b, d = v.triple
+    for r, c, a, b, d in items:
         if d != den:
             a, b = a * (den // d), b * (den // d)
         row = rows.get(r)
@@ -238,9 +378,31 @@ def _int_rows(m: ExactMatrix):
     return den, rows
 
 
+def _first_entry_one(nrows: int, columns) -> ExactMatrix:
+    """The matrix whose column j is columns[j], a list of (row, re, im)
+    Gaussian integers with no zero, divided by its entry f at the least
+    row: entry (a + b*i) conj(f)/|f|^2, or (a + b*i)/f for a real f."""
+    items = []
+    for j, col in enumerate(columns):
+        if not col:
+            raise ValueError(f"basis vector {j} is zero")
+        col = sorted(col)
+        _r, fr, fi = col[0]
+        if fi:
+            n = fr * fr + fi * fi
+            items += [(r, j, a * fr + b * fi, b * fr - a * fi, n) for r, a, b in col]
+        else:
+            s = -1 if fr < 0 else 1
+            items += [(r, j, s * a, s * b, s * fr) for r, a, b in col]
+    return _canonical(nrows, len(columns), *_over_lcm(items))
+
+
+# -- products ----------------------------------------------------------------
+
+
 def _walk(rows, b_rows):
     """The one integer walk of a product: for each (i, row) of `rows`, a
-    row as (k, re, im) Gaussian integers (`_int_rows`), yield (i, sums),
+    row as (k, re, im) Gaussian integers (the stored form), yield (i, sums),
     sums the dict j -> [re, im] of row i of the product with `b_rows`.
     Each stored (i, k) meets the stored entries of row k of b_rows, one
     integer multiply-add per pair; an entry whose row of b_rows is empty
@@ -262,46 +424,19 @@ def _walk(rows, b_rows):
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Exact product by the integer walk `_walk`: with a = A/d and
-    b = B/e (`_int_rows`), the cost is the number of pairs of a stored
-    A[i, k] and a stored entry of row k of B, and each nonzero entry of A B
-    is reduced once over d*e.
-
-    a is read in place, one row at a time, and an entry of a whose row of
-    B is empty is dropped before it is scaled to an integer, so besides the
-    result only the integer rows of b and one row of a and of its sums are
-    held: a copy of a, or the sums of every row at once, would each raise
-    the peak memory of a run."""
+    """Exact product by the integer walk `_walk` of the stored rows: with
+    a = A/d and b = B/e, A B is walked over d*e and reduced once
+    (`_canonical`).  The cost is the number of pairs of a stored A[i, k]
+    and a stored entry of row k of B, and besides the result only one row
+    of sums is held at a time."""
     if a.ncols != b.nrows:
         raise ValueError(f"cannot multiply {a.nrows}x{a.ncols} by {b.nrows}x{b.ncols}")
-    da = _den(a)
-    db, b_rows = _int_rows(b)
-    den = da * db
-    entries = {}
-    for i, sums in _walk(_rows_in_place(a, da, b_rows), b_rows):
-        for j, (re, im) in sums.items():
-            if re or im:
-                entries[(i, j)] = _reduced(re, im, den)
-    return ExactMatrix._make(a.nrows, b.ncols, entries)
-
-
-def _rows_in_place(a: ExactMatrix, da: int, b_rows):
-    """a's rows over the common denominator da, as `_walk` reads them, one
-    row at a time, keeping only the entries whose column has a row in
-    b_rows."""
-    a_entries = a.entries
-    a_rows: dict = {}
-    for key in a_entries:
-        if key[1] in b_rows:
-            a_rows.setdefault(key[0], []).append(key)
-    for i, keys in a_rows.items():
-        row = []
-        for key in keys:
-            ar, ai, d = a_entries[key].triple
-            if d != da:
-                ar, ai = ar * (da // d), ai * (da // d)
-            row.append((key[1], ar, ai))
-        yield i, row
+    rows = {}
+    for i, sums in _walk(a.rows.items(), b.rows):
+        row = [(j, re, im) for j, (re, im) in sums.items() if re or im]
+        if row:
+            rows[i] = row
+    return _canonical(a.nrows, b.ncols, a.den * b.den, rows)
 
 
 # -- elimination: echelon form, rank, kernels ----------------------------------
@@ -313,7 +448,7 @@ def _echelon(rows):
     real pivot and zero below it, left undivided.
 
     Each of `rows` lists (col, re, im) for its nonzero entries, Gaussian
-    integers (`_int_rows`).  The next pivot column is the least leading
+    integers (the stored form).  The next pivot column is the least leading
     column of a remaining row, and one row led there becomes the pivot row.
     A non-real pivot p is made real first, by multiplying its row by
     conj(p).  Every other row led there is replaced by p*row - f*pivot_row,
@@ -376,7 +511,7 @@ def _primitive(row):
 
 
 def rank(m: ExactMatrix) -> int:
-    return len(_echelon(list(_int_rows(m)[1].values())))
+    return len(_echelon(list(m.rows.values())))
 
 
 def kernel_basis(m: ExactMatrix) -> ExactMatrix:
@@ -385,18 +520,13 @@ def kernel_basis(m: ExactMatrix) -> ExactMatrix:
 
     The column of free column f is the null vector `_null_vector` finds
     for f, 0 at every other free column, over its first nonzero
-    coordinate: one division per coordinate."""
-    pivots = _echelon(list(_int_rows(m)[1].values()))
+    coordinate (`_first_entry_one`)."""
+    pivots = _echelon(list(m.rows.values()))
     pivot_cols = {c for c, _row in pivots}
-    entries: dict = {}
     free = [f for f in range(m.ncols) if f not in pivot_cols]
-    for k, f in enumerate(free):
-        y = _null_vector(pivots, f)
-        pr, pi = y[min(y)]
-        n = pr * pr + pi * pi
-        for j, (a, b) in y.items():
-            entries[(j, k)] = _reduced(a * pr + b * pi, b * pr - a * pi, n)
-    return ExactMatrix._make(m.ncols, len(free), entries)
+    return _first_entry_one(m.ncols, [
+        [(j, a, b) for j, (a, b) in _null_vector(pivots, f).items()] for f in free
+    ])
 
 
 def _null_vector(pivots, f):
@@ -441,7 +571,7 @@ def _char_poly(m: ExactMatrix):
     det(t*I - A) = sum_i p_i t^(k-i), the next leading block has
     det = (t - a) det(t*I - A) - sum_{j<k} t^(k-1-j) sum_{i<=j} p_i r A^(j-i) c.
     """
-    d, rows = _int_rows(m)
+    d, rows = m.den, m.rows
     n, zero = m.nrows, (0, 0)
     a = [[zero] * n for _ in range(n)]
     for r, row in rows.items():
@@ -515,8 +645,8 @@ def integer_eigenspaces(m: ExactMatrix, bound: int):
 
 def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """The unique X with s @ X == b, from one `_echelon` of [s | b] over
-    the rows nonzero in s or in b (a zero row holds no pivot), scaled to
-    Gaussian integers (`_int_rows`).  With k = s.ncols,
+    the rows nonzero in s or in b (a zero row holds no pivot), over the
+    product of their denominators.  With k = s.ncols,
     rank [s | b] = rank s = k holds exactly when s has full column rank and
     every column of b lies in span s.  Pivot columns increase, so if the
     first k are not 0..k-1 the columns of s are dependent; otherwise the
@@ -525,13 +655,12 @@ def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
     Else no column of b holds a pivot, and column j of X is -y/y_{k+j} for
     y = `_null_vector` at k+j: the kernel vector of [s | b] that is -1 at
-    k+j and 0 at every other column of b, so s x = b_j."""
+    k+j and 0 at every other column of b, so s x = b_j.  X is formed over
+    the lcm of the |y_{k+j}| and reduced once."""
     k = s.ncols
-    ds, rows = _int_rows(s)
-    db, b_rows = _int_rows(b)
-    if db != 1:
-        rows = {r: [(c, x * db, y * db) for c, x, y in row] for r, row in rows.items()}
-    for r, b_row in b_rows.items():
+    ds, db = s.den, b.den
+    rows = {r: [(c, x * db, y * db) for c, x, y in row] for r, row in s.rows.items()}
+    for r, b_row in b.rows.items():
         rows.setdefault(r, []).extend((k + c, x * ds, y * ds) for c, x, y in b_row)
     pivots = _echelon(list(rows.values()))
     pivot_cols = [c for c, _row in pivots]
@@ -541,14 +670,13 @@ def _solve(s: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         raise ValueError(
             f"subspace not invariant: image of basis vector {pivot_cols[k] - k} leaves the span"
         )
-    entries = {}
+    items = []
     for j in range(b.ncols):
         y = _null_vector(pivots, k + j)
         t = y.pop(k + j)[0]
         sign = -1 if t > 0 else 1
-        for i, (re, im) in y.items():
-            entries[(i, j)] = _reduced(sign * re, sign * im, abs(t))
-    return ExactMatrix._make(k, b.ncols, entries)
+        items += [(i, j, sign * re, sign * im, abs(t)) for i, (re, im) in y.items()]
+    return _canonical(k, b.ncols, *_over_lcm(items))
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -581,16 +709,15 @@ def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
     """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= bound; ValueError
     if n^bound != 0, so always for bound = 0.
 
-    The series runs on Gaussian integers.  With n = N/delta (`_int_rows`),
+    The series runs on Gaussian integers.  With n = N/delta (stored form),
     n^j/j! = N^j/(delta^j j!), and delta^j j! = delta^(j-1) (j-1)! * delta*j,
     so the partial sum through term j is T_j/(delta^j j!) for T_0 = I and
     T_j = delta*j*T_{j-1} + N^j: the same exact sum, over one denominator.
     N^j is the integer walk (`_walk`) of the rows of N^(j-1) against N, and
-    each entry of the sum is reduced once, when the first N^j = 0 ends the
-    series."""
+    the sum is reduced once, when the first N^j = 0 ends the series."""
     if not n.is_square():
         raise ValueError("exponential of a non-square matrix")
-    delta, n_rows = _int_rows(n)
+    delta, n_rows = n.den, n.rows
     power = {i: [(i, 1, 0)] for i in range(n.nrows)}
     total = {(i, i): (1, 0) for i in range(n.nrows)}
     den = 1
@@ -601,9 +728,11 @@ def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
             if row:
                 power[i] = row
         if not power:
-            return ExactMatrix._make(n.nrows, n.ncols, {
-                key: _reduced(re, im, den) for key, (re, im) in total.items() if re or im
-            })
+            rows: dict = {}
+            for (i, c), (re, im) in total.items():
+                if re or im:
+                    rows.setdefault(i, []).append((c, re, im))
+            return _canonical(n.nrows, n.ncols, den, rows)
         scale = delta * j
         den *= scale
         total = {key: (re * scale, im * scale) for key, (re, im) in total.items()}
@@ -622,8 +751,9 @@ def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
 def format_matrix(m: ExactMatrix) -> str:
     """Line-oriented text form: 'dims r c' then 'row col value' per nonzero."""
     lines = [f"dims {m.nrows} {m.ncols}"]
-    for (r, c) in sorted(m.entries):
-        lines.append(f"{r} {c} {m.entries[(r, c)]}")
+    for r in sorted(m.rows):
+        for c, a, b in sorted(m.rows[r]):
+            lines.append(f"{r} {c} {_reduced(a, b, m.den)}")
     return "\n".join(lines) + "\n"
 
 

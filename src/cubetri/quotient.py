@@ -13,9 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .acsa import ModuleActionTriple, check_relations
-from .exactnum import gr
 from .hypercube import CubeContext, second_dual_adjacency, weighted_adjacency
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, unit_entries
 
 
 @dataclass(frozen=True)
@@ -60,19 +59,22 @@ def quotient(D: int) -> QuotientContext:
 
 
 def psi_matrix(q: QuotientContext) -> ExactMatrix:
-    """The projection sending a vertex to its antipode class."""
-    one = gr(1)
-    entries = {(q.class_of(y), y): one for y in q.parent.vertices()}
-    return ExactMatrix(q.nclasses, q.parent.nvertices, entries)
+    """The projection sending a vertex to its antipode class: row u holds
+    the class's two vertices u and its antipode."""
+    unit = unit_entries(q.parent.nvertices)
+    rows = {u: [unit[u], unit[q.parent.antipode(u)]] for u in q.classes()}
+    return ExactMatrix._make(q.nclasses, q.parent.nvertices, 1, rows)
 
 
 @lru_cache(maxsize=None)
 def quotient_adjacency(q: QuotientContext) -> ExactMatrix:
     """Class u joined to the classes of the neighbors u ^ 2^b of its lift u;
-    the other lift's neighbors are their antipodes, in the same classes."""
-    one = gr(1)
-    entries = {(u, q.class_of(u ^ (1 << b))): one for u in q.classes() for b in range(q.D)}
-    return ExactMatrix(q.nclasses, q.nclasses, entries)
+    the other lift's neighbors are their antipodes, in the same classes.
+    For D >= 3 the D classes of a row are distinct, as 2^b ^ 2^c is not
+    the all-ones string."""
+    unit = unit_entries(q.nclasses)
+    rows = {u: [unit[q.class_of(u ^ (1 << b))] for b in range(q.D)] for u in q.classes()}
+    return ExactMatrix._make(q.nclasses, q.nclasses, 1, rows)
 
 
 @lru_cache(maxsize=None)

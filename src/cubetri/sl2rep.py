@@ -196,11 +196,8 @@ def split_odd(action: Sl2Action, structure_index: int):
     n = d + 1
     skew = build_skew(action)
     structure = induce_acsa_structures(action, skew.s_mat)[structure_index - 1]
-    one = gr(1)
-    plus_cols = [{i: one, d - i: one} for i in range(delta + 1)]
-    minus_cols = [
-        {i: gr(_sign(i)), d - i: gr(-_sign(i))} for i in range(delta + 1)
-    ]
+    plus_cols = [{i: 1, d - i: 1} for i in range(delta + 1)]
+    minus_cols = [{i: _sign(i), d - i: -_sign(i)} for i in range(delta + 1)]
     plus = ExactMatrix.from_columns(n, plus_cols)
     minus = ExactMatrix.from_columns(n, minus_cols)
     out = []

@@ -101,26 +101,41 @@ def suite_relations(Ds=(2, 4, 6, 8)):
 
 
 def suite_weights(Ds=tuple(range(1, 9)), quotient_Ds=(3, 5, 7, 9)):
+    """Each stored entry of C and C~ is checked as integers against its
+    sign (`_off_sign`); a failure detail is formed only for the first entry
+    that fails."""
     notes = []
     for D in Ds:
         ctx = cube(D)
         c = weighted_adjacency(ctx)
         edges = set(ctx.edges())
         _require(set(c.entries) == edges, f"D={D}: support of C differs from the edge set")
-        for (y, z), v in c.entries.items():
-            want = gr((-1) ** min(ctx.weight(y), ctx.weight(z)))
-            _require(v == want, f"D={D}: C[{y},{z}] = {v}, expected {want}")
+        bad = _off_sign(c, "C", ctx.weight)
+        _require(bad is None, f"D={D}: {bad}")
         notes.append(f"D={D}: C is (+-1)-weighted with sign (-1)^min-weight on every edge")
     for D in quotient_Ds:
         q = quotient(D)
         c = quotient_weighted_adjacency(q)
         adj = quotient_adjacency(q)
         _require(set(c.entries) == set(adj.entries), f"quotient D={D}: support mismatch")
-        for (u, v), val in c.entries.items():
-            want = gr((-1) ** min(q.class_weight(u), q.class_weight(v)))
-            _require(val == want, f"quotient D={D}: C~[{u},{v}] = {val}, expected {want}")
+        bad = _off_sign(c, "C~", q.class_weight)
+        _require(bad is None, f"quotient D={D}: {bad}")
         notes.append(f"quotient D={D}: C~ weighted the same way")
     return notes, []
+
+
+def _off_sign(m: ExactMatrix, name: str, weight) -> str | None:
+    """"name[y,z] = value, expected sign" for the first stored entry of m,
+    in stored order, that is not sign = (-1)^min(weight(y), weight(z)):
+    (re, im) != (sign * den, 0) over m's one denominator.  None if every
+    entry has its sign."""
+    den = m.den
+    for y, row in m.rows.items():
+        for z, a, b in row:
+            sign = (-1) ** min(weight(y), weight(z))
+            if b or a != sign * den:
+                return f"{name}[{y},{z}] = {m.get(y, z)}, expected {gr(sign)}"
+    return None
 
 
 def suite_skew(ds=tuple(range(0, 11)), cube_D=None):
@@ -178,7 +193,7 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
       E_0 = J/2^D, trace E_i = C(D, i) <=> col_0 = 1/2^D, 2^D col_i[0] = C(D, i)
       E_{D-i} = (-1)^dist(y,z) E_i     <=> col_{D-i}[z] = (-1)^wt(z) col_i[z]
     The first two rows give A E_j = theta_j E_j.  Each row times the lcm L of all
-    the denominators (the spectral sum also times each A e_0 entry's own) is an
+    the denominators (the spectral sum also times the denominator of A) is an
     identity in Z[i] on g_i = L col_i, exact as L > 0, and H g_i = L H col_i.  In
     Q(i), v^2 = L v only for v in {0, L}, and only a zero factor makes a product 0,
     so orthogonality says each H g_i takes only the values 0 and L, on pairwise
@@ -189,17 +204,17 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
         ctx = cube(D)
         n = ctx.nvertices
         a = adjacency(ctx)
-        a_col = [a.get(x, 0) for x in range(n)]
-        _require(_translation_invariant(a, a_col), f"D={D}: A is not translation-invariant")
-        cols = [[_idempotent_base_column(D, i).get(x, 0) for x in range(n)] for i in range(D + 1)]
-        den = lcm(*{v.triple[2] for col in cols for v in col})
+        da, a_col = _dense_column(a.column(0))
+        _require(_translation_invariant(a, da, a_col), f"D={D}: A is not translation-invariant")
+        cols = [_dense_column(_idempotent_base_column(D, i)) for i in range(D + 1)]
+        den = lcm(*(d for d, _parts in cols))
         # g_i = L col_i: its 2^D real parts, then its 2^D imaginary parts
-        g = [[v.triple[k] * (den // v.triple[2]) for k in (0, 1) for v in col] for col in cols]
+        g = [[p[k] * (den // d) for k in (0, 1) for p in parts] for d, parts in cols]
         total = [sum(vs) for vs in zip(*g)]
         _require(total == [den] + [0] * (2 * n - 1), f"D={D}: sum of idempotents is not I")
         thetas = [eigenvalue(ctx, i) for i in range(D + 1)]
-        lhs = [v.triple[2] * sum(map(int.__mul__, thetas, vs)) for v, vs in zip(a_col * 2, zip(*g))]
-        rhs = [den * v.triple[k] for k in (0, 1) for v in a_col]
+        lhs = [da * sum(map(int.__mul__, thetas, vs)) for vs in zip(*g)]
+        rhs = [den * p[k] for k in (0, 1) for p in a_col]
         _require(lhs == rhs, f"D={D}: sum theta_i E_i is not A")
         first, owner = (D + 1,) * 2, [D + 1] * n  # least failing (i, j); least i with H g_i[u] != 0
         for j in range(D + 1):
@@ -217,9 +232,9 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
             twisted = [s * v for s, v in zip(signs, g[i])]
             _require(g[D - i] == twisted, f"D={D}: sign relation fails for E_{i}, E_{D - i}")
         pin = D <= 8
-        for i, col in enumerate(cols if pin else ()):
+        for i, (d, col) in enumerate(cols if pin else ()):
             _require(
-                _translation_invariant(primitive_idempotent(ctx, i), col),
+                _translation_invariant(primitive_idempotent(ctx, i), d, col),
                 f"D={D}: E_{i} fails the entrywise pin E_{i}[y, z] = col_{i}[y ^ z]",
             )
         pinned = "; every E_i entry pinned to its base column" if pin else ""
@@ -230,11 +245,26 @@ def suite_idempotents(Ds=tuple(range(1, 9))):
     return notes, []
 
 
-def _translation_invariant(m, col) -> bool:
-    """m is len(col)-square and m[y, z] == col[y ^ z] at all entries, zeros included."""
-    n, stored = len(col), m.entries
-    shape = (m.nrows, m.ncols, len(stored)) == (n, n, n * sum(1 for v in col if v))
-    return shape and list(stored.values()) == [col[y ^ z] for y, z in stored]
+def _dense_column(v: ExactMatrix) -> tuple[int, list]:
+    """(den, parts) for the stored form of an n x 1 matrix v: parts[x] is
+    the (re, im) numerator of v[x] over den, (0, 0) where none is stored."""
+    parts = [(0, 0)] * v.nrows
+    for x, row in v.rows.items():
+        for _c, a, b in row:
+            parts[x] = (a, b)
+    return v.den, parts
+
+
+def _translation_invariant(m: ExactMatrix, den: int, col) -> bool:
+    """m is len(col)-square and m[y, z] == col[y ^ z] at all entries, zeros
+    included, for (den, col) a column's stored form (`_dense_column`).  The
+    entries of such an m are the values of the column, so its canonical
+    denominator is den, and the numerators are compared as integers."""
+    n = len(col)
+    support = sum(1 for p in col if p != (0, 0))
+    if (m.nrows, m.ncols, m.den, m.nnz()) != (n, n, den, n * support):
+        return False
+    return all(col[y ^ z] == (a, b) for y, row in m.rows.items() for z, a, b in row)
 
 
 def _walsh_hadamard(f) -> list:

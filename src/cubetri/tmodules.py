@@ -21,8 +21,9 @@ product, with no elimination on V.  That product runs once per class, on
 S_rep (on Q~_D, psi(S_rep c+)), and every module of the class gets its
 value (`_module_action`).  The chains and the proofs run in Gaussian
 integers: the stored entries of S_rep are walked through the integer
-columns of each acting matrix, kept once per matrix (`_columns`), so a
-product costs nnz(S_rep) times the column length, D for A.  A module is the only argument of the functions
+columns of each acting matrix, formed once and kept on the matrix
+(`ExactMatrix.columns`), so a product costs nnz(S_rep) times the column
+length, D for A.  A module is the only argument of the functions
 that act on it: its `space` chooses the acting matrices, so a T-module of
 Q_D and an image psi(W+) in Q~_D (`quotient_modules`) share
 `module_structure` and `split_and_type`.
@@ -36,7 +37,7 @@ from itertools import combinations
 from math import comb
 
 from .acsa import ModuleActionTriple, ModuleType, ab_type, b_type, classify, restrict_triple
-from .exactnum import _reduced, gr
+from .exactnum import gr
 from .hypercube import (
     CubeContext,
     adjacency,
@@ -45,7 +46,15 @@ from .hypercube import (
     s_diagonal,
     second_dual_adjacency,
 )
-from .linalg import ExactMatrix, _den, _int_rows, _walk, integer_eigenspaces, kernel_basis
+from .linalg import (
+    ExactMatrix,
+    _canonical,
+    _first_entry_one,
+    _over_lcm,
+    _walk,
+    integer_eigenspaces,
+    kernel_basis,
+)
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
@@ -101,35 +110,15 @@ def _polytabloid(D: int, second: tuple[int, ...]) -> dict:
     return vec
 
 
-@lru_cache(maxsize=None)
-def _columns(m: ExactMatrix) -> tuple[int, dict]:
-    """(den, cols) with m = cols/den: cols[y] lists column y of den*m as
-    (row, re, im) Gaussian integers, for each y holding a stored entry, and
-    den is the lcm of the entries' denominators.  It is the column form of
-    `linalg._int_rows`, read in one pass over the entries, and `_walk`
-    reads cols as the rows of a right operand.  Kept once per matrix."""
-    den = _den(m)
-    cols: dict = {}
-    for (z, y), v in m.entries.items():
-        a, b, d = v.triple
-        if d != den:
-            a, b = a * (den // d), b * (den // d)
-        col = cols.get(y)
-        if col is None:
-            cols[y] = [(z, a, b)]
-        else:
-            col.append((z, a, b))
-    return den, cols
-
-
 def _move_vector(ctx: CubeContext, vec: dict, to: int) -> dict:
     """The part of den*A v that lies in the weight-`to` slice, for
-    A = cols/den = `adjacency(ctx)` (`_columns`) and v an int vector on the
-    slice next to it: den R v if `to` is above, den L v if below, for the
-    raising and lowering parts R + L = A.  Each step is integer
+    A = `adjacency(ctx)` read through its denominator den and its integer
+    columns (`ExactMatrix.columns`), and v an int vector on the slice next
+    to it: den R v if `to` is above, den L v if below, for the raising and
+    lowering parts R + L = A.  Each step is integer
     multiply-adds, so k steps carry den^k.  Every entry of A that a step
     reads must be real, or the vector would leave Z."""
-    cols = _columns(adjacency(ctx))[1]
+    cols = adjacency(ctx).columns()
     out: dict = {}
     for y, v in vec.items():
         for z, a, b in cols.get(y, ()):
@@ -151,7 +140,7 @@ def _check_commutator(ctx: CubeContext) -> None:
     weights; S_D is transitive on each weight slice, so the identity at e_y
     gives it at every P_sigma e_y."""
     D = ctx.D
-    den = _columns(adjacency(ctx))[0]
+    den = adjacency(ctx).den
     for w in range(D + 1):
         y = (1 << w) - 1
         diff = _move_vector(ctx, _move_vector(ctx, {y: 1}, w + 1), w)
@@ -218,7 +207,7 @@ def decompose(ctx: CubeContext) -> list[SubmoduleBasis]:
         if len(set(tableaux)) != len(tableaux):
             raise AssertionError(f"endpoint {r} of Q_{D}: seeds share a largest vertex")
         rep = _class_basis(ctx, r)
-        seed = [y for y, c in rep.entries if c == 0]
+        seed = [y for y, row in rep.rows.items() for c, _a, _b in row if c == 0]
         for m, tableau in enumerate(tableaux):
             sigma = _sigma(ctx, tableaux[0], tableau)
             if max(map(sigma, seed)) != sum(1 << p for p in tableau):
@@ -355,9 +344,9 @@ def _class_basis(space, endpoint: int) -> ExactMatrix:
         rep = next(w for w in decompose(space.parent) if w.endpoint == endpoint)
         plus, _minus = antipodal_split(rep)
         img = psi_matrix(space) @ _class_basis(space.parent, endpoint) @ plus
-        cols = [{r: v for (r, c), v in img.entries.items() if c == j} for j in range(img.ncols)]
-        cols.sort(key=lambda col: min(space.class_weight(u) for u in col))
-        return ExactMatrix.from_columns(space.nclasses, cols)
+        cols = [img.columns().get(j, []) for j in range(img.ncols)]
+        cols.sort(key=lambda col: min(space.class_weight(u) for u, _a, _b in col))
+        return _first_entry_one(space.nclasses, cols)
     D, r = space.D, endpoint
     chain = [_polytabloid(D, _standard_tableaux(D, r)[0])]
     if _move_vector(space, chain[0], r - 1):
@@ -381,20 +370,20 @@ def _product_proof(space, s: ExactMatrix, builders) -> tuple[ExactMatrix, ...]:
     M_W[i, j] = (M s)[p_i, j] / s[p_i, i], and M s == s M_W is checked
     exactly.  Anything else raises ValueError.
 
-    Both sides are Gaussian integers.  With s = S/sigma over the lcm of its
-    denominators and M = N/mu (`_columns`), column j of Y = N S =
-    sigma mu (M s) is the `_walk` of the stored entries of column j of S
-    through the columns of N: nnz(S) times the column length of N per
+    Both sides are Gaussian integers.  With s = S/sigma and M = N/mu, their
+    stored forms, column j of Y = N S = sigma mu (M s) is the `_walk` of
+    the stored entries of column j of S through the integer columns of N
+    (`ExactMatrix.columns`): nnz(S) times the column length of N per
     product, and M itself is never walked.  Then
-    M_W[i, j] = Y[p_i, j] / (S[p_i, i] mu), reduced once.  Row z of s M_W
-    is s[z, i] M_W[i, j] for the column i that owns z, and 0 if no column
-    does.  So column j of M s == s M_W holds exactly when Y[., j] is 0 at
-    every row no column owns, and Y[z, j] S[p_i, i] == S[z, i] Y[p_i, j]
-    at every row z of every column i, the rows where Y is 0 included
-    (`_span_coordinates`).  A column that owns no nonzero of Y[., j] meets
+    M_W[i, j] = Y[p_i, j] / (S[p_i, i] mu), over the lcm of those
+    denominators, reduced once.  Row z of s M_W is s[z, i] M_W[i, j] for
+    the column i that owns z, and 0 if no column does.  So column j of
+    M s == s M_W holds exactly when Y[., j] is 0 at every row no column
+    owns, and Y[z, j] S[p_i, i] == S[z, i] Y[p_i, j] at every row z of
+    every column i, the rows where Y is 0 included (`_span_coordinates`).  A column that owns no nonzero of Y[., j] meets
     this with M_W[i, j] = 0.  The least failing j is named: the least
     column where M s and s M_W differ."""
-    rows = _int_rows(s)[1]
+    rows = s.rows
     owner: dict = {}
     cols: list[list] = [[] for _ in range(s.ncols)]
     for row in sorted(rows):
@@ -408,8 +397,9 @@ def _product_proof(space, s: ExactMatrix, builders) -> tuple[ExactMatrix, ...]:
         raise ValueError(f"basis vector {zero[0]} is zero")
     mats = []
     for build in builders:
-        mu, n_cols = _columns(build(space))
-        entries = {}
+        m = build(space)
+        mu, n_cols = m.den, m.columns()
+        items = []
         for j, image in _walk(enumerate(cols), n_cols):
             at_pivots = _span_coordinates(image, owner, cols)
             if at_pivots is None:
@@ -419,8 +409,8 @@ def _product_proof(space, s: ExactMatrix, builders) -> tuple[ExactMatrix, ...]:
             for i, (yr, yi) in at_pivots.items():
                 _p, sr, si = cols[i][0]
                 norm = (sr * sr + si * si) * mu
-                entries[(i, j)] = _reduced(yr * sr + yi * si, yi * sr - yr * si, norm)
-        mats.append(ExactMatrix._make(s.ncols, s.ncols, entries))
+                items.append((i, j, yr * sr + yi * si, yi * sr - yr * si, norm))
+        mats.append(_canonical(s.ncols, s.ncols, *_over_lcm(items)))
     return tuple(mats)
 
 
@@ -479,9 +469,11 @@ def _sigma(space, rep_tableau, tableau):
 
 
 def _relabelled(space, s: ExactMatrix, rep_tableau, tableau) -> ExactMatrix:
-    """P_sigma s (`_sigma`); sigma is applied to the stored rows of s only."""
+    """P_sigma s (`_sigma`); sigma relabels the stored rows of s, which it
+    shares, and a permutation keeps the stored form canonical."""
     sigma = _sigma(space, rep_tableau, tableau)
-    return ExactMatrix._make(s.nrows, s.ncols, {(sigma(y), c): v for (y, c), v in s.entries.items()})
+    rows = {sigma(y): row for y, row in s.rows.items()}
+    return ExactMatrix._make(s.nrows, s.ncols, s.den, rows)
 
 
 @lru_cache(maxsize=None)
@@ -490,15 +482,19 @@ def _check_symmetric(space, build) -> None:
     and tau each of the transposition (0 1) and the cycle (0 1 ... D-1) of bit
     positions, which generate S_D (for D <= 1 there is nothing to check, and
     at D = 2 they coincide).  On Q~_D the cycle takes bit D-2 to D-1, and
-    class_of folds it back.  tau is checked to be a bijection, so it maps the
-    stored entries one to one onto stored entries of equal value; there are
-    as many, so M has no others.  The sigma with M P_sigma = P_sigma M form a
-    group, so M commutes with every P_sigma."""
+    class_of folds it back.  tau is checked to be a bijection.  Then each
+    stored row y of M, its columns z moved to tau(z), must be row tau(y) as
+    it is stored, compared as sets of integer triples over M's one
+    denominator, so M[tau(y), tau(z)] = M[y, z] for every z.  tau maps the
+    stored rows one to one into the stored rows, which are finitely many,
+    so onto them, and a row tau(y) is empty exactly when row y is.  The
+    sigma with M P_sigma = P_sigma M form a group, so M commutes with
+    every P_sigma."""
     D = space.D
     if D < 2:
         return
     m = build(space)
-    entries = m.entries
+    rows = m.rows
     for name, positions in (
         ("transposition (0 1)", [1, 0, *range(2, D)]),
         (f"cycle (0 1 ... {D - 1})", [*range(1, D), 0]),
@@ -508,7 +504,10 @@ def _check_symmetric(space, build) -> None:
         what = f"{build.__name__} at D={D}, {name}"
         if len(set(tau)) != len(tau):
             raise AssertionError(f"{what}: the relabelling is not a bijection")
-        if any(entries.get((tau[y], tau[z])) != v for (y, z), v in entries.items()):
+        if any(
+            {(tau[z], a, b) for z, a, b in row} != set(rows.get(tau[y], ()))
+            for y, row in rows.items()
+        ):
             raise AssertionError(f"{what}: the builder does not commute with it")
 
 

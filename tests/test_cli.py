@@ -249,6 +249,16 @@ def test_verify_rejects_a_nonpositive_d_before_running_any_suite(capsys, monkeyp
         assert (captured.out, captured.err) == ("", "error: --D must be positive\n")
 
 
+def test_verify_reports_running_out_of_memory_as_one_error_line(capsys, monkeypatch):
+    def exhausted(name, **_kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_suite", exhausted)
+    assert main(["verify", "--suite", "families"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
+
+
 def test_quotient_commands_reject_d_one(capsys, monkeypatch):
     def no_run(name, **_kw):
         raise AssertionError(f"suite {name} ran at D=1")

@@ -1,6 +1,6 @@
 import weakref
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -96,7 +96,7 @@ def test_perron_eigenvector():
         a = adjacency(ctx)
         k = kernel_basis(a - ExactMatrix.identity(ctx.nvertices) * D)
         assert k.ncols == 1
-        ones = ExactMatrix.column_vector([1] * ctx.nvertices)
+        ones = ExactMatrix.from_rows([[1]] * ctx.nvertices)
         assert k.column(0) == ones * Fraction(1, 1)
         assert (a @ ones) == ones * D
 
@@ -183,7 +183,14 @@ def test_base_columns_reject_a_wrong_krawtchouk_value(monkeypatch):
 
 
 def _inside_and_nonzero(m):
-    return all(v and 0 <= r < m.nrows and 0 <= c < m.ncols for (r, c), v in m.entries.items())
+    """Every stored entry is in bounds and nonzero, and the stored form is
+    canonical: den > 0 and gcd(den, every part) = 1."""
+    parts = [x for row in m.rows.values() for _c, a, b in row for x in (a, b)]
+    return (
+        all(v and 0 <= r < m.nrows and 0 <= c < m.ncols for (r, c), v in m.entries.items())
+        and m.den > 0
+        and gcd(m.den, *parts) == 1
+    )
 
 
 def test_cube_builders_match_the_checking_constructor():
@@ -192,8 +199,8 @@ def test_cube_builders_match_the_checking_constructor():
     for D in range(0, 9):
         n = 1 << D
         for i, col in enumerate(hypercube._idempotent_base_columns(D)):
-            want = ExactMatrix.column_vector(
-                [Fraction(_krawtchouk(D, i, x.bit_count()), n) for x in range(n)]
+            want = ExactMatrix.from_rows(
+                [[Fraction(_krawtchouk(D, i, x.bit_count()), n)] for x in range(n)]
             )
             assert col == want and _inside_and_nonzero(col), (D, i)
         if D == 0:
@@ -243,6 +250,15 @@ def test_idempotents_suite_catches_swapped_eigenprojections(monkeypatch):
     r = suites.run_suite("idempotents", Ds=(D,))
     assert r.passed, r.detail
     assert "spectral sum" in r.detail and "pinned" in r.detail
+
+
+def test_idempotents_pin_compares_values_not_numerators(monkeypatch):
+    # 2 E_1 has E_1's numerators over half its denominator
+    D = 4
+    monkeypatch.setattr(
+        suites, "primitive_idempotent", lambda ctx, i: primitive_idempotent(ctx, i) * (1 + (i == 1))
+    )
+    assert _idempotents_failure(D) == "D=4: E_1 fails the entrywise pin E_1[y, z] = col_1[y ^ z]"
 
 
 def test_idempotents_suite_checks_every_coordinate_at_d9():
@@ -344,7 +360,7 @@ def test_idempotents_pin_holds_one_e_i_at_a_time(monkeypatch):
     def tracked(ctx, i):
         assert all(ref() is None for ref in built), f"E_{i} built while an earlier E_i is alive"
         e = primitive_idempotent(ctx, i)
-        m = Tracked._make(e.nrows, e.ncols, e.entries)
+        m = Tracked._make(e.nrows, e.ncols, e.den, e.rows)
         built.append(weakref.ref(m))
         return m
 

@@ -1,5 +1,7 @@
 import random
+import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,7 +142,7 @@ def test_kernel_of_shift():
     n = ExactMatrix.from_rows([[0, 1], [0, 0]])
     k = kernel_basis(n)
     assert k.ncols == 1
-    assert k.column(0) == ExactMatrix.column_vector([1, 0])
+    assert k.column(0) == ExactMatrix(2, 1, {(0, 0): 1})
 
 
 def test_kernel_columns_annihilated():
@@ -290,8 +292,8 @@ def test_exp_matches_fraction_pair_series_on_the_sl2_halves():
 def test_from_columns_normalizes_and_column_reads_back():
     s = ExactMatrix.from_columns(3, [{2: 4, 1: gr(0, 2)}, {0: -1}])
     assert s == ExactMatrix.from_rows([[0, 1], [1, 0], [gr(0, -2), 0]])
-    assert s.column(0) == ExactMatrix.column_vector([0, 1, gr(0, -2)])
-    assert s.column(1) == ExactMatrix.column_vector([1, 0, 0])
+    assert s.column(0) == ExactMatrix(3, 1, {(1, 0): 1, (2, 0): gr(0, -2)})
+    assert s.column(1) == ExactMatrix(3, 1, {(0, 0): 1})
     assert ExactMatrix.from_columns(3, []) == ExactMatrix.zeros(3, 0)
     with pytest.raises(ValueError, match="basis vector 1 is zero"):
         ExactMatrix.from_columns(3, [{0: 1}, {2: 0}])
@@ -352,15 +354,19 @@ def test_equal_matrices_by_different_routes_hash_equal(monkeypatch):
     ]
     for other in routes:
         assert other == m and hash(other) == hash(m)
-    # the hash is computed once per matrix, not once per lookup
-    scalar_hashes = []
-    scalar_hash = GaussianRational.__hash__
-    monkeypatch.setattr(
-        GaussianRational, "__hash__", lambda v: scalar_hashes.append(v) or scalar_hash(v)
-    )
+    # the hash is computed once per matrix, not once per lookup, from the
+    # stored form: no scalar is hashed
     fresh = ExactMatrix.from_rows(_dense(m))
-    assert {fresh: 1}[m] == 1 and hash(fresh) == hash(m)
-    assert len(scalar_hashes) == m.nnz()
+    computed = []
+    store = linalg._set
+    monkeypatch.setattr(
+        linalg, "_set", lambda obj, name, value: store(obj, name, value) or (
+            name == "_hash" and computed.append(obj)
+        )
+    )
+    monkeypatch.setattr(GaussianRational, "__hash__", lambda v: pytest.fail("scalar hashed"))
+    assert {fresh: 1}[m] == 1 and hash(fresh) == hash(m) and hash(fresh) == hash(m)
+    assert len(computed) == 1 and computed[0] is fresh
     with pytest.raises(AttributeError):
         fresh.entries = {}
 
@@ -598,7 +604,7 @@ def _reference_restrict(m, basis):
     entries = {}
     for j in range(k):
         w = m @ basis.column(j)
-        c = square_inv @ ExactMatrix.column_vector([w.get(r, 0) for r in picked_rows])
+        c = square_inv @ ExactMatrix.from_rows([[w.get(r, 0)] for r in picked_rows])
         if s @ c != w:
             raise ValueError(f"subspace not invariant: image of basis vector {j} leaves the span")
         entries.update({(r, j): v for (r, _c), v in c.entries.items()})
@@ -766,7 +772,7 @@ def test_echelon_rows_equal_sympy_rref():
     sympy = pytest.importorskip("sympy")
     for m in _elimination_cases():
         reduced, pivot_cols = _sympy_matrix(sympy, m).rref()
-        pivots = linalg._echelon(list(linalg._int_rows(m)[1].values()))
+        pivots = linalg._echelon(list(m.rows.values()))
         assert tuple(c for c, _row in pivots) == pivot_cols, m
         for i, (c, row) in enumerate(pivots):
             assert row[c][0] and not row[c][1], m
@@ -800,7 +806,7 @@ def test_echelon_integers_stay_near_the_minors():
     # of its row norms.  With the content division the echelon rows stay
     # within twice that bit length; without it they grow exponentially.
     h = _hilbert_style(12)
-    _d, rows = linalg._int_rows(h)
+    rows = h.rows
     hadamard_bits = sum(
         (sum(re * re + im * im for _c, re, im in row).bit_length() + 1) // 2
         for row in rows.values()
@@ -818,7 +824,7 @@ def test_back_substitution_integers_stay_near_the_minors(n):
     # pivot brings in; they stay within twice the Hadamard bit length
     h = _hilbert_style(n)
     augmented = ExactMatrix(n, 2 * n, {**h.entries, **{(i, n + i): 1 for i in range(n)}})
-    _d, rows = linalg._int_rows(augmented)
+    rows = augmented.rows
     hadamard_bits = sum(
         (sum(re * re + im * im for _c, re, im in row).bit_length() + 1) // 2
         for row in rows.values()
@@ -829,3 +835,222 @@ def test_back_substitution_integers_stay_near_the_minors(n):
         y = linalg._null_vector(pivots, f)
         bits = max(max(abs(re).bit_length(), abs(im).bit_length()) for re, im in y.values())
         assert y[f][0] and not y[f][1] and bits <= 2 * hadamard_bits, (f, bits, hadamard_bits)
+
+
+# -- the stored form against an independent Fraction-pair oracle --------------
+#
+# The oracle keeps a matrix as a dict (row, col) -> (re, im) of Fractions with
+# no zero, and does each operation entry by entry in Fractions; it shares no
+# code with the integer form it checks.
+
+_FRACTIONS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4, 6, 9]))
+_PAIRS = st.tuples(_FRACTIONS, _FRACTIONS).filter(any)
+
+
+@st.composite
+def _oracle_matrices(draw, nrows, ncols):
+    cells = [(r, c) for r in range(nrows) for c in range(ncols)]
+    keys = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return {key: draw(_PAIRS) for key in keys}
+
+
+def _matrix(nrows, ncols, pairs):
+    return ExactMatrix(nrows, ncols, {k: gr(*p) for k, p in pairs.items()})
+
+
+def _oracle_of(m):
+    """m read through its stored form, after checking that form canonical:
+    den > 0, each row non-empty with distinct in-bounds columns, no zero,
+    and gcd(den, every part) = 1."""
+    assert type(m.den) is int and m.den > 0
+    parts = []
+    out = {}
+    for r, row in m.rows.items():
+        assert 0 <= r < m.nrows and row
+        assert len({c for c, _a, _b in row}) == len(row)
+        for c, a, b in row:
+            assert 0 <= c < m.ncols and (a or b)
+            parts += [a, b]
+            out[(r, c)] = (Fraction(a, m.den), Fraction(b, m.den))
+    assert gcd(m.den, *parts) == 1
+    return out
+
+
+def _nonzero(entries):
+    return {k: p for k, p in entries.items() if any(p)}
+
+
+def _o_mul(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _o_sum(p, q, sign=1):
+    return p[0] + sign * q[0], p[1] + sign * q[1]
+
+
+def _o_inverse(p):
+    n = p[0] * p[0] + p[1] * p[1]
+    return p[0] / n, -p[1] / n
+
+
+def _o_plus(a, b, sign=1):
+    zero = (Fraction(0), Fraction(0))
+    return _nonzero({k: _o_sum(a.get(k, zero), b.get(k, zero), sign) for k in a.keys() | b.keys()})
+
+
+def _o_matmul(a, b):
+    out = {}
+    for (i, k), p in a.items():
+        for (k2, j), q in b.items():
+            if k == k2:
+                out[(i, j)] = _o_sum(out.get((i, j), (Fraction(0), Fraction(0))), _o_mul(p, q))
+    return _nonzero(out)
+
+
+def _o_scaled_columns(columns):
+    out = {}
+    for j, col in enumerate(columns):
+        inv = _o_inverse(col[min(col)])
+        out.update({(r, j): _o_mul(p, inv) for r, p in col.items()})
+    return out
+
+
+def _o_solve(s, b, n, k, ncols):
+    """The X with S X = B by Gauss-Jordan on [S | B] over Fraction pairs, S
+    n x k of full column rank and every column of B in span S."""
+    zero = (Fraction(0), Fraction(0))
+    rows = [[s.get((r, c), zero) for c in range(k)] + [b.get((r, c), zero) for c in range(ncols)]
+            for r in range(n)]
+    for col in range(k):
+        pivot = next(r for r in range(col, n) if any(rows[r][col]))
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = _o_inverse(rows[col][col])
+        rows[col] = [_o_mul(p, inv) for p in rows[col]]
+        for r in range(n):
+            if r != col and any(rows[r][col]):
+                f = rows[r][col]
+                rows[r] = [_o_sum(p, _o_mul(f, q), -1) for p, q in zip(rows[r], rows[col])]
+    return _nonzero({(i, j): rows[i][k + j] for i in range(k) for j in range(ncols)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_operations_agree_with_the_pair_oracle(data):
+    n, m, k = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = data.draw(_oracle_matrices(n, m)), data.draw(_oracle_matrices(n, m))
+    c = data.draw(_oracle_matrices(m, k))
+    s = data.draw(st.one_of(_PAIRS, st.just((Fraction(0), Fraction(0)))))
+    ma, mb, mc = _matrix(n, m, a), _matrix(n, m, b), _matrix(m, k, c)
+    assert _oracle_of(ma) == a and _oracle_of(mb) == b
+    assert _oracle_of(ma + mb) == _o_plus(a, b)
+    assert _oracle_of(ma - mb) == _o_plus(a, b, -1)
+    assert _oracle_of(-ma) == {key: (-p[0], -p[1]) for key, p in a.items()}
+    scaled = _nonzero({key: _o_mul(p, s) for key, p in a.items()})
+    assert _oracle_of(ma * gr(*s)) == scaled
+    if not s[1]:  # a real scalar may also be a Fraction, or an int, on either side
+        for scalar in {s[0], int(s[0])} if s[0].denominator == 1 else {s[0]}:
+            assert _oracle_of(ma * scalar) == scaled == _oracle_of(scalar * ma)
+    assert _oracle_of(ma @ mc) == _o_matmul(a, c)
+    beside = {**a, **{(r, col + m): p for (r, col), p in b.items()}}
+    assert _oracle_of(ExactMatrix.hstack([ma, mb])) == beside
+    for j in range(m):
+        assert _oracle_of(ma.column(j)) == {(r, 0): p for (r, col), p in a.items() if col == j}
+    square = _matrix(n, n, data.draw(_oracle_matrices(n, n)))
+    diag = [p for (r, col), p in _oracle_of(square).items() if r == col]
+    trace = (sum(p[0] for p in diag), sum(p[1] for p in diag))
+    assert square.trace() == gr(*trace)
+    # the canonical form is unique, so equal matrices by any route are equal
+    # stored forms, with equal hashes
+    again = (ma + mb) - mb
+    assert again == ma and hash(again) == hash(ma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_from_columns_and_exp_nilpotent_agree_with_the_pair_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    columns = data.draw(st.lists(_oracle_matrices(n, 1).filter(bool), max_size=4))
+    columns = [{r: p for (r, _c), p in col.items()} for col in columns]
+    # each coordinate as a Gaussian rational, or as an int or Fraction when real
+    given_cols = [
+        {r: (p[0] if not p[1] and data.draw(st.booleans()) else gr(*p)) for r, p in col.items()}
+        for col in columns
+    ]
+    got = ExactMatrix.from_columns(n, given_cols)
+    assert (got.nrows, got.ncols) == (n, len(columns))
+    assert _oracle_of(got) == _o_scaled_columns(columns)
+    # strictly upper triangular, then relabelled: nilpotent, N^n = 0
+    upper = {(r, c): p for (r, c), p in data.draw(_oracle_matrices(n, n)).items() if r < c}
+    perm = data.draw(st.permutations(range(n)))
+    nil = {(perm[r], perm[c]): p for (r, c), p in upper.items()}
+    total = {(i, i): (Fraction(1), Fraction(0)) for i in range(n)}
+    term, j = total, 1
+    while term:
+        inv_j = (Fraction(1, j), Fraction(0))
+        term = _nonzero({key: _o_mul(p, inv_j) for key, p in _o_matmul(term, nil).items()})
+        total, j = _o_plus(total, term), j + 1
+    assert _oracle_of(exp_nilpotent(_matrix(n, n, nil), n)) == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_restrict_agrees_with_the_pair_oracle(data):
+    # m = P B P^-1 with B block upper triangular, so span of the first k
+    # columns of P is invariant and m restricted to it is the block X
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(1, n))
+    # P = L U with its rows permuted, invertible: L unit lower and U upper
+    # triangular with a nonzero diagonal
+    eye = {(i, i): (Fraction(1), Fraction(0)) for i in range(n)}
+    lower = {**{(r, c): v for (r, c), v in data.draw(_oracle_matrices(n, n)).items() if r > c}, **eye}
+    upper = {(r, c): v for (r, c), v in data.draw(_oracle_matrices(n, n)).items() if r < c}
+    upper.update({(i, i): data.draw(_PAIRS) for i in range(n)})
+    perm = data.draw(st.permutations(range(n)))
+    p = {(perm[r], c): v for (r, c), v in _o_matmul(lower, upper).items()}
+    p_inv = _o_solve(p, eye, n, n, n)
+    block = {(r, c): v for (r, c), v in data.draw(_oracle_matrices(n, n)).items() if c >= k or r < k}
+    m = _o_matmul(_o_matmul(p, block), p_inv)
+    s = {(r, c): v for (r, c), v in p.items() if c < k}
+    got = restrict(_matrix(n, n, m), _matrix(n, k, s))
+    assert _oracle_of(got) == {(r, c): v for (r, c), v in block.items() if c < k}
+    assert _oracle_of(got) == _o_solve(s, _o_matmul(m, s), n, k, k)
+
+
+def test_integer_matrix_operations_form_no_scalar(monkeypatch):
+    # on integer-entry inputs every operation below reads and writes the
+    # stored form only: no GaussianRational is constructed, by __init__ or
+    # by exactnum._reduced under any of its module bindings
+    from cubetri import acsa, tmodules
+    from cubetri.hypercube import adjacency, cube, second_dual_adjacency
+    from cubetri.quotient import quotient, quotient_adjacency
+
+    a = ExactMatrix.from_rows([[1, 2, 0], [0, -1, 3], [4, 0, 1]])
+    b = ExactMatrix.from_rows([[0, 1, 1], [2, 0, -2], [1, 1, 0]])
+    nil = ExactMatrix.from_rows([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    triple = acsa.build_canonical(acsa.ab_type(3, "x"))
+    spaces = [cube(5), quotient(5)]
+    i, half = gr(0, 1), Fraction(1, 2)
+    made = []
+    init = GaussianRational.__init__
+    monkeypatch.setattr(
+        GaussianRational, "__init__", lambda self, *args: made.append(args) or init(self, *args)
+    )
+    reduced = sys.modules["cubetri.exactnum"]._reduced
+    bindings = [
+        (module, name)
+        for module_name, module in list(sys.modules.items())
+        if module_name.startswith("cubetri")
+        for name, value in vars(module).items()
+        if value is reduced
+    ]
+    assert len(bindings) >= 2  # exactnum's own and linalg's, at least
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, lambda *args: made.append(args) or reduced(*args))
+    products = [a @ b, a + b, a - b, a._plus(b, -1), a * 3, 3 * a, a * half, a * i, -a]
+    assert a == a @ ExactMatrix.identity(3) and a != b and hash(a) != hash(b)
+    assert exp_nilpotent(nil, 3) == ExactMatrix.from_rows([[1, 1, 7 * half], [0, 1, 3], [0, 0, 1]])
+    assert acsa.check_relations(triple) == (True, None)
+    for space, build in zip(spaces, (adjacency, quotient_adjacency)):
+        tmodules._check_symmetric.__wrapped__(space, build)
+    tmodules._check_symmetric.__wrapped__(cube(5), second_dual_adjacency)
+    assert len(products) == 9 and made == []

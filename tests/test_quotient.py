@@ -125,17 +125,11 @@ def test_psi_and_section():
         assert psi @ sec == ExactMatrix.identity(q.nclasses)
         for y in range(4):
             yp = q.parent.antipode(y)
-            diff = ExactMatrix.column_vector(
-                [1 if v == y else (-1 if v == yp else 0) for v in q.parent.vertices()]
-            )
+            diff = ExactMatrix(q.parent.nvertices, 1, {(y, 0): 1, (yp, 0): -1})
             assert (psi @ diff).is_zero()
-            summed = ExactMatrix.column_vector(
-                [1 if v in (y, yp) else 0 for v in q.parent.vertices()]
-            )
+            summed = ExactMatrix(q.parent.nvertices, 1, {(y, 0): 1, (yp, 0): 1})
             image = psi @ summed
-            assert image == ExactMatrix.column_vector(
-                [2 if u == q.class_of(y) else 0 for u in q.classes()]
-            )
+            assert image == ExactMatrix(q.nclasses, 1, {(q.class_of(y), 0): 2})
 
 
 def test_kernel_of_psi_is_antisymmetric_half():

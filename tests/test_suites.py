@@ -1,8 +1,11 @@
 import importlib
+from fractions import Fraction
 
 import pytest
 
-from cubetri.hypercube import second_dual_adjacency, weighted_adjacency
+from cubetri import suites
+from cubetri.exactnum import gr
+from cubetri.hypercube import cube, second_dual_adjacency, weighted_adjacency
 from cubetri.linalg import ExactMatrix
 from cubetri.quotient import (
     quotient,
@@ -71,3 +74,27 @@ def test_transport_stops_on_the_builders_check_of_a_damaged_parent(
         cached.cache_clear()  # a cached matrix would skip the check
     with pytest.raises(AssertionError, match=f"{want} of Q~_5 is not the image"):
         run_suite("transport", Ds=(5,))
+
+
+def _with_entry(m, key, value):
+    return ExactMatrix(m.nrows, m.ncols, {**m.entries, key: value})
+
+
+@pytest.mark.parametrize(
+    "value, shown, q_value, q_shown",
+    [
+        (1, "1", -1, "-1"),
+        (Fraction(-1, 2), "-1/2", Fraction(1, 2), "1/2"),
+        (gr(0, -1), "-i", gr(1, 1), "1+i"),
+    ],
+)
+def test_weights_names_the_one_entry_off_its_sign(monkeypatch, value, shown, q_value, q_shown):
+    # C[3,1] of Q_4 is -1, as min(wt 3, wt 1) = 1; C~[0,1] of Q~_5 is 1
+    damaged = _with_entry(weighted_adjacency(cube(4)), (3, 1), value)
+    monkeypatch.setattr(suites, "weighted_adjacency", lambda ctx: damaged)
+    r = run_suite("weights", Ds=(4,), quotient_Ds=())
+    assert (r.status, r.detail) == ("fail", f"D=4: C[3,1] = {shown}, expected -1")
+    damaged_q = _with_entry(quotient_weighted_adjacency(quotient(5)), (0, 1), q_value)
+    monkeypatch.setattr(suites, "quotient_weighted_adjacency", lambda q: damaged_q)
+    r = run_suite("weights", Ds=(), quotient_Ds=(5,))
+    assert (r.status, r.detail) == ("fail", f"quotient D=5: C~[0,1] = {q_shown}, expected 1")

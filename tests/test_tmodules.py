@@ -24,6 +24,7 @@ from cubetri.hypercube import (
 from cubetri.linalg import ExactMatrix, format_matrix, kernel_basis, rank, restrict
 from cubetri import tmodules
 from cubetri.quotient import (
+    QuotientContext,
     psi_matrix,
     quotient,
     quotient_acsa_structure,
@@ -702,6 +703,31 @@ def test_relabelling_rejects_a_builder_without_the_edge_0_1(monkeypatch, fresh_c
     want = r"without_edge at D=5, transposition \(0 1\): the builder does not commute with it"
     with pytest.raises(AssertionError, match=want):
         dual_profile(other)
+
+
+@pytest.mark.parametrize("space", [cube(5), quotient(5)], ids=["Q5", "Q~5"])
+def test_symmetry_check_compares_values_in_rows_of_equal_length(space):
+    # each builder keeps every row length, and breaks the symmetry by a value
+    # (the edge {0, 1} weighted 2, or the diagonal entry at 1 negated) or by a
+    # position (the entries of row 0 moved to columns 3, 4, ...)
+    build = quotient_adjacency if isinstance(space, QuotientContext) else adjacency
+    m = build(space)
+
+    def weighted_edge(s):
+        return ExactMatrix(m.nrows, m.ncols, {**m.entries, (0, 1): 2, (1, 0): 2})
+
+    def negated_diagonal(s):
+        d = quotient_dual_adjacency(s) if isinstance(s, QuotientContext) else s_diagonal(s)
+        return ExactMatrix(d.nrows, d.ncols, {**d.entries, (1, 1): -d.get(1, 1)})
+
+    def moved_row(s):
+        entries = {k: v for k, v in m.entries.items() if k[0] != 0}
+        entries.update({(0, z): 1 for z in range(3, 3 + len(m.rows[0]))})
+        return ExactMatrix(m.nrows, m.ncols, entries)
+
+    for damaged in (weighted_edge, negated_diagonal, moved_row):
+        with pytest.raises(AssertionError, match=f"{damaged.__name__} at D=5, .*does not commute"):
+            tmodules._check_symmetric.__wrapped__(space, damaged)
 
 
 @pytest.mark.parametrize("D", [7, 8])

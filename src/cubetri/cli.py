@@ -25,7 +25,7 @@ from .hypercube import (
     weighted_adjacency,
 )
 from .leonard import certify_triple
-from .linalg import ExactMatrix, read_matrix, write_matrix
+from .linalg import ExactMatrix, parse_dims, parse_matrix, write_matrix
 from .quotient import (
     psi_matrix,
     quotient,
@@ -333,8 +333,10 @@ def _format_verify_text(payload) -> str:
 
 
 def cmd_classify(args) -> int:
-    mats = [read_matrix(path) for path in (args.x, args.y, args.z)]
-    _check_cap(args, "diameter", max(max(m.nrows, m.ncols) for m in mats) - 1)
+    texts = [path.read_text() for path in (args.x, args.y, args.z)]
+    # the cap reads the declared dims, before any entry is parsed
+    _check_cap(args, "diameter", max(max(parse_dims(text)) for text in texts) - 1)
+    mats = [parse_matrix(text) for text in texts]
     triple = ModuleActionTriple(*mats)
     relations_ok, detail = check_relations(triple)
     payload = {

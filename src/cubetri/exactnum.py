@@ -50,21 +50,11 @@ class GaussianRational:
         _a, b, d = self.triple
         return Fraction(b, d)
 
-    # -- coercion -------------------------------------------------------
-
-    @classmethod
-    def coerce(cls, value) -> "GaussianRational":
-        if isinstance(value, GaussianRational):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
-        raise TypeError(f"cannot coerce {type(value).__name__} to GaussianRational")
-
     # -- field operations ----------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
         a, b, d = self.triple
         c, e, f = other.triple
         if d == f:
@@ -74,8 +64,8 @@ class GaussianRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
         a, b, d = self.triple
         c, e, f = other.triple
         if d == f:
@@ -83,7 +73,8 @@ class GaussianRational:
         return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        return GaussianRational.coerce(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __neg__(self):
         a, b, d = self.triple
@@ -92,8 +83,8 @@ class GaussianRational:
         return v
 
     def __mul__(self, other):
-        if type(other) is not GaussianRational:
-            other = GaussianRational.coerce(other)
+        if type(other) is not GaussianRational and (other := _operand(other)) is NotImplemented:
+            return other
         a, b, d = self.triple
         c, e, f = other.triple
         if b == 0 and e == 0:
@@ -111,10 +102,12 @@ class GaussianRational:
         return _reduced(a * d, -b * d, n)
 
     def __truediv__(self, other):
-        return self * GaussianRational.coerce(other).inverse()
+        other = _operand(other)
+        return other if other is NotImplemented else self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GaussianRational.coerce(other) * self.inverse()
+        other = _operand(other)
+        return other if other is NotImplemented else other * self.inverse()
 
     # -- predicates ------------------------------------------------------
 
@@ -202,6 +195,18 @@ def _literal_fraction(piece: str, text: str) -> Fraction:
         return Fraction(piece)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _operand(value):
+    """The other operand of a field operation as a GaussianRational, or
+    NotImplemented unless it is one or an int or a Fraction, so that Python
+    asks the other operand next: gr(0, 1) * m is then m * gr(0, 1) for a
+    matrix m, and gr(1) + "x" raises TypeError."""
+    if isinstance(value, GaussianRational):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
+    return NotImplemented
 
 
 _new = object.__new__

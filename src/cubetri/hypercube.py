@@ -1,6 +1,11 @@
 """The hypercube Q_D over Q(i): Bose-Mesner and dual Bose-Mesner matrices,
 Go's sl2 structure, and the induced anticommutator-algebra structures.
 
+Every operator is built in closed form, straight from its entries, and
+the identity that the paper proves of it is a check: the relations of C
+(the `relations` suite), the brackets of Z (`check_brackets`), the base
+columns of E_i (`_idempotent_base_columns`), s (`tmodules.h_by_class`).
+
 Vertices are integers 0..2^D-1, bit j is coordinate j, distance is XOR
 popcount, and the base vertex is the all-zeros string.  Each primitive
 idempotent E_i is read off its base column E_i e_0, which is a Krawtchouk
@@ -11,13 +16,11 @@ E_i[y, z] = E_i[y ^ z, 0].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
 from .acsa import ModuleActionTriple
-from .exactnum import gr
 from .linalg import ExactMatrix, unit_entries
 from .sl2rep import Sl2Action, check_brackets
 
@@ -183,19 +186,26 @@ def second_dual_adjacency(ctx: CubeContext) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def go_sl2_structure(ctx: CubeContext) -> Sl2Action:
-    """X = A, Y = A*, Z = (XY - YX)/(2i); the brackets are re-verified."""
-    x = adjacency(ctx)
-    y = dual_adjacency(ctx)
-    z = (x @ y - y @ x) * gr(0, Fraction(-1, 2))
-    action = Sl2Action(x, y, z)
+    """X = A, Y = A*, and Z in closed form: i (wt z - wt y) at each edge
+    (y, z), which is +i where z = y + 2^b and -i where z = y - 2^b.  That
+    is (XY - YX)/(2i) entry by entry, as A* is diagonal with D - 2 wt y at
+    y; `check_brackets` proves it, [X, Y] = 2iZ with the other two."""
+    n = ctx.nvertices
+    up, down = unit_entries(n, 0, 1), unit_entries(n, 0, -1)
+    masks = [1 << b for b in range(ctx.D)]
+    z = ExactMatrix._make(
+        n, n, 1, {y: [(down if y & m else up)[y ^ m] for m in masks] for y in range(n)}
+    )
+    action = Sl2Action(adjacency(ctx), dual_adjacency(ctx), z)
     if not check_brackets(action):
         raise AssertionError(f"sl2 brackets fail on Q_{ctx.D}; construction bug")
     return action
 
 
 def positive_structure(ctx: CubeContext) -> ModuleActionTriple:
-    """x = A, y = A*_{D-1}, z = (xy+yx)/2.  The relations are not checked
-    here: the relations suite checks them for both signs."""
+    """x = A, y = A*_{D-1} and z = C, the closed-form weighted adjacency.
+    The relations are not checked here: the relations suite proves them
+    for both signs, xy+yx = 2z among them."""
     return _signed_structure(ctx, +1)
 
 
@@ -212,10 +222,17 @@ def _signed_structure(ctx: CubeContext, sign: int) -> ModuleActionTriple:
 
 @lru_cache(maxsize=None)
 def weighted_adjacency(ctx: CubeContext) -> ExactMatrix:
-    """C = (A A*_{D-1} + A*_{D-1} A)/2, the z-matrix of the positive
-    structure; a signed adjacency matrix."""
-    x, y = adjacency(ctx), second_dual_adjacency(ctx)
-    return (x @ y + y @ x) * Fraction(1, 2)
+    """C, the z-matrix of the positive structure, in closed form: the
+    signed adjacency with (-1)^wt(y & z) at each edge (y, z).  y & z =
+    y & ~2^b is the lower end of the edge, so the sign is (-1)^(min weight),
+    the form `weights` checks; `relations` proves
+    C = (A A*_{D-1} + A*_{D-1} A)/2."""
+    n = ctx.nvertices
+    signed = (unit_entries(n), unit_entries(n, -1))
+    masks = [1 << b for b in range(ctx.D)]
+    return ExactMatrix._make(n, n, 1, {
+        y: [signed[(y & ~m).bit_count() & 1][y ^ m] for m in masks] for y in range(n)
+    })
 
 
 def antipodal_pairs(ctx: CubeContext):

@@ -34,13 +34,17 @@ the one back substitution `_null_vector`: `rank` counts pivots,
 [S | B] fall that S has full column rank and that every column of B lies
 in span S, then reads the unique X with S X = B off null vectors of
 [S | B].  A change of basis to the columns of P is `restrict(M, P)` =
-P^-1 M P, so P^-1 is never formed.
+P^-1 M P, so P^-1 is never formed.  Every elimination is module-sized: a
+(d+1)-dimensional action on a T-module, or a triple that `classify` reads
+under its `--max-D` cap.  None runs on the 2^D-dimensional space: the one
+kernel there, ker psi, is proved by its structure (`suites.suite_transport`).
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .exactnum import ZERO, GaussianRational, _reduced
@@ -320,10 +324,11 @@ class _Entries(Mapping):
         return v
 
 
-def unit_entries(n: int) -> list:
-    """The stored triples (c, 1, 0) of an entry 1 in column c < n, for
-    builders of 0/1 matrices: rows that share a triple share its memory."""
-    return [(c, 1, 0) for c in range(n)]
+def unit_entries(n: int, re: int = 1, im: int = 0) -> list:
+    """The stored triples (c, re, im) of an entry re + im*i in column c < n,
+    for builders of matrices whose entries are the units 1, -1, i or -i of
+    Z[i]: rows that share a triple share its memory."""
+    return [(c, re, im) for c in range(n)]
 
 
 def _triple(value) -> tuple[int, int, int]:
@@ -760,15 +765,9 @@ def format_matrix(m: ExactMatrix) -> str:
 def parse_matrix(text: str) -> ExactMatrix:
     """Inverse of format_matrix; a malformed line raises ValueError naming
     its 1-based line number."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("dims "):
-        raise ValueError("matrix text must start with a 'dims <nrows> <ncols>' line")
-    dims_no, dims_line = lines[0]
-    with _at_line(dims_no):
-        _, nr, nc = _three_fields(dims_line)
-        nrows, ncols = int(nr), int(nc)
+    nrows, ncols = parse_dims(text)
     entries = {}
-    for no, ln in lines[1:]:
+    for no, ln in islice(_lines(text), 1, None):
         with _at_line(no):
             r, c, val = _three_fields(ln)
             key = (int(r), int(c))
@@ -778,6 +777,22 @@ def parse_matrix(text: str) -> ExactMatrix:
                 raise ValueError(f"duplicate entry at {key}")
             entries[key] = GaussianRational.parse(val)
     return ExactMatrix(nrows, ncols, entries)
+
+
+def parse_dims(text: str) -> tuple[int, int]:
+    """(nrows, ncols) of the 'dims' line that starts a matrix text, the
+    first line that is not blank, read with no entry parsed."""
+    no, line = next(_lines(text), (0, ""))
+    if not line.startswith("dims "):
+        raise ValueError("matrix text must start with a 'dims <nrows> <ncols>' line")
+    with _at_line(no):
+        _, nr, nc = _three_fields(line)
+        return int(nr), int(nc)
+
+
+def _lines(text: str):
+    """(1-based number, stripped text) of each line that is not blank."""
+    return ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
 
 
 @contextmanager
@@ -798,8 +813,3 @@ def _three_fields(line: str) -> list[str]:
 def write_matrix(m: ExactMatrix, path) -> None:
     with open(path, "w") as fp:
         fp.write(format_matrix(m))
-
-
-def read_matrix(path) -> ExactMatrix:
-    with open(path) as fp:
-        return parse_matrix(fp.read())

@@ -2,14 +2,14 @@
 
 Classes are antipode pairs, represented by the numerically smaller vertex;
 since the antipode flips the top bit, the representatives are exactly the
-integers below 2^(D-1) and double as class indices.  The dual adjacency
-and the weighted adjacency are built in closed form, and each is proved to
-be the image of its parent matrix under the projection psi.
+integers below 2^(D-1) and double as class indices.  Every matrix is
+built in closed form.  The dual adjacency and the weighted adjacency are
+each proved to be the image of its parent matrix under the projection
+psi, and `quotient_acsa_structure` proves the relations among A~, B~, C~.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .acsa import ModuleActionTriple, check_relations
@@ -91,12 +91,18 @@ def quotient_dual_adjacency(q: QuotientContext) -> ExactMatrix:
 
 @lru_cache(maxsize=None)
 def quotient_weighted_adjacency(q: QuotientContext) -> ExactMatrix:
-    """C~ = (A~B~ + B~A~)/2, proved to be the image of the parent's weighted
-    adjacency: psi C == C~ psi."""
-    x, y = quotient_adjacency(q), quotient_dual_adjacency(q)
-    z = (x @ y + y @ x) * Fraction(1, 2)
-    _check_image(q, weighted_adjacency(q.parent), z, "weighted adjacency")
-    return z
+    """C~ in closed form: row u is row u of the parent's C folded by
+    `class_of`, (-1)^wt(u & z) at the class of each neighbour z = u ^ 2^b,
+    proved to be the image of the parent's weighted adjacency:
+    psi C == C~ psi.  `quotient_acsa_structure` proves C~ = (A~B~ + B~A~)/2."""
+    n = q.nclasses
+    signed = (unit_entries(n), unit_entries(n, -1))
+    masks = [1 << b for b in range(q.D)]
+    c = ExactMatrix._make(n, n, 1, {
+        u: [signed[(u & ~m).bit_count() & 1][q.class_of(u ^ m)] for m in masks] for u in q.classes()
+    })
+    _check_image(q, weighted_adjacency(q.parent), c, "weighted adjacency")
+    return c
 
 
 def _check_image(q: QuotientContext, parent_m: ExactMatrix, m: ExactMatrix, what: str) -> None:
@@ -107,8 +113,8 @@ def _check_image(q: QuotientContext, parent_m: ExactMatrix, m: ExactMatrix, what
 
 @lru_cache(maxsize=None)
 def quotient_acsa_structure(q: QuotientContext) -> ModuleActionTriple:
-    """x, y act as the quotient adjacency and dual adjacency; z = (xy+yx)/2.
-    The relations are verified."""
+    """x, y and z act as the quotient adjacency, dual adjacency and weighted
+    adjacency.  The relations are verified, xy+yx = 2z among them."""
     triple = ModuleActionTriple(
         quotient_adjacency(q), quotient_dual_adjacency(q), quotient_weighted_adjacency(q)
     )

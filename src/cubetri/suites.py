@@ -36,7 +36,7 @@ from .hypercube import (
     _idempotent_base_column,
 )
 from .leonard import certify_triple
-from .linalg import ExactMatrix, exp_nilpotent, kernel_basis
+from .linalg import ExactMatrix, exp_nilpotent
 from .quotient import (
     psi_matrix,
     quotient,
@@ -477,7 +477,18 @@ def suite_transport(Ds=(3, 5, 7, 9)):
     """psi intertwines the parent and quotient structures, and its kernel is
     the antisymmetric half.  The suite checks psi A = A~ psi, which no
     builder proves, and leaves the dual and weighted identities to the
-    builders that prove them."""
+    builders that prove them.
+
+    ker psi = span V- is proved with no elimination:
+      - every stored column of psi holds one entry and no row of psi is
+        empty, so each unit vector e_u is a multiple of a column of psi:
+        rank psi = nclasses and dim ker psi = 2^D - nclasses;
+      - the columns of V- are nonzero and no row holds two of their entries,
+        so their supports are pairwise disjoint and they are independent,
+        2^D - nclasses of them;
+      - psi V- = 0 puts span V- in ker psi, and the dimensions agree.
+    Then (A_D + I) V- = 0, a product with the antipodal permutation A_D,
+    shows that ker psi is the antisymmetric half."""
     notes = []
     for D in Ds:
         q = quotient(D)
@@ -490,17 +501,21 @@ def suite_transport(Ds=(3, 5, 7, 9)):
             psi @ adjacency(ctx) == quotient_adjacency(q) @ psi,
             f"D={D}: psi does not intertwine the adjacency matrices",
         )
-        kern = kernel_basis(psi)
-        _require(kern.ncols == q.nclasses, f"D={D}: kernel of psi has wrong dimension")
-        ad = distance_matrix(ctx, D)
-        eye = ExactMatrix.identity(ctx.nvertices)
+        onto = all(len(col) == 1 for col in psi.columns().values()) and len(psi.rows) == psi.nrows
+        _require(onto, f"D={D}: psi is not one entry per column on every class")
+        minus, k = v_plus_minus(ctx)[1], ctx.nvertices - q.nclasses
+        disjoint = all(len(row) == 1 for row in minus.rows.values())
         _require(
-            ((ad + eye) @ kern).is_zero(),
-            f"D={D}: kernel of psi is not the antisymmetric half",
+            disjoint and len(minus.columns()) == minus.ncols == k,
+            f"D={D}: V- is not {k} nonzero columns with disjoint supports",
         )
         _require(
-            (psi @ v_plus_minus(ctx)[1]).is_zero(),
+            (psi @ minus).is_zero(),
             f"D={D}: psi does not kill the antisymmetric half",
+        )
+        _require(
+            (distance_matrix(ctx, D) @ minus + minus).is_zero(),
+            f"D={D}: kernel of psi is not the antisymmetric half",
         )
         notes.append(f"D={D}: transport identities and kernel of psi verified")
     return notes, []

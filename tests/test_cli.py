@@ -7,8 +7,9 @@ import pytest
 from cubetri.acsa import ab_type, build_canonical
 from cubetri import cli, sl2rep
 from cubetri.cli import main
+from cubetri.exactnum import GaussianRational
 from cubetri.hypercube import cube
-from cubetri.linalg import read_matrix, write_matrix
+from cubetri.linalg import parse_matrix, write_matrix
 from cubetri.quotient import quotient
 from cubetri.suites import run_suite
 from cubetri.tmodules import decompose, quotient_modules, split_and_type
@@ -26,9 +27,9 @@ def test_build_writes_exchange_files(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 0
-    a = read_matrix(tmp_path / "A.mtx")
+    a = parse_matrix((tmp_path / "A.mtx").read_text())
     assert (a.nrows, a.ncols, a.nnz()) == (16, 16, 64)
-    e2 = read_matrix(tmp_path / "Estar2.mtx")
+    e2 = parse_matrix((tmp_path / "Estar2.mtx").read_text())
     assert e2.nnz() == 6  # diagonal 0/1 projector onto weight-2 vertices
     payload = json.loads(out)
     assert payload["D"] == 4 and len(payload["written"]) == 2
@@ -39,13 +40,13 @@ def test_build_weighted_and_quotient(tmp_path, capsys):
         capsys, "build", "--D", "3", "--matrix", "C", "--out", str(tmp_path)
     )
     assert code == 0
-    c = read_matrix(tmp_path / "C.mtx")
+    c = parse_matrix((tmp_path / "C.mtx").read_text())
     assert {str(v) for v in c.entries.values()} == {"1", "-1"}
     code, _ = run_cli(
         capsys, "build", "--D", "5", "--matrix", "A~", "--out", str(tmp_path)
     )
     assert code == 0
-    at = read_matrix(tmp_path / "Atilde.mtx")
+    at = parse_matrix((tmp_path / "Atilde.mtx").read_text())
     assert at.nrows == at.ncols == 16
 
 
@@ -410,6 +411,24 @@ def test_classify_caps_the_declared_dimension(tmp_path, capsys):
         assert err.startswith("error: diameter=") and "--max-D" in err
         assert err.count("\n") == 1
         assert elapsed < 1.0
+
+
+def test_classify_caps_the_dims_line_before_parsing_an_entry(tmp_path, capsys, monkeypatch):
+    # entries with unrelated denominators would pay the lcm scaling of
+    # ExactMatrix before a cap applied after parsing
+    def refuse(text):
+        raise AssertionError(f"entry {text!r} parsed")
+
+    monkeypatch.setattr(GaussianRational, "parse", staticmethod(refuse))
+    big = tmp_path / "big.mtx"
+    big.write_text("dims 12 12\n" + "".join(f"{k} {k} 1/{2 * k + 3}\n" for k in range(12)))
+    small = tmp_path / "small.mtx"
+    small.write_text("dims 2 2\n0 0 1\n")
+    for paths in ((big, small, small), (small, small, big)):
+        code = main(["classify", *(f"--{n}={p}" for n, p in zip("xyz", paths))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: diameter=11 exceeds --max-D 10; raise --max-D to run it\n"
 
 
 def test_output_file_writing(tmp_path, capsys):

@@ -205,3 +205,25 @@ def test_values_are_immutable():
         with pytest.raises(AttributeError):
             setattr(v, name, 1)
     assert v.triple == (1, 6, 2)
+
+
+def test_a_foreign_operand_is_left_to_its_own_type():
+    from cubetri.linalg import ExactMatrix
+
+    m = ExactMatrix.from_rows([[1, Fraction(1, 2)], [0, gr(0, 1)]])
+    i = gr(0, 1)
+    assert i * m == m * i
+    assert Fraction(1, 2) * m == m * gr(Fraction(1, 2))
+    for op in (
+        lambda: gr(1) + "x",
+        lambda: "x" + gr(1),
+        lambda: gr(1) - "x",
+        lambda: "x" - gr(1),
+        lambda: gr(1) * 1.5,
+        lambda: gr(1) / "x",
+        lambda: "x" / gr(1),
+        lambda: gr(1) + m,
+        lambda: gr(1) / m,
+    ):
+        with pytest.raises(TypeError):
+            op()

@@ -23,7 +23,7 @@ from cubetri.hypercube import (
     v_plus_minus,
     weighted_adjacency,
 )
-from cubetri.linalg import ExactMatrix, kernel_basis
+from cubetri.linalg import ExactMatrix, kernel_basis, matmul
 from cubetri.sl2rep import induce_acsa_structures, k_scalar
 
 
@@ -404,6 +404,18 @@ def test_positive_structure_relations_and_entries():
         assert set(c.entries) == edge_set
         for (y, z), v in c.entries.items():
             assert v == gr((-1) ** min(ctx.weight(y), ctx.weight(z)))
+
+
+def test_closed_forms_equal_the_product_definitions():
+    # the oracle: C and Z as the products that define them in the paper;
+    # equal canonical forms give byte-identical `build --matrix C` and `Z`
+    for D in range(1, 10):
+        ctx = cube(D)
+        a, b = adjacency(ctx), second_dual_adjacency(ctx)
+        assert weighted_adjacency(ctx) == (matmul(a, b) + matmul(b, a)) * Fraction(1, 2), D
+        y = dual_adjacency(ctx)
+        z = (matmul(a, y) - matmul(y, a)) * gr(0, Fraction(-1, 2))  # divided by 2i
+        assert go_sl2_structure(ctx).z_mat == z, D
 
 
 def test_weighted_adjacency_weight_one_two_entry():

@@ -4,10 +4,16 @@ from math import comb
 
 import pytest
 
-from cubetri import suites
+from cubetri import linalg, suites
 from cubetri.exactnum import gr
-from cubetri.hypercube import adjacency, second_dual_adjacency, weighted_adjacency
-from cubetri.linalg import ExactMatrix, kernel_basis, rank
+from cubetri.hypercube import (
+    adjacency,
+    distance_matrix,
+    second_dual_adjacency,
+    v_plus_minus,
+    weighted_adjacency,
+)
+from cubetri.linalg import ExactMatrix, kernel_basis, matmul, rank
 from cubetri.quotient import (
     psi_matrix,
     quotient,
@@ -133,18 +139,43 @@ def test_psi_and_section():
 
 
 def test_kernel_of_psi_is_antisymmetric_half():
-    q = quotient(5)
-    psi = psi_matrix(q)
-    k = kernel_basis(psi)
-    assert k.ncols == q.nclasses  # 2^(D-1)
-    ad_minus_id = None
-    from cubetri.hypercube import distance_matrix
+    # the elimination oracle of the structural proof in `suite_transport`
+    for D in (3, 5, 7):
+        q = quotient(D)
+        k = kernel_basis(psi_matrix(q))
+        minus = v_plus_minus(q.parent)[1]
+        assert k.ncols == minus.ncols == q.nclasses  # 2^(D-1)
+        linalg._solve(minus, k)  # V- is independent and spans every kernel vector
+        ad = distance_matrix(q.parent, D)
+        assert ((ad + ExactMatrix.identity(q.parent.nvertices)) @ k).is_zero()
 
-    ad = distance_matrix(q.parent, q.D)
-    eye = ExactMatrix.identity(q.parent.nvertices)
-    for j in range(k.ncols):
-        col = k.column(j)
-        assert ((ad + eye) @ col).is_zero()
+
+def test_closed_form_c_tilde_equals_the_product_definition():
+    # the oracle: C~ = (A~B~ + B~A~)/2, the product that defines it
+    for D in (3, 5, 7, 9, 11):
+        q = quotient(D)
+        a, b = quotient_adjacency(q), quotient_dual_adjacency(q)
+        assert quotient_weighted_adjacency(q) == (matmul(a, b) + matmul(b, a)) * Fraction(1, 2), D
+
+
+def test_transport_never_eliminates_on_v(monkeypatch):
+    # ker psi is proved by its structure; cold builders show every elimination
+    D = 9
+    for cached in (
+        quotient_acsa_structure, quotient_weighted_adjacency, quotient_dual_adjacency,
+        quotient_adjacency, weighted_adjacency, distance_matrix,
+    ):
+        cached.cache_clear()
+    sizes = []
+    echelon = linalg._echelon
+
+    def counted(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return echelon(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    assert suites.run_suite("transport", Ds=(D,)).passed
+    assert max(sizes, default=0) <= D + 1
 
 
 def test_quotient_adjacency_row_sums_and_conjugation():

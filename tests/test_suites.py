@@ -5,7 +5,7 @@ import pytest
 
 from cubetri import suites
 from cubetri.exactnum import gr
-from cubetri.hypercube import cube, second_dual_adjacency, weighted_adjacency
+from cubetri.hypercube import cube, second_dual_adjacency, v_plus_minus, weighted_adjacency
 from cubetri.linalg import ExactMatrix
 from cubetri.quotient import (
     quotient,
@@ -98,3 +98,29 @@ def test_weights_names_the_one_entry_off_its_sign(monkeypatch, value, shown, q_v
     monkeypatch.setattr(suites, "quotient_weighted_adjacency", lambda q: damaged_q)
     r = run_suite("weights", Ds=(), quotient_Ds=(5,))
     assert (r.status, r.detail) == ("fail", f"quotient D=5: C~[0,1] = {q_shown}, expected 1")
+
+
+def test_transport_needs_psi_of_full_rank(monkeypatch):
+    # the all-ones psi' = J psi intertwines A with A~ (J commutes with the
+    # regular A~) and kills V-, but its kernel is larger than span V-
+    def all_ones(q):
+        n = q.parent.nvertices
+        return ExactMatrix(q.nclasses, n, {(u, y): 1 for u in q.classes() for y in range(n)})
+
+    monkeypatch.setattr(suites, "psi_matrix", all_ones)
+    r = run_suite("transport", Ds=(5,))
+    assert (r.status, r.detail) == ("fail", "D=5: psi is not one entry per column on every class")
+
+
+def test_transport_needs_v_minus_with_disjoint_supports(monkeypatch):
+    # a repeated column still lies in ker psi and in the antisymmetric
+    # half; only the disjoint supports show that V- no longer spans ker psi
+    def repeated(ctx):
+        plus, minus = v_plus_minus(ctx)
+        cols = [{r: a for r, a, _b in col} for _j, col in sorted(minus.columns().items())]
+        return plus, ExactMatrix.from_columns(minus.nrows, [cols[1]] + cols[1:])
+
+    monkeypatch.setattr(suites, "v_plus_minus", repeated)
+    r = run_suite("transport", Ds=(5,))
+    want = "D=5: V- is not 16 nonzero columns with disjoint supports"
+    assert (r.status, r.detail) == ("fail", want)

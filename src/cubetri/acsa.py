@@ -9,35 +9,35 @@ for n in {0,x,y,z}.  In the AB families the top basis vector folds back
 from __future__ import annotations
 
 import re as _re
-from dataclasses import dataclass
 
 from .exactnum import GaussianRational, _reduced
 from .linalg import ExactMatrix, _walk, integer_eigenspaces, restrict
+from .record import Record, _set
 
 AB_VARIANTS = ("0", "x", "y", "z")
 
 
-@dataclass(frozen=True)
-class ModuleType:
+class ModuleType(Record):
     """Isomorphism type of an irreducible module: B(d) or AB(d,n)."""
 
-    family: str
-    d: int
-    n: str | None = None
+    __slots__ = ("family", "d", "n")
 
-    def __post_init__(self):
-        if self.family == "B":
-            if self.d < 0 or self.d % 2:
-                raise ValueError(f"type B requires even d >= 0, got {self.d}")
-            if self.n is not None:
+    def __init__(self, family: str, d: int, n: str | None = None):
+        if family == "B":
+            if d < 0 or d % 2:
+                raise ValueError(f"type B requires even d >= 0, got {d}")
+            if n is not None:
                 raise ValueError("type B carries no variant")
-        elif self.family == "AB":
-            if self.d < 0:
+        elif family == "AB":
+            if d < 0:
                 raise ValueError("negative diameter")
-            if self.n not in AB_VARIANTS:
-                raise ValueError(f"AB variant must be one of {AB_VARIANTS}, got {self.n!r}")
+            if n not in AB_VARIANTS:
+                raise ValueError(f"AB variant must be one of {AB_VARIANTS}, got {n!r}")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
+        _set(self, "family", family)
+        _set(self, "d", d)
+        _set(self, "n", n)
 
     @property
     def dimension(self) -> int:
@@ -67,18 +67,18 @@ def ab_type(d: int, n: str) -> ModuleType:
     return ModuleType("AB", d, n)
 
 
-@dataclass(frozen=True)
-class ModuleActionTriple:
+class ModuleActionTriple(Record):
     """Actions of the generators x, y, z as square matrices of equal size."""
 
-    x_mat: ExactMatrix
-    y_mat: ExactMatrix
-    z_mat: ExactMatrix
+    __slots__ = ("x_mat", "y_mat", "z_mat")
 
-    def __post_init__(self):
-        dims = {m.nrows for m in self.matrices()} | {m.ncols for m in self.matrices()}
-        if len(dims) != 1:
+    def __init__(self, x_mat: ExactMatrix, y_mat: ExactMatrix, z_mat: ExactMatrix):
+        mats = (x_mat, y_mat, z_mat)
+        if len({m.nrows for m in mats} | {m.ncols for m in mats}) != 1:
             raise ValueError("generator matrices must be square and of equal size")
+        _set(self, "x_mat", x_mat)
+        _set(self, "y_mat", y_mat)
+        _set(self, "z_mat", z_mat)
 
     def matrices(self):
         return (self.x_mat, self.y_mat, self.z_mat)

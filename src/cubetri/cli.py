@@ -62,12 +62,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _report_file(text: str) -> Path:
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text} is a directory; name the report file")
+    return path
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags it reads
     common = _Parser(add_help=False)
-    common.add_argument("--out", type=Path, help="output file or directory")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
+    report = _Parser(add_help=False)
+    report.add_argument("--out", type=_report_file, help="report file; default stdout")
     diameter = _Parser(add_help=False)
     diameter.add_argument("--D", type=int, help="cube diameter")
 
@@ -78,14 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", parents=[diameter, common], help="write matrices in exchange format")
+    p_build.add_argument("--out", type=Path, help="output directory; default the current one")
     p_build.add_argument("--matrix", action="append", required=True, help="matrix name, repeatable")
     p_build.set_defaults(handler=cmd_build)
 
-    p_dec = sub.add_parser("decompose", parents=[diameter, common], help="list irreducible modules")
+    p_dec = sub.add_parser("decompose", parents=[diameter, common, report], help="list irreducible modules")
     p_dec.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
     p_dec.set_defaults(handler=cmd_decompose)
 
-    p_ver = sub.add_parser("verify", parents=[diameter, common], help="run verification suites")
+    p_ver = sub.add_parser("verify", parents=[diameter, common, report], help="run verification suites")
     p_ver.add_argument("--seed", type=int, default=20240817, help="accepted; no suite reads it")
     p_ver.add_argument(
         "--suite", action="append", choices=sorted(SUITES), help="suite name, repeatable; default all"
@@ -98,13 +107,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.set_defaults(handler=cmd_verify)
 
-    p_cls = sub.add_parser("classify", parents=[common], help="classify a triple from matrix files")
+    p_cls = sub.add_parser("classify", parents=[common, report], help="classify a triple from matrix files")
     p_cls.add_argument("--x", type=Path, required=True, help="matrix file for the first generator")
     p_cls.add_argument("--y", type=Path, required=True, help="matrix file for the second generator")
     p_cls.add_argument("--z", type=Path, required=True, help="matrix file for the third generator")
     p_cls.set_defaults(handler=cmd_classify)
 
-    p_skew = sub.add_parser("skew", parents=[common], help="skew-operator suite for one diameter")
+    p_skew = sub.add_parser("skew", parents=[common, report], help="skew-operator suite for one diameter")
     p_skew.add_argument("--d", type=int, required=True, help="module diameter")
     p_skew.set_defaults(handler=cmd_skew)
 
@@ -201,7 +210,7 @@ def cmd_build(args) -> int:
         path = out_dir / f"{_safe_filename(name)}.mtx"
         write_matrix(m, path)
         written.append({"matrix": name, "file": str(path), "dims": [m.nrows, m.ncols], "nnz": m.nnz()})
-    _emit(args, {"D": D, "written": written}, _format_build_text)
+    _emit(args, {"D": D, "written": written}, _format_build_text, None)
     return 0
 
 
@@ -221,7 +230,7 @@ def cmd_decompose(args) -> int:
     D = _check_d(args, need_odd=args.quotient)
     modules = quotient_modules(quotient(D)) if args.quotient else decompose(cube(D))
     payload = {"D": D, "quotient": bool(args.quotient), "modules": [module_summary(w) for w in modules]}
-    _emit(args, payload, _format_decompose_text)
+    _emit(args, payload, _format_decompose_text, args.out)
     return 0
 
 
@@ -309,7 +318,7 @@ def cmd_verify(args) -> int:
         "certificates": certificates,
         "timing": {r.suite: round(r.seconds, 3) for r in results},
     }
-    _emit(args, payload, _format_verify_text)
+    _emit(args, payload, _format_verify_text, args.out)
     return 0 if overall else 1
 
 
@@ -351,7 +360,7 @@ def cmd_classify(args) -> int:
             payload["type"] = str(classify(triple))
             cert = certify_triple(triple.x_mat, triple.y_mat, triple.z_mat, module_id="cli")
             payload["certificate"] = cert.to_json_dict()
-    _emit(args, payload, _format_classify_text)
+    _emit(args, payload, _format_classify_text, args.out)
     return 0 if relations_ok else 1
 
 
@@ -391,7 +400,7 @@ def cmd_skew(args) -> int:
         payload["induced"] = {
             f"structure_{idx}": [str(t) for _b, t in split_odd(action, idx)] for idx in (1, 2)
         }
-    _emit(args, payload, _format_skew_text)
+    _emit(args, payload, _format_skew_text, args.out)
     return 0
 
 
@@ -408,17 +417,17 @@ def _format_skew_text(payload) -> str:
 # -- output helpers -----------------------------------------------------------------
 
 
-def _emit(args, payload: dict, text_formatter) -> None:
+def _emit(args, payload: dict, text_formatter, out: Path | None) -> None:
+    """Write the report to the file `out`, or print it if there is none."""
     if args.format == "json":
         rendered = json.dumps(payload, indent=2)
     else:
         rendered = text_formatter(payload)
-    out = getattr(args, "out", None)
-    if out is not None and not out.is_dir():
+    if out is None:
+        print(rendered)
+    else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(rendered + "\n")
-    else:
-        print(rendered)
 
 
 if __name__ == "__main__":

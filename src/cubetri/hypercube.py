@@ -15,25 +15,25 @@ E_i[y, z] = E_i[y ^ z, 0].
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb, gcd
 
 from .acsa import ModuleActionTriple
 from .linalg import ExactMatrix, unit_entries
+from .record import Record, _set
 from .sl2rep import Sl2Action, check_brackets
 
 
-@dataclass(frozen=True)
-class CubeContext:
+class CubeContext(Record):
     """Q_D with the base vertex fixed at the all-zeros string."""
 
-    D: int
+    __slots__ = ("D",)
 
-    def __post_init__(self):
-        if self.D < 1:
+    def __init__(self, D: int):
+        if D < 1:
             raise ValueError("cube diameter must be positive")
+        _set(self, "D", D)
 
     @property
     def nvertices(self) -> int:

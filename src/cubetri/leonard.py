@@ -8,13 +8,13 @@ finding, no floating point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
 from .linalg import ExactMatrix, integer_eigenspaces, restrict
+from .record import Record, _set
 
 GENERATOR_LABELS = ("A", "B", "C")
 
@@ -29,19 +29,26 @@ SHAPE_SLOTS = (
 )
 
 
-@dataclass(frozen=True)
-class LeonardTripleCertificate:
+class LeonardTripleCertificate(Record):
     """Verification record for one ordered triple on one module."""
 
-    module_id: str
-    dimension: int
-    orderings: dict
-    shapes: tuple
-    bannai_ito: bool
-    nu: tuple
-    traces: tuple
-    verdict: str
-    classification: ModuleType | None
+    __slots__ = (
+        "module_id", "dimension", "orderings", "shapes", "bannai_ito", "nu", "traces", "verdict", "classification"
+    )
+
+    def __init__(
+        self, module_id: str, dimension: int, orderings: dict, shapes: tuple, bannai_ito: bool,
+        nu: tuple, traces: tuple, verdict: str, classification: ModuleType | None,
+    ):
+        _set(self, "module_id", module_id)
+        _set(self, "dimension", dimension)
+        _set(self, "orderings", orderings)
+        _set(self, "shapes", shapes)
+        _set(self, "bannai_ito", bannai_ito)
+        _set(self, "nu", nu)
+        _set(self, "traces", traces)
+        _set(self, "verdict", verdict)
+        _set(self, "classification", classification)
 
     @property
     def diameter(self) -> int:
@@ -192,7 +199,7 @@ def certify_triple(
     """Full verification record for the ordered triple (a, a_star, a_eps),
     memoized on the triple's value: equal triples share one certification."""
     cert = _certify(a, a_star, a_eps)
-    return replace(cert, module_id=module_id, orderings={k: list(v) for k, v in cert.orderings.items()})
+    return cert.replace(module_id=module_id, orderings={k: list(v) for k, v in cert.orderings.items()})
 
 
 @lru_cache(maxsize=None)

@@ -9,23 +9,23 @@ psi, and `quotient_acsa_structure` proves the relations among A~, B~, C~.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .acsa import ModuleActionTriple, check_relations
 from .hypercube import CubeContext, second_dual_adjacency, weighted_adjacency
 from .linalg import ExactMatrix, unit_entries
+from .record import Record, _set
 
 
-@dataclass(frozen=True)
-class QuotientContext:
+class QuotientContext(Record):
     """Antipodal quotient of Q_D for odd D = 2*calD + 1 >= 3."""
 
-    parent: CubeContext
+    __slots__ = ("parent",)
 
-    def __post_init__(self):
-        if self.parent.D % 2 == 0 or self.parent.D < 3:
+    def __init__(self, parent: CubeContext):
+        if parent.D % 2 == 0 or parent.D < 3:
             raise ValueError("antipodal quotient needs odd D >= 3")
+        _set(self, "parent", parent)
 
     @property
     def D(self) -> int:

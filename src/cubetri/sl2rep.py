@@ -10,13 +10,13 @@ and checks s for the canonical modules and the hypercube's T-modules alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .acsa import ModuleActionTriple, _chain, _sign, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, exp_nilpotent
+from .record import Record, _set
 
 
 # Actions of X, Y, Z on one space, as three square matrices like a module
@@ -24,13 +24,15 @@ from .linalg import ExactMatrix, exp_nilpotent
 Sl2Action = ModuleActionTriple
 
 
-@dataclass(frozen=True)
-class SkewOperatorRealization:
+class SkewOperatorRealization(Record):
     """h, k and the skew involution s = hk on the same space as the action."""
 
-    h_mat: ExactMatrix
-    k_mat: ExactMatrix
-    s_mat: ExactMatrix
+    __slots__ = ("h_mat", "k_mat", "s_mat")
+
+    def __init__(self, h_mat: ExactMatrix, k_mat: ExactMatrix, s_mat: ExactMatrix):
+        _set(self, "h_mat", h_mat)
+        _set(self, "k_mat", k_mat)
+        _set(self, "s_mat", s_mat)
 
 
 def check_brackets(action: Sl2Action) -> bool:

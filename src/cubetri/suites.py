@@ -9,7 +9,6 @@ ranges.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 
@@ -44,6 +43,7 @@ from .quotient import (
     quotient_adjacency,
     quotient_weighted_adjacency,
 )
+from .record import Record
 from .sl2rep import (
     build_irreducible_sl2,
     build_skew,
@@ -64,13 +64,23 @@ from .tmodules import (
 )
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    status: str
-    detail: str
-    seconds: float
-    certificates: list = field(default_factory=list)
+class SuiteResult(Record):
+    """One suite's outcome; unlike other records it can be updated in place,
+    so it has no hash."""
+
+    __slots__ = ("suite", "status", "detail", "seconds", "certificates")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self, suite: str, status: str, detail: str, seconds: float, certificates: list | None = None
+    ):
+        self.suite = suite
+        self.status = status
+        self.detail = detail
+        self.seconds = seconds
+        self.certificates = [] if certificates is None else certificates
 
     @property
     def passed(self) -> bool:

@@ -30,7 +30,6 @@ Q_D and an image psi(W+) in Q~_D (`quotient_modules`) share
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -56,11 +55,11 @@ from .linalg import (
     kernel_basis,
 )
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
+from .record import Record, _set
 from .sl2rep import Sl2Action, build_skew, check_brackets
 
 
-@dataclass(frozen=True)
-class SubmoduleBasis:
+class SubmoduleBasis(Record):
     """An irreducible T-module of Q_D, or its image psi(W+) in Q~_D, named
     by its class (space, endpoint) and the second row of the standard
     tableau of its seed.  Its basis `vectors`, formed on each call, is
@@ -68,10 +67,15 @@ class SubmoduleBasis:
     to this one (`_class_basis`, `_relabelled`); column j is supported on
     the weight-(endpoint+j) slice, so the columns have disjoint supports."""
 
-    space: CubeContext | QuotientContext
-    module_id: str
-    endpoint: int
-    tableau: tuple[int, ...]
+    __slots__ = ("space", "module_id", "endpoint", "tableau")
+
+    def __init__(
+        self, space: CubeContext | QuotientContext, module_id: str, endpoint: int, tableau: tuple[int, ...]
+    ):
+        _set(self, "space", space)
+        _set(self, "module_id", module_id)
+        _set(self, "endpoint", endpoint)
+        _set(self, "tableau", tableau)
 
     @property
     def vectors(self) -> ExactMatrix:
@@ -581,4 +585,4 @@ def quotient_modules(q: QuotientContext) -> list[SubmoduleBasis]:
     the class value of `antipodal_split`, and psi P_sigma = P~_sigma psi, so
     psi S_t c+ = P~_sigma psi S_rep c+.  P~_sigma keeps class weights, so
     the columns stay ordered by class weight."""
-    return [replace(w, space=q) for w in decompose(q.parent)]
+    return [w.replace(space=q) for w in decompose(q.parent)]

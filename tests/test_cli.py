@@ -441,6 +441,32 @@ def test_output_file_writing(tmp_path, capsys):
     assert payload["overall"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--D", "3", "--suite", "weights"],
+        ["decompose", "--D", "3"],
+        ["classify", "--x", "x.mtx", "--y", "y.mtx", "--z", "z.mtx"],
+        ["skew", "--d", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_report_out_that_names_a_directory_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    # the report would have gone to stdout under exit 0; build alone reads --out as a directory
+    monkeypatch.chdir(tmp_path)
+    for name, m in zip("xyz", build_canonical(ab_type(3, "y")).matrices()):
+        write_matrix(m, tmp_path / f"{name}.mtx")
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: argument --out: {out_dir} is a directory; name the report file\n"
+    assert list(out_dir.iterdir()) == []
+
+
 def test_unreadable_input_and_unwritable_output_are_one_line_errors(tmp_path, capsys):
     blocker = tmp_path / "plain"
     blocker.write_text("")

@@ -1,5 +1,4 @@
 import hashlib
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -783,7 +782,7 @@ def test_certify_triple_certifies_each_class_once(monkeypatch):
         first = {}
         for c in certs:  # module ids read "Q8:r1#3": the class is "Q8:r1"
             rep = first.setdefault(c.module_id.split("#")[0], c)
-            assert replace(c, module_id=rep.module_id) == rep
+            assert c.replace(module_id=rep.module_id) == rep
         assert len(first) == classes
 
 
@@ -877,7 +876,7 @@ def test_builders_cache_on_the_value_of_the_context():
     assert positive_structure(cube(5)) is positive_structure(CubeContext(5))
     assert quotient_acsa_structure(quotient(5)) is quotient_acsa_structure(quotient(5))
     w = decompose(cube(5))[1]
-    assert antipodal_split(w) is antipodal_split(replace(w, space=CubeContext(5)))
+    assert antipodal_split(w) is antipodal_split(w.replace(space=CubeContext(5)))
     # a failed index check is not cached: it raises on every call
     for _ in range(2):
         with pytest.raises(ValueError, match="index 4 out of range 0..3"):

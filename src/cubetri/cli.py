@@ -4,10 +4,10 @@ operator for a chosen diameter.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .acsa import ModuleActionTriple, check_relations, classify, is_irreducible
 from .exactnum import gr
@@ -41,8 +41,7 @@ DEFAULT_MAX_D = 10
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.handler(args)
     except (ValueError, AssertionError, OSError) as exc:
@@ -52,72 +51,6 @@ def main(argv=None) -> int:
         # the last resort for a run too large for this machine
         print("error: out of memory", file=sys.stderr)
         return 2
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse with a usage error as one `error:` line and exit 2; its
-    subparsers share the class."""
-
-    def error(self, message):
-        self.exit(2, f"error: {message}\n")
-
-
-def _report_file(text: str) -> Path:
-    path = Path(text)
-    if path.is_dir():
-        raise argparse.ArgumentTypeError(f"{text} is a directory; name the report file")
-    return path
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the flags it reads
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--max-D", type=int, default=DEFAULT_MAX_D, dest="max_d")
-    report = _Parser(add_help=False)
-    report.add_argument("--out", type=_report_file, help="report file; default stdout")
-    diameter = _Parser(add_help=False)
-    diameter.add_argument("--D", type=int, help="cube diameter")
-
-    parser = _Parser(
-        prog="cubetri",
-        description="exact hypercube Leonard-triple constructions and certificates",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_build = sub.add_parser("build", parents=[diameter, common], help="write matrices in exchange format")
-    p_build.add_argument("--out", type=Path, help="output directory; default the current one")
-    p_build.add_argument("--matrix", action="append", required=True, help="matrix name, repeatable")
-    p_build.set_defaults(handler=cmd_build)
-
-    p_dec = sub.add_parser("decompose", parents=[diameter, common, report], help="list irreducible modules")
-    p_dec.add_argument("--quotient", action="store_true", help="work on the antipodal quotient")
-    p_dec.set_defaults(handler=cmd_decompose)
-
-    p_ver = sub.add_parser("verify", parents=[diameter, common, report], help="run verification suites")
-    p_ver.add_argument("--seed", type=int, default=20240817, help="accepted; no suite reads it")
-    p_ver.add_argument(
-        "--suite", action="append", choices=sorted(SUITES), help="suite name, repeatable; default all"
-    )
-    p_ver.add_argument(
-        "--reference-tables",
-        action="store_true",
-        help="assert the endpoint-parity-dependent reference type tables for odd D "
-        "(these match the (-1)^r-twisted convention and fail at odd endpoints; see README)",
-    )
-    p_ver.set_defaults(handler=cmd_verify)
-
-    p_cls = sub.add_parser("classify", parents=[common, report], help="classify a triple from matrix files")
-    p_cls.add_argument("--x", type=Path, required=True, help="matrix file for the first generator")
-    p_cls.add_argument("--y", type=Path, required=True, help="matrix file for the second generator")
-    p_cls.add_argument("--z", type=Path, required=True, help="matrix file for the third generator")
-    p_cls.set_defaults(handler=cmd_classify)
-
-    p_skew = sub.add_parser("skew", parents=[common, report], help="skew-operator suite for one diameter")
-    p_skew.add_argument("--d", type=int, required=True, help="module diameter")
-    p_skew.set_defaults(handler=cmd_skew)
-
-    return parser
 
 
 def _check_d(args, need_odd=False, need_even=False) -> int:
@@ -428,6 +361,194 @@ def _emit(args, payload: dict, text_formatter, out: Path | None) -> None:
     else:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(rendered + "\n")
+
+
+# -- command line ---------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a flag that must be given
+_HELP = ("-h", "--help")
+
+
+class _Flag:
+    """One `--name` of a command: the attribute its value lands in (`dest`),
+    how its text is read (`kind`), its default and its help line.
+
+    The kinds: "int", "path", "report" (a report file, never a directory),
+    "choice" (one of `choices`), "repeat" (each use appends its text, checked
+    against `choices` if there are any) and "switch" (no value; given means
+    True)."""
+
+    __slots__ = ("name", "dest", "kind", "default", "help", "choices")
+
+    def __init__(self, name, kind, help, default=None, dest=None, choices=()):
+        self.name = name
+        self.dest = dest or name[2:].replace("-", "_")
+        self.kind = kind
+        self.default = default
+        self.help = help
+        self.choices = choices
+
+
+_D = _Flag("--D", "int", "cube diameter")
+_COMMON = (
+    _Flag("--format", "choice", "report format", default="json", choices=("json", "text")),
+    _Flag("--max-D", "int", "cap on D and on diameters", default=DEFAULT_MAX_D, dest="max_d"),
+)
+_REPORT = _Flag("--out", "report", "report file; default stdout")
+
+# command -> (handler, help line, the flags it reads); each command takes only
+# the flags its handler reads
+_COMMANDS = {
+    "build": (cmd_build, "write matrices in exchange format", (
+        _D, *_COMMON,
+        _Flag("--out", "path", "output directory; default the current one"),
+        _Flag("--matrix", "repeat", "matrix name, repeatable", default=_REQUIRED),
+    )),
+    "decompose": (cmd_decompose, "list irreducible modules", (
+        _D, *_COMMON, _REPORT,
+        _Flag("--quotient", "switch", "work on the antipodal quotient", default=False),
+    )),
+    "verify": (cmd_verify, "run verification suites", (
+        _D, *_COMMON, _REPORT,
+        _Flag("--seed", "int", "accepted; no suite reads it", default=20240817),
+        _Flag("--suite", "repeat", "suite name, repeatable; default all", choices=tuple(sorted(SUITES))),
+        _Flag(
+            "--reference-tables",
+            "switch",
+            "assert the endpoint-parity-dependent reference type tables for odd D "
+            "(these match the (-1)^r-twisted convention and fail at odd endpoints; see README)",
+            default=False,
+        ),
+    )),
+    "classify": (cmd_classify, "classify a triple from matrix files", (
+        *_COMMON, _REPORT,
+        _Flag("--x", "path", "matrix file for the first generator", default=_REQUIRED),
+        _Flag("--y", "path", "matrix file for the second generator", default=_REQUIRED),
+        _Flag("--z", "path", "matrix file for the third generator", default=_REQUIRED),
+    )),
+    "skew": (cmd_skew, "skew-operator suite for one diameter", (
+        *_COMMON, _REPORT,
+        _Flag("--d", "int", "module diameter", default=_REQUIRED),
+    )),
+}
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The command's handler and the value of each of its flags, read from
+    argv in one pass.  A flag is spelled in full, as `--flag value` or
+    `--flag=value`; a repeated single-valued flag keeps its last value.  A
+    usage error prints one `error:` line and exits 2; `-h`/`--help` prints
+    usage and exits 0."""
+    if not argv:
+        _usage_error("the following arguments are required: command")
+    command, *rest = argv
+    if command in _HELP:
+        _print_help(None)
+    if command not in _COMMANDS:
+        _usage_error(f"argument command: invalid choice: {command!r} (choose from {_quoted(_COMMANDS)})")
+    handler, _line, flags = _COMMANDS[command]
+    by_name = {flag.name: flag for flag in flags}
+    values = {flag.dest: flag.default for flag in flags}
+    given = set()
+    unrecognized = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            _print_help(command)
+        name, eq, text = token.partition("=")
+        flag = by_name.get(name) if name.startswith("--") else None
+        if flag is None:
+            unrecognized.append(token)
+            continue
+        if flag.kind == "switch":
+            if eq:
+                _usage_error(f"argument {name}: ignored explicit argument {text!r}")
+            value = True
+        else:
+            if not eq:
+                text = next(tokens, None)
+                # a dash word is the next flag, not a value, unless it is a negative number
+                if text is None or (text.startswith("-") and not text[1:].isdigit()):
+                    _usage_error(f"argument {name}: expected one argument")
+            value = _value(flag, text)
+            if flag.kind == "repeat":
+                value = [*values[flag.dest], value] if flag.dest in given else [value]
+        values[flag.dest] = value
+        given.add(flag.dest)
+    missing = [flag.name for flag in flags if flag.default is _REQUIRED and flag.dest not in given]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        _usage_error(f"unrecognized arguments: {' '.join(unrecognized)}")
+    return SimpleNamespace(handler=handler, **values)
+
+
+def _value(flag: _Flag, text: str):
+    if flag.choices and text not in flag.choices:
+        _usage_error(f"argument {flag.name}: invalid choice: {text!r} (choose from {_quoted(flag.choices)})")
+    if flag.kind == "int":
+        try:
+            return int(text)
+        except ValueError:
+            _usage_error(f"argument {flag.name}: invalid int value: {text!r}")
+    if flag.kind == "path":
+        return Path(text)
+    if flag.kind == "report":
+        return _report_file(text)
+    return text
+
+
+def _report_file(text: str) -> Path:
+    path = Path(text)
+    try:
+        is_dir = path.is_dir()
+    except OSError as exc:  # a name the system cannot look up, such as one too long
+        _usage_error(f"argument --out: cannot use the report file: {exc.strerror or exc}")
+    if is_dir:
+        _usage_error(f"argument --out: {text} is a directory; name the report file")
+    return path
+
+
+def _quoted(names) -> str:
+    return ", ".join(map(repr, names))
+
+
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _print_help(command: str | None):
+    """Usage of the program (`command` None) or of one command, from the
+    table, on stdout; exits 0."""
+    if command is None:
+        lines = [
+            "usage: cubetri <command> [flags]",
+            "",
+            "exact hypercube Leonard-triple constructions and certificates",
+            "",
+            "commands:",
+            *(f"  {name:<10} {line}" for name, (_handler, line, _flags) in _COMMANDS.items()),
+            "",
+            "`cubetri <command> --help` lists the flags of a command. Flags are spelled",
+            "in full, as `--flag value` or `--flag=value`.",
+        ]
+    else:
+        _handler, line, flags = _COMMANDS[command]
+        lines = [f"usage: cubetri {command} [flags]", "", line, "", "flags:", "  -h, --help", "      print this help"]
+        for flag in flags:
+            metavar = {"int": " N", "path": " PATH", "report": " FILE", "switch": ""}.get(flag.kind, " NAME")
+            if flag.choices:
+                metavar = " " + "|".join(flag.choices)
+            if flag.default is _REQUIRED:
+                note = "; required"
+            elif flag.default not in (None, False):
+                note = f"; default {flag.default}"
+            else:
+                note = ""
+            lines += [f"  {flag.name}{metavar}", f"      {flag.help}{note}"]
+    print("\n".join(lines))
+    raise SystemExit(0)
 
 
 if __name__ == "__main__":

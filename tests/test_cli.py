@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +217,11 @@ def test_usage_errors_are_one_line(capsys):
         (["verify", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
         (["decompose", "--D", "seven"], "argument --D: invalid int value: 'seven'"),
         (["nocommand"], "argument command: invalid choice: 'nocommand'"),
+        ([], "the following arguments are required: command"),
+        (["build", "--D", "3"], "the following arguments are required: --matrix"),
+        (["verify", "--D"], "argument --D: expected one argument"),
+        (["verify", "--D", "--suite", "weights"], "argument --D: expected one argument"),
+        (["decompose", "--quotient=yes"], "argument --quotient: ignored explicit argument 'yes'"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -225,12 +232,13 @@ def test_usage_errors_are_one_line(capsys):
 
 
 def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys):
-    # argparse refuses these before a matrix file is opened or a suite runs
+    # the parser refuses these before a matrix file is opened or a suite runs
     files = ["--x", "x.mtx", "--y", "y.mtx", "--z", "z.mtx"]
     for argv, flag in (
         (["skew", "--d", "3", "--D", "5"], "--D 5"),
         (["verify", "--quotient"], "--quotient"),
         (["classify", *files, "--seed", "1"], "--seed 1"),
+        (["verify", "--reference"], "--reference"),  # a prefix is not the flag it starts
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -239,13 +247,63 @@ def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys):
         assert (captured.out, captured.err) == ("", f"error: unrecognized arguments: {flag}\n"), argv
 
 
+def test_flag_values_after_an_equals_sign_or_repeated(capsys):
+    code, out = run_cli(capsys, "verify", "--suite=weights", "--D=3")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["D"], [s["suite"] for s in report["suites"]]) == (3, ["weights"])
+    # a repeated single-valued flag keeps its last value
+    code, out = run_cli(capsys, "verify", "--D", "5", "--suite", "weights", "--D", "3", "--format=text")
+    assert code == 0 and out.startswith("verification report (D=3, odd)\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["-h"], ["verify", "--help"], ["verify", "--D", "3", "-h"]], ids=" ".join
+)
+def test_help_prints_usage_from_the_command_table_and_exits_zero(capsys, monkeypatch, argv):
+    def no_run(name, **_kw):
+        raise AssertionError(f"suite {name} ran under --help")
+
+    monkeypatch.setattr(cli, "run_suite", no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.err) == (0, "")
+    assert captured.out.startswith("usage: cubetri")
+    if argv[0] == "verify":
+        flags = ("--D", "--format", "--max-D", "--out", "--seed", "--suite", "--reference-tables")
+        words = {line.split()[0] for line in captured.out.splitlines() if line.startswith("  --")}
+        assert words == set(flags)
+        assert all(name in captured.out for name in cli.SUITES)
+    else:
+        for command in ("build", "decompose", "verify", "classify", "skew"):
+            assert f"\n  {command} " in captured.out, command
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_command_line_examples_parse():
+    # every `cubetri ...` line of the README's Command line code block names
+    # a command and flags that the table knows; no handler runs
+    section = README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()]
+    examples = [argv for argv in examples if argv[:1] == ["cubetri"]]
+    assert len(examples) >= 9
+    for argv in examples:
+        args = cli._parse(argv[1:])
+        assert args.handler.__name__ == f"cmd_{argv[1]}", argv
+
+
 def test_verify_rejects_a_nonpositive_d_before_running_any_suite(capsys, monkeypatch):
     def no_run(name, **_kw):
         raise AssertionError(f"suite {name} ran with a nonpositive --D")
 
     monkeypatch.setattr(cli, "run_suite", no_run)
-    for D, suite in (("-3", "families"), ("-1", "skew"), ("0", "weights")):
-        assert main(["verify", "--D", D, "--suite", suite]) == 2
+    for d_flag, suite in ((["--D", "-3"], "families"), (["--D=-3"], "weights"), (["--D", "-1"], "skew"),
+                          (["--D", "0"], "weights")):
+        assert main(["verify", *d_flag, "--suite", suite]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --D must be positive\n")
 
@@ -465,6 +523,29 @@ def test_a_report_out_that_names_a_directory_is_one_line_error(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err == f"error: argument --out: {out_dir} is a directory; name the report file\n"
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--D", "3", "--suite", "weights"],
+        ["decompose", "--D", "3"],
+        ["classify", "--x", "x.mtx", "--y", "y.mtx", "--z", "z.mtx"],
+        ["skew", "--d", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_report_out_that_cannot_be_looked_up_is_one_line_error(tmp_path, capsys, monkeypatch, argv):
+    # looking up a name longer than the system allows fails with an error
+    # other than "not found" (ENAMETOOLONG)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "r" * 5000])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: argument --out: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unreadable_input_and_unwritable_output_are_one_line_errors(tmp_path, capsys):

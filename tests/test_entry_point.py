@@ -8,9 +8,10 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the standard library's record generator and what it imports: costly to load
-# in every fresh process, and cubetri needs none of them
-HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# standard modules that are costly to load in every fresh process and that
+# cubetri needs none of: the record generator with what it imports, and the
+# argument parser with the translation lookup and locale it loads
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "argparse", "gettext", "locale")
 
 PROBE = f"""
 import json, sys

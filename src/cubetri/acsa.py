@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re as _re
 
-from .exactnum import GaussianRational, _reduced
-from .linalg import ExactMatrix, _walk, integer_eigenspaces, restrict
+from .exactnum import GaussianRational
+from .linalg import ExactMatrix, bracket, integer_eigenspaces, restrict
 from .record import Record, _set
 
 AB_VARIANTS = ("0", "x", "y", "z")
@@ -176,38 +176,17 @@ _RELATIONS = (
 
 def check_relations(m: ModuleActionTriple) -> tuple[bool, str | None]:
     """True iff all three anticommutator relations hold; else names the first
-    failure, with the residue at its smallest (row, col) entry.
-
-    The check runs on Gaussian integers.  With a = A/d_a, b = B/d_b and
-    c = C/d_c (their stored forms), ab + ba = 2c holds exactly when
-    (AB + BA)*d_c = 2*d_a*d_b*C, and the residue ab + ba - 2c at an entry is
-    that integer difference over d_a*d_b*d_c, reduced once.  AB + BA is one
-    integer walk (`_walk`), of the rows of [A B] against the stacked rows of
-    [B; A]; both sides are compared entry by entry as integer pairs, with
-    sums that cancel to 0 dropped, as C stores no zeros."""
-    n = m.dimension
-    ints = [(g.den, g.rows) for g in m.matrices()]
+    failure, with the residue ab + ba - 2c at its smallest (row, col) entry.
+    Each side is one canonical matrix, ab + ba the integer walk `bracket`,
+    so they compare as stored forms; the residue is formed on a failure
+    only."""
+    mats = m.matrices()
     for label, a, b, c in _RELATIONS:
-        (da, ra), (db, rb), (dc, rc) = ints[a], ints[b], ints[c]
-        rows = {i: list(row) for i, row in ra.items()}
-        for i, row in rb.items():
-            rows.setdefault(i, []).extend((k + n, re, im) for k, re, im in row)
-        stacked = dict(rb)
-        stacked.update((k + n, row) for k, row in ra.items())
-        lhs = {
-            (i, j): (re * dc, im * dc)
-            for i, sums in _walk(rows.items(), stacked)
-            for j, (re, im) in sums.items()
-            if re or im
-        }
-        two = 2 * da * db
-        rhs = {(i, j): (two * re, two * im) for i, row in rc.items() for j, re, im in row}
+        lhs, rhs = bracket(mats[a], mats[b]), mats[c] * 2
         if lhs != rhs:
-            zero = (0, 0)
-            r, col = min(k for k in lhs.keys() | rhs.keys() if lhs.get(k, zero) != rhs.get(k, zero))
-            (p, q), (s, t) = lhs.get((r, col), zero), rhs.get((r, col), zero)
-            residue = _reduced(p - s, q - t, da * db * dc)
-            return False, f"{label} fails at entry ({r},{col}): residue {residue}"
+            residue = lhs - rhs
+            r, col = min(residue.entries)
+            return False, f"{label} fails at entry ({r},{col}): residue {residue.get(r, col)}"
     return True, None
 
 

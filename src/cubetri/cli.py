@@ -111,8 +111,9 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         ("A*", dual_distance_matrix),
         ("A", distance_matrix),
     ):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            return builder(ctx, int(name[len(prefix):]))
+        suffix = name[len(prefix):]
+        if name.startswith(prefix) and suffix.isascii() and suffix.isdigit():
+            return builder(ctx, int(suffix))
     raise ValueError(
         f"unknown matrix name {name!r}; try A, A<i>, A*, A*<i>, AD-1*, B, C, "
         "E<i>, E*<i>, I, J, s, h, k, Z, A~, B~, C~, psi"

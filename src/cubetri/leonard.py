@@ -8,12 +8,11 @@ finding, no floating point.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .acsa import ModuleType, ab_type, b_type, trace_variant
 from .exactnum import GaussianRational, gr
-from .linalg import ExactMatrix, integer_eigenspaces, restrict
+from .linalg import ExactMatrix, bracket, integer_eigenspaces, restrict
 from .record import Record, _set
 
 GENERATOR_LABELS = ("A", "B", "C")
@@ -158,15 +157,15 @@ def tridiagonal_shape(m: ExactMatrix) -> str:
 
 
 def bannai_ito_check(ordering) -> bool:
-    """(theta_{i-2} - theta_{i+1})/(theta_{i-1} - theta_i) = -1 throughout;
-    vacuously true below diameter 3."""
-    theta = [Fraction(t) for t in ordering]
-    d = len(theta) - 1
-    for i in range(2, d):
-        den = theta[i - 1] - theta[i]
-        if den == 0:
+    """(theta_{i-2} - theta_{i+1})/(theta_{i-1} - theta_i) = -1 throughout,
+    tested cross-multiplied on the integer eigenvalues; vacuously true below
+    diameter 3."""
+    theta = list(ordering)
+    for i in range(2, len(theta) - 1):
+        gap = theta[i - 1] - theta[i]
+        if gap == 0:
             raise ValueError("repeated adjacent eigenvalues in a standard ordering")
-        if (theta[i - 2] - theta[i + 1]) / den != -1:
+        if theta[i - 2] - theta[i + 1] != -gap:
             return False
     return True
 
@@ -180,7 +179,7 @@ def nu_scalars(a: ExactMatrix, a_star: ExactMatrix, a_eps: ExactMatrix):
 
 
 def _anticommutator_ratio(p: ExactMatrix, q: ExactMatrix, target: ExactMatrix) -> GaussianRational:
-    lhs = p @ q + q @ p
+    lhs = bracket(p, q)
     if target.is_zero():
         raise ValueError("anticommutator target is the zero matrix")
     key = min(target.entries)

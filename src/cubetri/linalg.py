@@ -16,11 +16,14 @@ the exchange format.
 Every product of stored rows is the one integer walk `_walk`, whose steps
 are integer multiply-adds: `matmul` walks the rows of its left operand
 against those of its right; `exp_nilpotent` sums its series over the
-single denominator delta^j j!; `acsa.check_relations` compares both sides
-of a relation cross-multiplied.  `_echelon` eliminates fraction-free in
-Z[i], and `_char_poly` works in Z[i] as well.  No code path forms a dense
-2^D-dimensional product: the cube operators are sparse, and the skew
-operator is built per T-module class (`tmodules.h_by_class`).
+single denominator delta^j j!; `bracket` forms ab ± ba in one walk, for
+every (anti)commutator of the package: the relations of both algebras
+(`acsa.check_relations`, `sl2rep.check_brackets`), the skew checks of
+`sl2rep.build_skew`, the nu scalars and the generator z of a T-module.
+`_echelon` eliminates fraction-free in Z[i], and `_char_poly` works in Z[i]
+as well.  No code path forms a dense 2^D-dimensional product: the cube
+operators are sparse, and the skew operator is built per T-module class
+(`tmodules.h_by_class`).
 
 A basis of a subspace is the matrix whose columns are its vectors; there is
 no separate basis type.  `ExactMatrix.from_columns` scales each column so
@@ -442,6 +445,28 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         if row:
             rows[i] = row
     return _canonical(a.nrows, b.ncols, a.den * b.den, rows)
+
+
+def bracket(a: ExactMatrix, b: ExactMatrix, sign: int = 1) -> ExactMatrix:
+    """ab + sign*ba for square a and b of one size and sign = ±1: the
+    anticommutator for 1, the commutator for -1.  With a = A/d and b = B/e,
+    AB + sign*BA is one integer walk (`_walk`) of the rows of [A | sign*B]
+    against the stacked rows [B; A], over d*e and reduced once
+    (`_canonical`)."""
+    n = a.nrows
+    if not a.ncols == b.nrows == b.ncols == n:
+        raise ValueError(f"bracket of {a.nrows}x{a.ncols} and {b.nrows}x{b.ncols}")
+    rows = {i: list(row) for i, row in a.rows.items()}
+    for i, row in b.rows.items():
+        rows.setdefault(i, []).extend((k + n, sign * re, sign * im) for k, re, im in row)
+    stacked = dict(b.rows)
+    stacked.update((k + n, row) for k, row in a.rows.items())
+    out = {}
+    for i, sums in _walk(rows.items(), stacked):
+        row = [(j, re, im) for j, (re, im) in sums.items() if re or im]
+        if row:
+            out[i] = row
+    return _canonical(n, n, a.den * b.den, out)
 
 
 # -- elimination: echelon form, rank, kernels ----------------------------------

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .acsa import ModuleActionTriple, _chain, _sign, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
-from .linalg import ExactMatrix, exp_nilpotent
+from .linalg import ExactMatrix, bracket, exp_nilpotent
 from .record import Record, _set
 
 
@@ -39,9 +39,9 @@ def check_brackets(action: Sl2Action) -> bool:
     x, y, z = action.matrices()
     two_i = gr(0, 2)
     return (
-        x @ y - y @ x == z * two_i
-        and y @ z - z @ y == x * two_i
-        and z @ x - x @ z == y * two_i
+        bracket(x, y, -1) == z * two_i
+        and bracket(y, z, -1) == x * two_i
+        and bracket(z, x, -1) == y * two_i
     )
 
 
@@ -106,44 +106,38 @@ def k_scalar(dimension: int) -> GaussianRational:
     return gr(1) if dimension % 2 else gr(0, -1)
 
 
-def verify_skew(action: Sl2Action, s_mat: ExactMatrix) -> bool:
-    """s^2 = I together with sX=-Xs, sY=Ys, sZ=-Zs."""
-    x, y, z = action.matrices()
-    eye = ExactMatrix.identity(action.dimension)
-    return (
-        s_mat @ s_mat == eye
-        and s_mat @ x == -(x @ s_mat)
-        and s_mat @ y == y @ s_mat
-        and s_mat @ z == -(z @ s_mat)
-    )
-
-
 @lru_cache(maxsize=None)
 def build_skew(action: Sl2Action) -> SkewOperatorRealization:
     """s = h k for an irreducible action, k = k_scalar(dimension) I; raises
-    AssertionError unless `verify_skew` holds (it fails on summands of mixed
-    parity, where s^2 != I).  Memoized on the action's value, like `build_h`:
-    the skew suite, the sl2 factory and `split_odd` share one checked s."""
+    AssertionError unless s^2 = I, sX = -Xs, sY = Ys and sZ = -Zs (s^2 = I
+    fails on summands of mixed parity).  Memoized on the action's value,
+    like `build_h`: the skew suite, the sl2 factory and `split_odd` share
+    one checked s."""
+    x, y, z = action.matrices()
+    eye = ExactMatrix.identity(action.dimension)
     h = build_h(action)
-    k = ExactMatrix.identity(action.dimension) * k_scalar(action.dimension)
+    k = eye * k_scalar(action.dimension)
     s = h @ k
-    if not verify_skew(action, s):
+    if not (
+        s @ s == eye
+        and bracket(s, x).is_zero()
+        and bracket(s, y, -1).is_zero()
+        and bracket(s, z).is_zero()
+    ):
         raise AssertionError("h*k is not a skew operator; inputs are inconsistent")
     return SkewOperatorRealization(h, k, s)
 
 
 def checked_skew(d: int) -> tuple[Sl2Action, SkewOperatorRealization]:
     """The diameter-d irreducible action and its `build_skew`, once h is checked:
-    hX = -Xh, hY = Yh, hZ = -Zh, h = diag((-1)^i i^d) and h^2 = (-1)^d I, or
-    AssertionError.  `verify_skew` fixes s = hk only up to sign; these fix h."""
+    h = diag((-1)^i i^d) and h^2 = (-1)^d I, or AssertionError.  `build_skew`
+    proves that s = hk anticommutes with X and Z and commutes with Y, so h
+    does, as k is a nonzero scalar; that fixes s only up to sign, and these
+    fix h."""
     action = build_irreducible_sl2(d)
-    x, y, z = action.matrices()
     h = build_h(action)
     want_h = ExactMatrix.diagonal([expected_h_eigenvalue(i, d) for i in range(d + 1)])
     for holds, what in (
-        (h @ x == -(x @ h), "h fails to anticommute with X"),
-        (h @ y == y @ h, "h fails to commute with Y"),
-        (h @ z == -(z @ h), "h fails to anticommute with Z"),
         (h == want_h, "h eigenvalues differ from (-1)^i i^d"),
         (h @ h == ExactMatrix.identity(d + 1) * ((-1) ** d), "h^2 != (-1)^d"),
     ):

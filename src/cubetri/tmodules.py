@@ -51,6 +51,7 @@ from .linalg import (
     _first_entry_one,
     _over_lcm,
     _walk,
+    bracket,
     integer_eigenspaces,
     kernel_basis,
 )
@@ -244,7 +245,7 @@ def h_by_class(ctx: CubeContext) -> tuple[ExactMatrix, ...]:
 def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
     """h_W from x_W, y_W and z_W = (x_W y_W - y_W x_W)/(2i); requires the sl2
     brackets, the skew relations (`build_skew`) and s_W = h_W k."""
-    action = Sl2Action(x, y, (x @ y - y @ x) * gr(0, Fraction(-1, 2)))
+    action = Sl2Action(x, y, bracket(x, y, -1) * gr(0, Fraction(-1, 2)))
     where = f"on the diameter-{action.diameter} modules"
     if not check_brackets(action):
         raise AssertionError(f"sl2 brackets fail {where} of Q_{ctx.D}")
@@ -520,7 +521,7 @@ def _antipodal_map(ctx: CubeContext) -> ExactMatrix:
 
 
 def _anticommutator_triple(_space, x: ExactMatrix, y: ExactMatrix) -> ModuleActionTriple:
-    return ModuleActionTriple(x, y, (x @ y + y @ x) * Fraction(1, 2))
+    return ModuleActionTriple(x, y, bracket(x, y) * Fraction(1, 2))
 
 
 def _halves(_ctx, inside: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:

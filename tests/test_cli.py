@@ -63,6 +63,16 @@ def test_build_rejects_bad_input(tmp_path, capsys):
     assert code == 2  # exceeds the default --max-D
 
 
+def test_build_reads_only_ascii_digit_suffixes(tmp_path, capsys):
+    # '²' and the Arabic-Indic '٢' pass str.isdigit: one once reached int()
+    # and the other built E_2 into a file named E٢.mtx
+    for name in ("A²", "E٢"):
+        code = main(["build", "--D", "3", "--matrix", name, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith(f"error: unknown matrix name {name!r}")
+        assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
+
+
 def test_decompose_censuses(capsys):
     code, out = run_cli(capsys, "decompose", "--D", "4")
     assert code == 0

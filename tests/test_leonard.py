@@ -85,6 +85,43 @@ def test_bannai_ito_sequences():
     assert bannai_ito_check([1, -1]) is True  # vacuous below diameter 3
 
 
+def _bannai_ito_oracle(theta):
+    """The ratio form, over Fractions; 'repeated' where it divides by 0."""
+    for i in range(2, len(theta) - 1):
+        den = Fraction(theta[i - 1] - theta[i])
+        if den == 0:
+            return "repeated"
+        if (theta[i - 2] - theta[i + 1]) / den != -1:
+            return False
+    return True
+
+
+def test_bannai_ito_check_agrees_with_the_ratio_oracle():
+    # theta_{i+1} = theta_{i-2} + theta_{i-1} - theta_i makes a sequence
+    # pass; changing one entry, or repeating one, may break it
+    rng = random.Random(35)
+    seen = set()
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        theta = [rng.randint(-6, 6) for _ in range(3)]
+        while len(theta) < n:
+            theta.append(theta[-3] + theta[-2] - theta[-1])
+        theta = theta[:n]
+        if theta and rng.random() < 0.5:
+            theta[rng.randrange(len(theta))] += rng.randint(-2, 2)
+        if len(theta) > 3 and rng.random() < 0.2:
+            i = rng.randint(2, len(theta) - 2)
+            theta[i] = theta[i - 1]  # a zero gap
+        want = _bannai_ito_oracle(theta)
+        if want == "repeated":
+            with pytest.raises(ValueError, match="repeated adjacent eigenvalues"):
+                bannai_ito_check(theta)
+        else:
+            assert bannai_ito_check(theta) is want
+        seen.add(want)
+    assert seen == {True, False, "repeated"}
+
+
 def test_nu_scalars_canonical_and_scaled():
     t = build_canonical(b_type(4))
     assert nu_scalars(t.x_mat, t.y_mat, t.z_mat) == (gr(2), gr(2), gr(2))

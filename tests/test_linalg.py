@@ -11,6 +11,7 @@ from cubetri import linalg
 from cubetri.exactnum import GaussianRational, gr
 from cubetri.linalg import (
     ExactMatrix,
+    bracket,
     exp_nilpotent,
     format_matrix,
     integer_eigenspaces,
@@ -992,6 +993,43 @@ def test_from_columns_and_exp_nilpotent_agree_with_the_pair_oracle(data):
     assert _oracle_of(exp_nilpotent(_matrix(n, n, nil), n)) == total
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bracket_agrees_with_the_pair_oracle(data):
+    # b is drawn on its own, or as a scalar multiple of a, whose commutator
+    # with a cancels entry by entry
+    n = data.draw(st.integers(0, 4))
+    a = data.draw(_oracle_matrices(n, n))
+    if data.draw(st.booleans()):
+        b = data.draw(_oracle_matrices(n, n))
+    else:
+        t = data.draw(_PAIRS)
+        b = {key: _o_mul(p, t) for key, p in a.items()}
+    ma, mb = _matrix(n, n, a), _matrix(n, n, b)
+    for sign in (1, -1):
+        want = _o_plus(_o_matmul(a, b), _o_matmul(b, a), sign)
+        got = bracket(ma, mb, sign)
+        assert (got.nrows, got.ncols) == (n, n) and _oracle_of(got) == want
+        if not want:
+            assert got.den == 1 and got.rows == {}
+
+
+def test_bracket_cancels_to_the_zero_matrix_and_checks_shapes():
+    # x and y anticommute, over the mixed denominators 3 and 2
+    x = ExactMatrix.diagonal([gr(0, Fraction(1, 3)), gr(0, Fraction(-1, 3))])
+    y = ExactMatrix.from_rows([[0, gr(Fraction(1, 2))], [1, 0]])
+    zero = bracket(x, y)
+    assert (zero.nrows, zero.ncols, zero.den, zero.rows) == (2, 2, 1, {})
+    assert bracket(x, y, -1) == (x @ y) * 2
+    for a, b in (
+        (x, ExactMatrix.identity(3)),
+        (ExactMatrix.zeros(2, 3), ExactMatrix.zeros(3, 2)),
+        (ExactMatrix.zeros(2, 3), ExactMatrix.zeros(2, 3)),
+    ):
+        with pytest.raises(ValueError, match="bracket of"):
+            bracket(a, b)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_restrict_agrees_with_the_pair_oracle(data):
@@ -1047,10 +1085,11 @@ def test_integer_matrix_operations_form_no_scalar(monkeypatch):
     for module, name in bindings:
         monkeypatch.setattr(module, name, lambda *args: made.append(args) or reduced(*args))
     products = [a @ b, a + b, a - b, a._plus(b, -1), a * 3, 3 * a, a * half, a * i, -a]
+    products += [bracket(a, b), bracket(a, b, -1)]
     assert a == a @ ExactMatrix.identity(3) and a != b and hash(a) != hash(b)
     assert exp_nilpotent(nil, 3) == ExactMatrix.from_rows([[1, 1, 7 * half], [0, 1, 3], [0, 0, 1]])
     assert acsa.check_relations(triple) == (True, None)
     for space, build in zip(spaces, (adjacency, quotient_adjacency)):
         tmodules._check_symmetric.__wrapped__(space, build)
     tmodules._check_symmetric.__wrapped__(cube(5), second_dual_adjacency)
-    assert len(products) == 9 and made == []
+    assert len(products) == 11 and made == []

@@ -11,6 +11,7 @@ from cubetri.sl2rep import (
     build_irreducible_sl2,
     build_skew,
     check_brackets,
+    checked_skew,
     exp_ad_matrices,
     expected_h_eigenvalue,
     induce_acsa_structures,
@@ -57,7 +58,33 @@ def test_diameter_zero_is_trivial():
 
 def test_brackets_hold():
     for d in range(0, 11):
-        assert check_brackets(build_irreducible_sl2(d))
+        assert check_brackets(build_irreducible_sl2(d)) is True
+
+
+def test_brackets_fail_when_any_one_bracket_breaks():
+    # (a X, b Y, c Z) turns [X,Y]=2iZ into ab = c, [Y,Z]=2iX into bc = a and
+    # [Z,X]=2iY into ca = b, so each choice of scalars breaks exactly one
+    action = build_irreducible_sl2(3)
+    for scales in ((2, 2, 1), (1, 2, 2), (2, 1, 2)):
+        scaled = Sl2Action(*(m * c for m, c in zip(action.matrices(), scales)))
+        assert check_brackets(scaled) is False
+
+
+def test_brackets_and_skew_checks_walk_no_product_pair(monkeypatch):
+    # every (anti)commutator is one `bracket` walk, not p @ q beside q @ p:
+    # the only products left are s = h k, s^2 and h^2
+    action = build_irreducible_sl2(5)
+    h = build_h(action)
+    checked_skew(4)  # fills the caches checked_skew reads
+    calls = []
+    matmul = linalg.matmul
+    monkeypatch.setattr(linalg, "matmul", lambda a, b: calls.append((a, b)) or matmul(a, b))
+    assert check_brackets(action) is True and calls == []
+    skew = build_skew.__wrapped__(action)
+    assert calls == [(h, skew.k_mat), (skew.s_mat, skew.s_mat)]
+    calls.clear()
+    h4 = checked_skew(4)[1].h_mat
+    assert calls == [(h4, h4)]
 
 
 def test_exp_of_nilpotent_halves_in_w_basis():
@@ -239,6 +266,21 @@ def test_build_skew_rejects_summands_of_mixed_parity():
     assert check_brackets(action)
     with pytest.raises(AssertionError, match="not a skew operator"):
         build_skew(action)
+
+
+def test_build_skew_checks_each_skew_relation(monkeypatch):
+    # with h that of the diameter-1 module, s = hk = Y, and s^2 = I; Y in
+    # place of X or Z, or X in place of Y, breaks exactly one of sX = -Xs,
+    # sY = Ys and sZ = -Zs.  On an sl2 action sY = Ys follows from the other
+    # two, as s fixes [Z, X] = 2iY, so only broken brackets can show it
+    action = build_irreducible_sl2(1)
+    h = build_h(action)
+    monkeypatch.setattr(sl2rep, "build_h", lambda _action: h)
+    x, y, z = action.matrices()
+    assert build_skew.__wrapped__(action).s_mat == y
+    for broken in (Sl2Action(y, y, z), Sl2Action(x, x, z), Sl2Action(x, y, y)):
+        with pytest.raises(AssertionError, match="not a skew operator"):
+            build_skew.__wrapped__(broken)
 
 
 def test_canonical_module_needs_no_elimination(monkeypatch):

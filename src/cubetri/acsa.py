@@ -226,7 +226,7 @@ def is_irreducible(m: ModuleActionTriple) -> bool:
                 return False
             break
     else:
-        eigenspaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
+        eigenspaces = list(integer_eigenspaces(m.x_mat))
         if any(basis.ncols > 1 for _theta, basis in eigenspaces):
             return False
         p = ExactMatrix.hstack(basis for _theta, basis in eigenspaces)

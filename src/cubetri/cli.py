@@ -23,6 +23,7 @@ from .hypercube import (
     s_diagonal,
     second_dual_adjacency,
     weighted_adjacency,
+    _check_index,
 )
 from .leonard import certify_triple
 from .linalg import ExactMatrix, parse_dims, parse_matrix, write_matrix
@@ -53,7 +54,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _check_d(args, need_odd=False, need_even=False) -> int:
+def _check_d(args, need_odd=False) -> int:
     if args.D is None:
         raise ValueError("this command needs --D")
     if args.D < 1:
@@ -61,8 +62,6 @@ def _check_d(args, need_odd=False, need_even=False) -> int:
     _check_cap(args, "D", args.D)
     if need_odd and args.D % 2 == 0:
         raise ValueError("this operation needs odd D")
-    if need_even and args.D % 2:
-        raise ValueError("this operation needs even D")
     return args.D
 
 
@@ -74,7 +73,9 @@ def _check_cap(args, name: str, value: int) -> None:
 # -- build -------------------------------------------------------------------
 
 
-def _resolve_matrix(name: str, D: int) -> ExactMatrix:
+def _resolve_matrix(name: str, D: int):
+    """The builder of the named matrix, to call with no argument.  A name,
+    index or D that it would reject raises here, before anything is built."""
     ctx = cube(D)
     fixed = {
         "I": lambda: ExactMatrix.identity(ctx.nvertices),
@@ -93,7 +94,7 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         "AD": lambda: distance_matrix(ctx, D),
     }
     if name in fixed:
-        return fixed[name]()
+        return fixed[name]
     quotient_names = {
         "A~": quotient_adjacency,
         "Ã": quotient_adjacency,
@@ -104,7 +105,8 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
         "psi": psi_matrix,
     }
     if name in quotient_names:
-        return quotient_names[name](quotient(D))
+        q = quotient(D)  # rejects an even D
+        return lambda: quotient_names[name](q)
     for prefix, builder in (
         ("E*", dual_idempotent),
         ("E", primitive_idempotent),
@@ -113,7 +115,8 @@ def _resolve_matrix(name: str, D: int) -> ExactMatrix:
     ):
         suffix = name[len(prefix):]
         if name.startswith(prefix) and suffix.isascii() and suffix.isdigit():
-            return builder(ctx, int(suffix))
+            _check_index(ctx, int(suffix))
+            return lambda: builder(ctx, int(suffix))
     raise ValueError(
         f"unknown matrix name {name!r}; try A, A<i>, A*, A*<i>, AD-1*, B, C, "
         "E<i>, E*<i>, I, J, s, h, k, Z, A~, B~, C~, psi"
@@ -136,11 +139,12 @@ def _safe_filename(name: str) -> str:
 
 def cmd_build(args) -> int:
     D = _check_d(args)
+    builders = [(name, _resolve_matrix(name, D)) for name in args.matrix]
     out_dir = args.out or Path(".")
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for name in args.matrix:
-        m = _resolve_matrix(name, D)
+    for name, build in builders:
+        m = build()
         path = out_dir / f"{_safe_filename(name)}.mtx"
         write_matrix(m, path)
         written.append({"matrix": name, "file": str(path), "dims": [m.nrows, m.ncols], "nnz": m.nnz()})
@@ -319,7 +323,7 @@ def cmd_skew(args) -> int:
     if d < 0:
         raise ValueError("diameter must be nonnegative")
     _check_cap(args, "d", d)
-    action, skew = checked_skew(d)  # the printed h pattern and h^2 sign are checked
+    action, s = checked_skew(d)  # the printed h pattern and h^2 sign are checked
     payload = {
         "d": d,
         "h_eigenvalues": [str(expected_h_eigenvalue(i, d)) for i in range(d + 1)],
@@ -328,7 +332,7 @@ def cmd_skew(args) -> int:
         "skew_ok": True,
     }
     if d % 2 == 0:
-        first, second = induce_acsa_structures(action, skew.s_mat)
+        first, second = induce_acsa_structures(action, s)
         payload["induced"] = {"first": str(classify(first)), "second": str(classify(second))}
     else:
         payload["induced"] = {

@@ -70,19 +70,19 @@ class LeonardTripleCertificate(Record):
         }
 
 
-def eigenstructure(m: ExactMatrix, bound: int):
-    """All (integer eigenvalue, eigenvector) pairs, multiplicity-free.
+def eigenstructure(m: ExactMatrix):
+    """All (integer eigenvalue, n x 1 eigenvector) pairs, multiplicity-free.
 
-    Scans the integer roots in [-bound, bound] of the characteristic
-    polynomial (see `integer_eigenspaces`); fails if an eigenspace has
+    Scans the integer roots of the characteristic polynomial within the
+    row-sum bound of m (`integer_eigenspaces`); fails if an eigenspace has
     dimension two or they do not exhaust the space."""
     pairs = []
-    for theta, k in integer_eigenspaces(m, bound):
+    for theta, k in integer_eigenspaces(m):
         if k.ncols > 1:
             raise ValueError(
                 f"eigenvalue {theta} has multiplicity {k.ncols}; not a Leonard-triple candidate"
             )
-        pairs.append((theta, k.column(0)))
+        pairs.append((theta, k))
     return pairs
 
 
@@ -205,9 +205,7 @@ def certify_triple(
 def _certify(a: ExactMatrix, a_star: ExactMatrix, a_eps: ExactMatrix) -> LeonardTripleCertificate:
     mats = {"A": a, "B": a_star, "C": a_eps}
     n = a.nrows
-    bound = 2 * n + 1
     orderings = {}
-    shapes = []
     bannai = True
     companions = {
         "A": ("B", "C"),
@@ -217,7 +215,7 @@ def _certify(a: ExactMatrix, a_star: ExactMatrix, a_eps: ExactMatrix) -> Leonard
     shape_by_slot = {}
     for label in GENERATOR_LABELS:
         first, second = companions[label]
-        pairs = eigenstructure(mats[label], bound)
+        pairs = eigenstructure(mats[label])
         ordering, c1, c2 = standard_ordering(pairs, mats[first], mats[second])
         orderings[label] = ordering
         bannai = bannai and bannai_ito_check(ordering)

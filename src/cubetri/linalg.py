@@ -631,29 +631,39 @@ def _gauss_dot(a, b):
     return re, im
 
 
-def integer_eigenspaces(m: ExactMatrix, bound: int):
+def integer_eigenspaces(m: ExactMatrix):
     """Yield (theta, kernel basis of m - theta) for each integer eigenvalue
-    theta in [-bound, bound], in increasing order.
+    theta of m, in increasing order.
 
-    The candidates are filtered by one exact characteristic polynomial:
+    The scan range is [-b, b] for the row-sum bound b: at the entry r of
+    largest modulus of an eigenvector v, |theta v_r| = |(m v)_r| <=
+    sum_c |m_rc| |v_r|, and |re + im*i| <= |re| + |im|, so
+    b = floor(max_r sum_c (|re| + |im|) / den) over the stored form.  The
+    candidates are filtered by one exact characteristic polynomial:
     with d the common denominator of m and chi(t) = det(t*I - d*m),
     chi(d*theta) = d^n det(theta*I - m), so a nonzero value proves that
     m - theta is invertible and its kernel need not be computed.  Only the
-    roots reach `kernel_basis`.  The scan stops once the eigenspaces found
-    span the space; if the range runs out first, m is outside the class
-    this package supports (integer spectrum, diagonalizable) and ValueError
-    is raised.  That span check, not the filter, proves completeness: a
-    wrongly skipped candidate could only end in this error.
+    roots reach `kernel_basis`.  The candidates run by modulus, 0, -1, 1,
+    -2, 2, ..., and the scan stops once the eigenspaces found span the
+    space, so on an integer diagonalizable m it tries 2 rho + 1 candidates
+    for rho the spectral radius, however large the entries of m are in its
+    basis.  If the range runs out first, the spectrum of m is not integer
+    or m is not diagonalizable, outside the class this package supports,
+    and ValueError is raised.  That span check, not the filter, proves
+    completeness: a wrongly skipped candidate could only end in this error.
     """
     if not m.is_square():
         raise ValueError(f"integer eigenvalues of a non-square {m.nrows}x{m.ncols} matrix")
     n = m.nrows
+    sums = (sum(abs(re) + abs(im) for _c, re, im in row) for row in m.rows.values())
+    b = max(sums, default=0) // m.den
     d, chi = _char_poly(m)
     eye = ExactMatrix.identity(n)
-    total = 0
-    for theta in range(-bound, bound + 1):
+    found, total = {}, 0
+    for j in range(2 * b + 1):
         if total == n:
-            return
+            break
+        theta = -(j + 1) // 2 if j % 2 else j // 2
         t, re, im = d * theta, 0, 0
         for c_re, c_im in chi:
             re, im = re * t + c_re, im * t + c_im
@@ -662,12 +672,13 @@ def integer_eigenspaces(m: ExactMatrix, bound: int):
         k = kernel_basis(m - eye * theta)
         if k.ncols:
             total += k.ncols
-            yield theta, k
+            found[theta] = k
     if total != n:
         raise ValueError(
-            f"integer eigenvalues in [-{bound},{bound}] span {total} of {n} dimensions; "
+            f"integer eigenvalues in [-{b},{b}] span {total} of {n} dimensions; "
             "input is outside the supported class"
         )
+    yield from sorted(found.items())
 
 
 # -- solving against a basis: inverse, restriction, change of basis -----------
@@ -735,9 +746,10 @@ def restrict(m: ExactMatrix, s: ExactMatrix) -> ExactMatrix:
 # -- nilpotent exponentials ------------------------------------------------------
 
 
-def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
-    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0, k <= bound; ValueError
-    if n^bound != 0, so always for bound = 0.
+def exp_nilpotent(n: ExactMatrix) -> ExactMatrix:
+    """Sum_{j<k} n^j/j! for nilpotent n with n^k = 0.  An n x n nilpotent
+    has n^n = 0, so the series runs at most n terms (none for 0 x 0, whose
+    exponential is the 0 x 0 identity); ValueError if n^n != 0.
 
     The series runs on Gaussian integers.  With n = N/delta (stored form),
     n^j/j! = N^j/(delta^j j!), and delta^j j! = delta^(j-1) (j-1)! * delta*j,
@@ -751,18 +763,14 @@ def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
     power = {i: [(i, 1, 0)] for i in range(n.nrows)}
     total = {(i, i): (1, 0) for i in range(n.nrows)}
     den = 1
-    for j in range(1, bound + 1):
+    for j in range(1, n.nrows + 1):
         previous, power = power, {}
         for i, sums in _walk(previous.items(), n_rows):
             row = [(c, re, im) for c, (re, im) in sums.items() if re or im]
             if row:
                 power[i] = row
         if not power:
-            rows: dict = {}
-            for (i, c), (re, im) in total.items():
-                if re or im:
-                    rows.setdefault(i, []).append((c, re, im))
-            return _canonical(n.nrows, n.ncols, den, rows)
+            break
         scale = delta * j
         den *= scale
         total = {key: (re * scale, im * scale) for key, (re, im) in total.items()}
@@ -770,9 +778,15 @@ def exp_nilpotent(n: ExactMatrix, bound: int) -> ExactMatrix:
             for c, re, im in row:
                 cur = total.get((i, c))
                 total[(i, c)] = (re, im) if cur is None else (cur[0] + re, cur[1] + im)
-    raise ValueError(
-        f"power series did not terminate within {bound} terms; input is not nilpotent there"
-    )
+    if power:
+        raise ValueError(
+            f"power series did not terminate within {n.nrows} terms; input is not nilpotent there"
+        )
+    rows: dict = {}
+    for (i, c), (re, im) in total.items():
+        if re or im:
+            rows.setdefault(i, []).append((c, re, im))
+    return _canonical(n.nrows, n.ncols, den, rows)
 
 
 # -- exchange format --------------------------------------------------------------

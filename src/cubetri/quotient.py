@@ -3,16 +3,16 @@
 Classes are antipode pairs, represented by the numerically smaller vertex;
 since the antipode flips the top bit, the representatives are exactly the
 integers below 2^(D-1) and double as class indices.  Every matrix is
-built in closed form.  The dual adjacency and the weighted adjacency are
-each proved to be the image of its parent matrix under the projection
-psi, and `quotient_acsa_structure` proves the relations among A~, B~, C~.
+built in closed form.  Each of A~, B~ and C~ is proved to be the image of
+its parent matrix under the projection psi, and `quotient_acsa_structure`
+proves the relations among A~, B~, C~.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 
 from .acsa import ModuleActionTriple, check_relations
-from .hypercube import CubeContext, second_dual_adjacency, weighted_adjacency
+from .hypercube import CubeContext, adjacency, second_dual_adjacency, weighted_adjacency
 from .linalg import ExactMatrix, unit_entries
 from .record import Record, _set
 
@@ -71,10 +71,13 @@ def quotient_adjacency(q: QuotientContext) -> ExactMatrix:
     """Class u joined to the classes of the neighbors u ^ 2^b of its lift u;
     the other lift's neighbors are their antipodes, in the same classes.
     For D >= 3 the D classes of a row are distinct, as 2^b ^ 2^c is not
-    the all-ones string."""
+    the all-ones string.  Proved to be the image of the parent's
+    adjacency: psi A == A~ psi."""
     unit = unit_entries(q.nclasses)
     rows = {u: [unit[q.class_of(u ^ (1 << b))] for b in range(q.D)] for u in q.classes()}
-    return ExactMatrix._make(q.nclasses, q.nclasses, 1, rows)
+    a = ExactMatrix._make(q.nclasses, q.nclasses, 1, rows)
+    _check_image(q, adjacency(q.parent), a, "adjacency")
+    return a
 
 
 @lru_cache(maxsize=None)

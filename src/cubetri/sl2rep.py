@@ -6,7 +6,8 @@ h = exp((iY-X)/2) exp((iY+X)/2) exp((iY-X)/2) anticommutes with X and Z and
 commutes with Y; correcting it by the scalar k (1 on an odd-dimensional
 irreducible, -i on an even one) yields an involution s = hk, which twists Y
 and Z into generators of the anticommutator spin algebra.  `build_skew` forms
-and checks s for the canonical modules and the hypercube's T-modules alike.
+s as `build_h` times the scalar `k_scalar` and checks it, for the canonical
+modules and the hypercube's T-modules alike.
 """
 from __future__ import annotations
 
@@ -16,23 +17,11 @@ from functools import lru_cache
 from .acsa import ModuleActionTriple, _chain, _sign, ab_type, check_relations, classify, restrict_triple
 from .exactnum import GaussianRational, I, gr, integer_power_of_i
 from .linalg import ExactMatrix, bracket, exp_nilpotent
-from .record import Record, _set
 
 
 # Actions of X, Y, Z on one space, as three square matrices like a module
 # triple; the brackets [X,Y]=2iZ etc. are what `check_brackets` verifies.
 Sl2Action = ModuleActionTriple
-
-
-class SkewOperatorRealization(Record):
-    """h, k and the skew involution s = hk on the same space as the action."""
-
-    __slots__ = ("h_mat", "k_mat", "s_mat")
-
-    def __init__(self, h_mat: ExactMatrix, k_mat: ExactMatrix, s_mat: ExactMatrix):
-        _set(self, "h_mat", h_mat)
-        _set(self, "k_mat", k_mat)
-        _set(self, "s_mat", s_mat)
 
 
 def check_brackets(action: Sl2Action) -> bool:
@@ -70,13 +59,12 @@ def raising_lowering_halves(action: Sl2Action):
 
 @lru_cache(maxsize=None)
 def build_h(action: Sl2Action) -> ExactMatrix:
-    """h as a product of three nilpotent exponentials, computed exactly; a
-    nilpotent n x n matrix N has N^n = 0, so the dimension bounds each series.
+    """h as a product of three nilpotent exponentials, computed exactly.
     Memoized on the action's value: each canonical module and each T-module
     class pays for its exponentials once per process."""
     n_minus, n_plus = raising_lowering_halves(action)
-    e_minus = exp_nilpotent(n_minus, action.dimension)
-    return e_minus @ exp_nilpotent(n_plus, action.dimension) @ e_minus
+    e_minus = exp_nilpotent(n_minus)
+    return e_minus @ exp_nilpotent(n_plus) @ e_minus
 
 
 def exp_ad_matrices() -> tuple[ExactMatrix, ExactMatrix]:
@@ -107,33 +95,30 @@ def k_scalar(dimension: int) -> GaussianRational:
 
 
 @lru_cache(maxsize=None)
-def build_skew(action: Sl2Action) -> SkewOperatorRealization:
-    """s = h k for an irreducible action, k = k_scalar(dimension) I; raises
-    AssertionError unless s^2 = I, sX = -Xs, sY = Ys and sZ = -Zs (s^2 = I
-    fails on summands of mixed parity).  Memoized on the action's value,
-    like `build_h`: the skew suite, the sl2 factory and `split_odd` share
-    one checked s."""
+def build_skew(action: Sl2Action) -> ExactMatrix:
+    """s = h k for an irreducible action, k = k_scalar(dimension) a scalar;
+    raises AssertionError unless s^2 = I, sX = -Xs, sY = Ys and sZ = -Zs
+    (s^2 = I fails on summands of mixed parity).  Memoized on the action's
+    value, like `build_h`: the skew suite, the sl2 factory and `split_odd`
+    share one checked s."""
     x, y, z = action.matrices()
-    eye = ExactMatrix.identity(action.dimension)
-    h = build_h(action)
-    k = eye * k_scalar(action.dimension)
-    s = h @ k
+    s = build_h(action) * k_scalar(action.dimension)
     if not (
-        s @ s == eye
+        s @ s == ExactMatrix.identity(action.dimension)
         and bracket(s, x).is_zero()
         and bracket(s, y, -1).is_zero()
         and bracket(s, z).is_zero()
     ):
         raise AssertionError("h*k is not a skew operator; inputs are inconsistent")
-    return SkewOperatorRealization(h, k, s)
+    return s
 
 
-def checked_skew(d: int) -> tuple[Sl2Action, SkewOperatorRealization]:
-    """The diameter-d irreducible action and its `build_skew`, once h is checked:
-    h = diag((-1)^i i^d) and h^2 = (-1)^d I, or AssertionError.  `build_skew`
-    proves that s = hk anticommutes with X and Z and commutes with Y, so h
-    does, as k is a nonzero scalar; that fixes s only up to sign, and these
-    fix h."""
+def checked_skew(d: int) -> tuple[Sl2Action, ExactMatrix]:
+    """The diameter-d irreducible action and its s = `build_skew`, once h is
+    checked: h = diag((-1)^i i^d) and h^2 = (-1)^d I, or AssertionError.
+    `build_skew` proves that s = hk anticommutes with X and Z and commutes
+    with Y, so h does, as k is a nonzero scalar; that fixes s only up to
+    sign, and these fix h."""
     action = build_irreducible_sl2(d)
     h = build_h(action)
     want_h = ExactMatrix.diagonal([expected_h_eigenvalue(i, d) for i in range(d + 1)])
@@ -190,8 +175,7 @@ def split_odd(action: Sl2Action, structure_index: int):
         raise ValueError("structure_index must be 1 or 2")
     delta = (d - 1) // 2
     n = d + 1
-    skew = build_skew(action)
-    structure = induce_acsa_structures(action, skew.s_mat)[structure_index - 1]
+    structure = induce_acsa_structures(action, build_skew(action))[structure_index - 1]
     plus_cols = [{i: 1, d - i: 1} for i in range(delta + 1)]
     minus_cols = [{i: _sign(i), d - i: -_sign(i)} for i in range(delta + 1)]
     plus = ExactMatrix.from_columns(n, plus_cols)

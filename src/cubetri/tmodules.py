@@ -57,7 +57,7 @@ from .linalg import (
 )
 from .quotient import QuotientContext, psi_matrix, quotient_adjacency, quotient_dual_adjacency
 from .record import Record, _set
-from .sl2rep import Sl2Action, build_skew, check_brackets
+from .sl2rep import Sl2Action, build_h, build_skew, check_brackets
 
 
 class SubmoduleBasis(Record):
@@ -249,10 +249,9 @@ def _skew_class(ctx: CubeContext, x: ExactMatrix, y: ExactMatrix, s: ExactMatrix
     where = f"on the diameter-{action.diameter} modules"
     if not check_brackets(action):
         raise AssertionError(f"sl2 brackets fail {where} of Q_{ctx.D}")
-    skew = build_skew(action)
-    if s != skew.s_mat:
+    if s != build_skew(action):
         raise AssertionError(f"skew operator on Q_{ctx.D}: closed form disagrees with h*k {where}")
-    return skew.h_mat
+    return build_h(action)
 
 
 def dual_profile(w: SubmoduleBasis) -> list[int]:
@@ -276,7 +275,7 @@ def _require_cube_module(w: SubmoduleBasis, what: str) -> None:
 
 
 def _eigenspace_dims(ctx: CubeContext, a_w: ExactMatrix) -> tuple[int, ...]:
-    dims = {theta: k.ncols for theta, k in integer_eigenspaces(a_w, ctx.D)}
+    dims = {theta: k.ncols for theta, k in integer_eigenspaces(a_w)}
     return tuple(dims.get(ctx.D - 2 * i, 0) for i in range(ctx.D + 1))
 
 

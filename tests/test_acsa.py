@@ -74,8 +74,8 @@ def test_relations_detail_names_the_residue_at_the_smallest_entry():
     # (a x, b y, c z) for a triple satisfying the relations multiplies
     # xy+yx=2z by (ab, c), yz+zy=2x by (bc, a) and zx+xz=2y by (ca, b), so
     # each choice of scalars below breaks exactly the named relation first
-    action, skew = checked_skew(3)
-    first, _second = induce_acsa_structures(action, skew.s_mat)
+    action, s = checked_skew(3)
+    first, _second = induce_acsa_structures(action, s)
     third, third_1i = gr(Fraction(1, 3)), gr(Fraction(1, 3), Fraction(1, 3))
     half_1i, sixth_1i = gr(Fraction(1, 2), Fraction(1, 2)), gr(Fraction(1, 6), Fraction(1, 6))
     cases = (
@@ -148,7 +148,7 @@ def _closure_dimension(seed, mats):
 
 def _irreducible_by_closure(m):
     """The former definition: every x-eigenvector generates the space under {x, y}."""
-    spaces = list(integer_eigenspaces(m.x_mat, 2 * m.diameter + 1))
+    spaces = list(integer_eigenspaces(m.x_mat))
     if any(basis.ncols > 1 for _theta, basis in spaces):
         return False
     gens = (m.x_mat, m.y_mat)

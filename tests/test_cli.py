@@ -73,6 +73,23 @@ def test_build_reads_only_ascii_digit_suffixes(tmp_path, capsys):
         assert err.count("\n") == 1 and list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "D, bad, error",
+    [
+        ("3", "nope", "error: unknown matrix name 'nope'"),
+        ("3", "E9", "error: index 9 out of range 0..3"),
+        ("4", "A~", "error: antipodal quotient needs odd D >= 3"),
+    ],
+)
+def test_build_resolves_every_name_before_it_writes(tmp_path, capsys, D, bad, error):
+    # A resolves and the second name does not: no directory and no A.mtx
+    out_dir = tmp_path / "newdir"
+    code = main(["build", "--D", D, "--matrix", "A", "--matrix", bad, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(error) and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 def test_decompose_censuses(capsys):
     code, out = run_cli(capsys, "decompose", "--D", "4")
     assert code == 0

@@ -19,7 +19,7 @@ from cubetri.tmodules import decompose
 
 
 def test_eigenstructure_diagonal():
-    pairs = eigenstructure(ExactMatrix.diagonal([2, 0, -2]), 7)
+    pairs = eigenstructure(ExactMatrix.diagonal([2, 0, -2]))
     assert [t for t, _v in pairs] == [-2, 0, 2]
     for t, v in pairs:
         assert ExactMatrix.diagonal([2, 0, -2]) @ v == v * t
@@ -29,29 +29,29 @@ def test_eigenstructure_of_canonical_families():
     for d in range(0, 7):
         if d % 2 == 0:
             t = build_canonical(b_type(d))
-            assert {th for th, _ in eigenstructure(t.x_mat, 2 * d + 3)} == {
+            assert {th for th, _ in eigenstructure(t.x_mat)} == {
                 (-1) ** i * (d - 2 * i) for i in range(d + 1)
             }
         ab = build_canonical(ab_type(d, "0"))
-        assert {th for th, _ in eigenstructure(ab.y_mat, 2 * d + 3)} == {
+        assert {th for th, _ in eigenstructure(ab.y_mat)} == {
             (-1) ** (d + i) * (2 * d - 2 * i + 1) for i in range(d + 1)
         }
 
 
 def test_eigenstructure_rejects_multiplicity():
     with pytest.raises(ValueError, match="multiplicity"):
-        eigenstructure(ExactMatrix.diagonal([1, 1]), 3)
+        eigenstructure(ExactMatrix.diagonal([1, 1]))
 
 
 def test_eigenstructure_rejects_non_integer_spectrum():
     m = ExactMatrix.from_rows([[0, 2], [1, 0]])  # eigenvalues +-sqrt(2)
     with pytest.raises(ValueError, match="span"):
-        eigenstructure(m, 5)
+        eigenstructure(m)
 
 
 def test_standard_ordering_b4():
     t = build_canonical(b_type(4))
-    pairs = eigenstructure(t.x_mat, 11)
+    pairs = eigenstructure(t.x_mat)
     ordering, c1, c2 = standard_ordering(pairs, t.y_mat, t.z_mat)
     assert ordering in ([4, -2, 0, 2, -4], [-4, 2, 0, -2, 4])
     assert ordering == [4, -2, 0, 2, -4]  # tie-break starts at the larger end
@@ -61,12 +61,12 @@ def test_standard_ordering_b4():
 
 def test_standard_ordering_trivial_and_failure():
     one = ExactMatrix.from_rows([[5]])
-    pairs = eigenstructure(one, 11)
+    pairs = eigenstructure(one)
     ordering, _c1, _c2 = standard_ordering(pairs, one, one)
     assert ordering == [5]
     # a diagonal companion connects nothing: the support graph is no path
     d3 = ExactMatrix.diagonal([1, 2, 3])
-    pairs = eigenstructure(d3, 7)
+    pairs = eigenstructure(d3)
     with pytest.raises(ValueError, match="not a path"):
         standard_ordering(pairs, d3, d3)
 

@@ -1,7 +1,8 @@
 import random
+import re
 import sys
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -159,26 +160,30 @@ def test_kernel_columns_annihilated():
 
 
 def test_exp_of_zero_and_shift():
-    assert exp_nilpotent(ExactMatrix.zeros(3, 3), 4) == ExactMatrix.identity(3)
+    assert exp_nilpotent(ExactMatrix.zeros(3, 3)) == ExactMatrix.identity(3)
+    # the empty sum of the 0 x 0 series is the 0 x 0 identity
+    assert exp_nilpotent(ExactMatrix.zeros(0, 0)) == ExactMatrix.identity(0)
     n = ExactMatrix.from_rows([[0, 1], [0, 0]])
-    assert exp_nilpotent(n, 2) == ExactMatrix.from_rows([[1, 1], [0, 1]])
-    # the 3 x 3 shift has N^2 != 0 = N^3, so bound 3 is the least that returns
-    shift = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-    half = gr(Fraction(1, 2))
-    assert exp_nilpotent(shift, 3) == ExactMatrix.from_rows([[1, 1, half], [0, 1, 1], [0, 0, 1]])
+    assert exp_nilpotent(n) == ExactMatrix.from_rows([[1, 1], [0, 1]])
+    # the n x n shift has N^(n-1) != 0 = N^n, so its series needs all n terms
+    half, sixth = gr(Fraction(1, 2)), gr(Fraction(1, 6))
+    for size, want in (
+        (3, [[1, 1, half], [0, 1, 1], [0, 0, 1]]),
+        (4, [[1, 1, half, sixth], [0, 1, 1, half], [0, 0, 1, 1], [0, 0, 0, 1]]),
+    ):
+        shift = ExactMatrix(size, size, {(i, i + 1): 1 for i in range(size - 1)})
+        assert exp_nilpotent(shift) == ExactMatrix.from_rows(want)
 
 
 def test_exp_rejects_non_nilpotent():
-    with pytest.raises(ValueError):
-        exp_nilpotent(ExactMatrix.identity(2), 5)
-    shift = ExactMatrix.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     message = "power series did not terminate within 2 terms; input is not nilpotent there"
     with pytest.raises(ValueError) as info:
-        exp_nilpotent(shift, 2)
+        exp_nilpotent(ExactMatrix.identity(2))
     assert str(info.value) == message
-    # bound 0 admits no term, so even the zero matrix raises
-    with pytest.raises(ValueError, match="did not terminate within 0 terms"):
-        exp_nilpotent(ExactMatrix.zeros(3, 3), 0)
+    # the cyclic shift is a permutation, so no power of it is 0
+    cycle = ExactMatrix(3, 3, {(0, 1): 1, (1, 2): 1, (2, 0): 1})
+    with pytest.raises(ValueError, match="did not terminate within 3 terms"):
+        exp_nilpotent(cycle)
 
 
 def test_exp_inverse_property():
@@ -191,7 +196,7 @@ def test_exp_inverse_property():
             for c in range(r + 1, n)
         }
         m = ExactMatrix(n, n, entries)
-        assert exp_nilpotent(m, n) @ exp_nilpotent(-m, n) == ExactMatrix.identity(n)
+        assert exp_nilpotent(m) @ exp_nilpotent(-m) == ExactMatrix.identity(n)
 
 
 # -- exp_nilpotent against a Fraction-pair series ------------------------------
@@ -236,16 +241,11 @@ def _pair_exp(n, limit):
     return None, None
 
 
-def _check_exp_against_pairs(n, bounds):
-    """exp_nilpotent(n, bound) is the pair series for each bound at least its
-    k, and raises for every smaller one."""
-    want, k = _pair_exp(_pairs(n), max(bounds))
-    for bound in bounds:
-        if k is None or bound < k:
-            with pytest.raises(ValueError, match=f"did not terminate within {bound} terms"):
-                exp_nilpotent(n, bound)
-        else:
-            assert _pairs(exp_nilpotent(n, bound)) == want, bound
+def _check_exp_against_pairs(n):
+    """exp_nilpotent(n) is the pair series, which ends within n.nrows terms."""
+    want, k = _pair_exp(_pairs(n), n.nrows)
+    assert k is not None
+    assert _pairs(exp_nilpotent(n)) == want
 
 
 def test_exp_matches_fraction_pair_series_on_conjugated_nilpotents():
@@ -281,13 +281,13 @@ def test_exp_matches_fraction_pair_series_on_conjugated_nilpotents():
             for r, row in enumerate(conj)
             for c, (re, im) in enumerate(row)
         })
-        _check_exp_against_pairs(n, range(size + 2))
+        _check_exp_against_pairs(n)
 
 
 def test_exp_matches_fraction_pair_series_on_the_sl2_halves():
     for d in range(13):
         for half in raising_lowering_halves(build_irreducible_sl2(d)):
-            _check_exp_against_pairs(half, (d, d + 1))
+            _check_exp_against_pairs(half)
 
 
 def test_from_columns_normalizes_and_column_reads_back():
@@ -422,20 +422,50 @@ def test_integer_eigenspaces_stops_once_they_span(monkeypatch):
     tried = []
     monkeypatch.setattr(linalg, "kernel_basis", lambda m: tried.append(m) or kernel_basis(m))
     m = ExactMatrix.diagonal([3, -1, 3])
-    scan = integer_eigenspaces(m, 50)
+    scan = integer_eigenspaces(m)
     assert [(theta, k.ncols) for theta, k in scan] == [(-1, 1), (3, 2)]
     # the characteristic polynomial rules out every other candidate
     eye = ExactMatrix.identity(3)
     assert tried == [m + eye, m - eye * 3]
-    with pytest.raises(ValueError, match="span 0 of 2"):
-        list(integer_eigenspaces(ExactMatrix.from_rows([[0, 2], [1, 0]]), 5))
+    # eigenvalues +-sqrt(2); the row sums bound the scan to [-2, 2]
+    message = (
+        "integer eigenvalues in [-2,2] span 0 of 2 dimensions; input is outside the supported class"
+    )
+    with pytest.raises(ValueError) as err:
+        list(integer_eigenspaces(ExactMatrix.from_rows([[0, 2], [1, 0]])))
+    assert str(err.value) == message
+
+
+def test_integer_eigenspaces_try_candidates_by_modulus(monkeypatch):
+    # P diag(2, -1, 0) P^-1 with P = I + 10^12 E_01 has a row sum above
+    # 10^12, and so has b; the candidates 0, -1, 1, -2, 2 span the space, so the
+    # scan evaluates the characteristic polynomial five times, not 10^12
+    evaluations = []
+
+    class Counted(list):
+        def __iter__(self):
+            evaluations.append(1)
+            assert len(evaluations) <= 5, "the scan tries candidates beyond the spectrum"
+            return super().__iter__()
+
+    char_poly = linalg._char_poly
+
+    def counted(m):
+        d, chi = char_poly(m)
+        return d, Counted(chi)
+
+    monkeypatch.setattr(linalg, "_char_poly", counted)
+    p = ExactMatrix(3, 3, {(0, 0): 1, (1, 1): 1, (2, 2): 1, (0, 1): 10**12})
+    m = p @ ExactMatrix.diagonal([2, -1, 0]) @ invert(p)
+    assert [(theta, k.ncols) for theta, k in integer_eigenspaces(m)] == [(-1, 1), (0, 1), (2, 1)]
+    assert len(evaluations) == 5
 
 
 def test_integer_eigenspaces_rejects_non_square_in_one_line():
     tall = _random_matrix(random.Random(5), 3, 2)
     for m in (ExactMatrix.zeros(2, 3), ExactMatrix.zeros(0, 3), tall):
         with pytest.raises(ValueError, match="non-square") as err:
-            list(integer_eigenspaces(m, 4))
+            list(integer_eigenspaces(m))
         assert "\n" not in str(err.value)
 
 
@@ -493,7 +523,13 @@ def test_char_poly_matches_sympy_on_certificate_triples(monkeypatch):
             _assert_char_poly_matches_sympy(sympy, m)
 
 
-# -- integer_eigenspaces against the exhaustive scan it replaced ---------------
+# -- integer_eigenspaces against an exhaustive scan over a wider range ---------
+
+
+def _wider_bound(m):
+    """The sum of |re| + |im| over every entry of m, rounded up: at least
+    each row sum, so at least |theta| for every eigenvalue theta."""
+    return ceil(sum(abs(v.re) + abs(v.im) for v in m.entries.values()))
 
 
 def _exhaustive_scan(m, bound):
@@ -535,7 +571,7 @@ _EIGENVALUES = st.one_of(
 @st.composite
 def _conjugated_jordan_forms(draw):
     """P J P^-1 with J block diagonal: Jordan blocks of sizes 1..3 whose
-    eigenvalues may repeat, be non-integer or lie outside the scan range."""
+    eigenvalues may repeat or be non-integer."""
     sizes = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=1, max_size=3))
     pool = draw(st.lists(_EIGENVALUES, min_size=1, max_size=2))
     n = sum(sizes)
@@ -565,9 +601,37 @@ def _invertible_matrices(draw, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_conjugated_jordan_forms(), st.integers(0, 6))
-def test_integer_eigenspaces_equals_exhaustive_scan(m, bound):
-    assert _outcome(integer_eigenspaces(m, bound)) == _outcome(_exhaustive_scan(m, bound))
+@given(_conjugated_jordan_forms())
+def test_integer_eigenspaces_equals_exhaustive_scan(m):
+    # every integer eigenvalue lies in both ranges, so both scans find the
+    # same eigenspaces, or fail together; the failure names the row-sum range
+    found, error = _outcome(integer_eigenspaces(m))
+    want, want_error = _outcome(_exhaustive_scan(m, _wider_bound(m)))
+    assert (error is None) == (want_error is None)
+    if error is None:
+        assert found == want
+    else:
+        named = re.match(r"integer eigenvalues in \[-(\d+),\1\] span ", error)
+        assert named and int(named[1]) <= _wider_bound(m)
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        # all ones: the eigenvalue 3 is the row sum, the end of the range
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [(0, 2), (3, 1)]),
+        # eigenvalues +-1 bounded only by the imaginary parts
+        ([[0, gr(0, 1)], [gr(0, -1), 0]], [(-1, 1), (1, 1)]),
+        # row sums 1/2 and 2 over one denominator 2: the range is [-2, 2]
+        ([[0, Fraction(1, 2)], [2, 0]], [(-1, 1), (1, 1)]),
+    ],
+)
+def test_integer_eigenspaces_reach_the_row_sum_bound(rows, want):
+    m = ExactMatrix.from_rows(rows)
+    scan = list(integer_eigenspaces(m))
+    assert [(theta, k.ncols) for theta, k in scan] == want
+    for theta, k in scan:
+        assert m @ k == k * theta
 
 
 # -- invert and restrict: the one solve, pinned through the public API ---------
@@ -990,7 +1054,7 @@ def test_from_columns_and_exp_nilpotent_agree_with_the_pair_oracle(data):
         inv_j = (Fraction(1, j), Fraction(0))
         term = _nonzero({key: _o_mul(p, inv_j) for key, p in _o_matmul(term, nil).items()})
         total, j = _o_plus(total, term), j + 1
-    assert _oracle_of(exp_nilpotent(_matrix(n, n, nil), n)) == total
+    assert _oracle_of(exp_nilpotent(_matrix(n, n, nil))) == total
 
 
 @settings(max_examples=150, deadline=None)
@@ -1087,7 +1151,7 @@ def test_integer_matrix_operations_form_no_scalar(monkeypatch):
     products = [a @ b, a + b, a - b, a._plus(b, -1), a * 3, 3 * a, a * half, a * i, -a]
     products += [bracket(a, b), bracket(a, b, -1)]
     assert a == a @ ExactMatrix.identity(3) and a != b and hash(a) != hash(b)
-    assert exp_nilpotent(nil, 3) == ExactMatrix.from_rows([[1, 1, 7 * half], [0, 1, 3], [0, 0, 1]])
+    assert exp_nilpotent(nil) == ExactMatrix.from_rows([[1, 1, 7 * half], [0, 1, 3], [0, 0, 1]])
     assert acsa.check_relations(triple) == (True, None)
     for space, build in zip(spaces, (adjacency, quotient_adjacency)):
         tmodules._check_symmetric.__wrapped__(space, build)

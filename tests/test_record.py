@@ -10,7 +10,7 @@ from cubetri.acsa import ModuleActionTriple, ModuleType, ab_type, build_canonica
 from cubetri.hypercube import CubeContext
 from cubetri.leonard import LeonardTripleCertificate, certify_triple
 from cubetri.quotient import QuotientContext, quotient
-from cubetri.sl2rep import SkewOperatorRealization, checked_skew
+from cubetri.record import Record, _set
 from cubetri.suites import SuiteResult
 from cubetri.tmodules import SubmoduleBasis, decompose
 
@@ -35,10 +35,19 @@ RECORDS = [
         ),
         lambda: certify_triple(*build_canonical(ab_type(3, "y")).matrices(), module_id="m"),
     ),
-    (SkewOperatorRealization, ("h_mat", "k_mat", "s_mat"), lambda: checked_skew(3)[1]),
     (SubmoduleBasis, ("space", "module_id", "endpoint", "tableau"), lambda: decompose(CubeContext(5))[1]),
 ]
 IDS = [cls.__name__ for cls, _fields, _make in RECORDS]
+
+
+class _Triple(Record):
+    """The fields of a module action triple, under another class."""
+
+    __slots__ = ("x_mat", "y_mat", "z_mat")
+
+    def __init__(self, x_mat, y_mat, z_mat):
+        for name, value in zip(self.__slots__, (x_mat, y_mat, z_mat)):
+            _set(self, name, value)
 
 
 @pytest.mark.parametrize("cls, fields, make", RECORDS, ids=IDS)
@@ -78,8 +87,8 @@ def test_records_of_another_class_or_another_field_are_unequal():
     assert (image.module_id, image.endpoint, image.tableau) == (w.module_id, w.endpoint, w.tableau)
     assert image != w and w != image
     x, y, z = build_canonical(ab_type(2, "x")).matrices()
-    triple, skew = ModuleActionTriple(x, y, z), SkewOperatorRealization(x, y, z)
-    assert hash(triple) == hash(skew) and triple != skew and skew != triple
+    triple, other = ModuleActionTriple(x, y, z), _Triple(x, y, z)
+    assert hash(triple) == hash(other) and triple != other and other != triple
     assert CubeContext(5) != QuotientContext(CubeContext(5))
     assert ModuleType("B", 2) != ("B", 2, None) and CubeContext(5) != (5,)
     assert ModuleType("AB", 3, "x") != ModuleType("AB", 3, "y")

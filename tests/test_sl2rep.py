@@ -71,8 +71,8 @@ def test_brackets_fail_when_any_one_bracket_breaks():
 
 
 def test_brackets_and_skew_checks_walk_no_product_pair(monkeypatch):
-    # every (anti)commutator is one `bracket` walk, not p @ q beside q @ p:
-    # the only products left are s = h k, s^2 and h^2
+    # every (anti)commutator is one `bracket` walk, not p @ q beside q @ p,
+    # and s = h k is a scalar product: the only products left are s^2 and h^2
     action = build_irreducible_sl2(5)
     h = build_h(action)
     checked_skew(4)  # fills the caches checked_skew reads
@@ -80,10 +80,11 @@ def test_brackets_and_skew_checks_walk_no_product_pair(monkeypatch):
     matmul = linalg.matmul
     monkeypatch.setattr(linalg, "matmul", lambda a, b: calls.append((a, b)) or matmul(a, b))
     assert check_brackets(action) is True and calls == []
-    skew = build_skew.__wrapped__(action)
-    assert calls == [(h, skew.k_mat), (skew.s_mat, skew.s_mat)]
+    s = build_skew.__wrapped__(action)
+    assert s == h * k_scalar(6) and calls == [(s, s)]
     calls.clear()
-    h4 = checked_skew(4)[1].h_mat
+    checked_skew(4)
+    h4 = build_h(build_irreducible_sl2(4))
     assert calls == [(h4, h4)]
 
 
@@ -95,10 +96,10 @@ def test_exp_of_nilpotent_halves_in_w_basis():
     n_minus, n_plus = raising_lowering_halves(m)
     w = z_weight_basis(m)
     winv = invert(w)
-    assert winv @ exp_nilpotent(n_plus, 3) @ w == ExactMatrix.from_rows(
+    assert winv @ exp_nilpotent(n_plus) @ w == ExactMatrix.from_rows(
         [[1, gr(0, 2), -1], [0, 1, gr(0, 1)], [0, 0, 1]]
     )
-    assert winv @ exp_nilpotent(n_minus, 3) @ w == ExactMatrix.from_rows(
+    assert winv @ exp_nilpotent(n_minus) @ w == ExactMatrix.from_rows(
         [[1, 0, 0], [gr(0, 1), 1, 0], [-1, gr(0, 2), 1]]
     )
 
@@ -152,8 +153,8 @@ def test_exp_ad_matrices_frozen_and_independently_recomputed():
     half = Fraction(1, 2)
     ad_minus = _adjoint_matrix(gr(-half), gr(0, half), gr(0))
     ad_plus = _adjoint_matrix(gr(half), gr(0, half), gr(0))
-    assert exp_nilpotent(ad_minus, 3) == first
-    assert exp_nilpotent(ad_plus, 3) == second
+    assert exp_nilpotent(ad_minus) == first
+    assert exp_nilpotent(ad_plus) == second
 
 
 def test_h_conjugation_negates_x_on_diameter_one():
@@ -163,11 +164,11 @@ def test_h_conjugation_negates_x_on_diameter_one():
 
 
 def test_k_scalars_and_centrality():
-    m2 = build_irreducible_sl2(2)
-    assert build_skew(m2).k_mat == ExactMatrix.identity(3)
-    m3 = build_irreducible_sl2(3)
-    k = build_skew(m3).k_mat
-    assert k == ExactMatrix.identity(4) * gr(0, -1)
+    assert k_scalar(3) == gr(1) and k_scalar(4) == gr(0, -1)
+    m2, m3 = build_irreducible_sl2(2), build_irreducible_sl2(3)
+    assert build_skew(m2) == build_h(m2)
+    assert build_skew(m3) == build_h(m3) * gr(0, -1)
+    k = ExactMatrix.identity(4) * k_scalar(4)
     for mat in m3.matrices():
         assert k @ mat == mat @ k
 
@@ -175,9 +176,9 @@ def test_k_scalars_and_centrality():
 def test_skew_operator_properties():
     for d in range(0, 11):
         m = build_irreducible_sl2(d)
-        skew = build_skew(m)
-        assert skew.k_mat == ExactMatrix.identity(d + 1) * k_scalar(d + 1)
-        assert skew.s_mat == skew.h_mat @ skew.k_mat
+        s = build_skew(m)
+        assert s == build_h(m) * k_scalar(d + 1)
+        assert s == build_h(m) @ (ExactMatrix.identity(d + 1) * k_scalar(d + 1))
 
 
 def test_weight_sum_vector():
@@ -197,8 +198,7 @@ def test_weight_sum_vector():
 def test_induced_structures_even_diameter():
     for d in (2, 4):
         m = build_irreducible_sl2(d)
-        skew = build_skew(m)
-        first, second = induce_acsa_structures(m, skew.s_mat)
+        first, second = induce_acsa_structures(m, build_skew(m))
         assert classify(first) == b_type(d)
         assert classify(second) == b_type(d)
 
@@ -277,7 +277,7 @@ def test_build_skew_checks_each_skew_relation(monkeypatch):
     h = build_h(action)
     monkeypatch.setattr(sl2rep, "build_h", lambda _action: h)
     x, y, z = action.matrices()
-    assert build_skew.__wrapped__(action).s_mat == y
+    assert build_skew.__wrapped__(action) == y
     for broken in (Sl2Action(y, y, z), Sl2Action(x, x, z), Sl2Action(x, y, y)):
         with pytest.raises(AssertionError, match="not a skew operator"):
             build_skew.__wrapped__(broken)

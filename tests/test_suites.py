@@ -5,11 +5,18 @@ import pytest
 
 from cubetri import suites
 from cubetri.exactnum import gr
-from cubetri.hypercube import cube, second_dual_adjacency, v_plus_minus, weighted_adjacency
+from cubetri.hypercube import (
+    adjacency,
+    cube,
+    second_dual_adjacency,
+    v_plus_minus,
+    weighted_adjacency,
+)
 from cubetri.linalg import ExactMatrix
 from cubetri.quotient import (
     quotient,
     quotient_acsa_structure,
+    quotient_adjacency,
     quotient_dual_adjacency,
     quotient_weighted_adjacency,
 )
@@ -60,6 +67,7 @@ def _negated_entry(m):
 @pytest.mark.parametrize(
     "parent_name, parent, want",
     [
+        ("adjacency", adjacency, "quotient adjacency"),
         ("second_dual_adjacency", second_dual_adjacency, "dual adjacency"),
         ("weighted_adjacency", weighted_adjacency, "weighted adjacency"),
     ],
@@ -70,7 +78,8 @@ def test_transport_stops_on_the_builders_check_of_a_damaged_parent(
     # the suite leaves psi M == M~ psi to the quotient builders, which prove it
     damaged = _negated_entry(parent(quotient(5).parent))
     monkeypatch.setattr(quotient_module, parent_name, lambda ctx: damaged)
-    for cached in (quotient_dual_adjacency, quotient_weighted_adjacency, quotient_acsa_structure):
+    builders = (quotient_adjacency, quotient_dual_adjacency, quotient_weighted_adjacency)
+    for cached in (*builders, quotient_acsa_structure):
         cached.cache_clear()  # a cached matrix would skip the check
     with pytest.raises(AssertionError, match=f"{want} of Q~_5 is not the image"):
         run_suite("transport", Ds=(5,))
